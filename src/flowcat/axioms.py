@@ -184,12 +184,6 @@ def _as_view(x: GlobularSet | Tower) -> GlobularSet:
     return x if isinstance(x, GlobularSet) else GlobularSet(x)
 
 
-def _pairs(X: GlobularSet, level: int, p: int) -> tuple[tuple[Cell, Cell], ...]:
-    """All ordered pairs of level cells gluing along the level-p boundary."""
-
-    return X.composable_pairs(level, p)
-
-
 def check_globular(x: GlobularSet | Tower) -> TagReport:
     """Boundary coherence: maps land one level down and agree two down.
 
@@ -240,7 +234,7 @@ def _check_a(X: GlobularSet) -> TagReport:
     rec = _Recorder("a")
     for level in range(1, X.n + 1):
         for p in range(level):
-            for C, A in _pairs(X, level, p):
+            for C, A in X.composable_pairs(level, p):
                 try:
                     glued = X.compose(p, C, A)
                     if p == level - 1:
@@ -296,7 +290,7 @@ def _check_c(X: GlobularSet) -> TagReport:
     rec = _Recorder("c")
     for level in range(1, X.n + 1):
         for p in range(level):
-            pairs = _pairs(X, level, p)
+            pairs = X.composable_pairs(level, p)
             by_left: dict[Cell, list[Cell]] = {}
             for c, a in pairs:
                 by_left.setdefault(c, []).append(a)
@@ -353,7 +347,7 @@ def _check_e(X: GlobularSet) -> TagReport:
     for level in range(2, X.n + 1):
         cs = X.cells(level)
         for p in range(1, level):
-            pairs = _pairs(X, level, p)
+            pairs = X.composable_pairs(level, p)
             for q in range(p):
                 skey = {c: X.boundary_key(q, c, "s") for c in cs}
                 tkey = {c: X.boundary_key(q, c, "t") for c in cs}
@@ -388,7 +382,7 @@ def _check_f(X: GlobularSet) -> TagReport:
     rec = _Recorder("f")
     for level in range(1, X.n):
         for p in range(level):
-            for C, A in _pairs(X, level, p):
+            for C, A in X.composable_pairs(level, p):
                 oneC, oneA = X.identity(C), X.identity(A)
                 if not X.composable(p, oneC, oneA):
                     rec.error(

@@ -82,7 +82,7 @@ def extended_cells(tower: Tower, level: int) -> tuple[Cell, ...]:
     return tuple(sorted(out, key=cell_key))
 
 
-def source(cell: Cell, tower: Tower | None = None) -> Cell:
+def source(cell: Cell) -> Cell:
     """The cell one level down at the source side."""
 
     if cell.space is None:
@@ -98,7 +98,7 @@ def source(cell: Cell, tower: Tower | None = None) -> Cell:
     return Cell(sp.source, down)
 
 
-def target(cell: Cell, tower: Tower | None = None) -> Cell:
+def target(cell: Cell) -> Cell:
     """The cell one level down at the target side."""
 
     if cell.space is None:
@@ -238,7 +238,7 @@ def _normalize_address(addr: ModuliAddress | None) -> ModuliAddress | None:
 
 
 @lru_cache(maxsize=None)
-def normalize(cell: Cell | NormalCell, tower: Tower | None = None) -> NormalCell:
+def normalize(cell: Cell | NormalCell) -> NormalCell:
     """Canonical form of a cell: point and address normalized alike.
 
     Levels are preserved; two cells represent the same cell exactly when

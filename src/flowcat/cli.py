@@ -104,11 +104,22 @@ def _parse_shape_tokens(lineno: int, tokens: list[str]) -> tuple[Shape, int]:
         raise ParseError(lineno, str(e)) from None
 
 
+def _parse_index(lineno: int, token: str) -> int:
+    try:
+        idx = int(token)
+    except ValueError:
+        raise ParseError(lineno, f"bad index {token!r}") from None
+    if idx < 0:
+        raise ParseError(lineno, f"negative index {idx}")
+    return idx
+
+
 def parse_tower_file(text: str) -> tuple[FlowSystem, Declarations]:
     """Parse a tower file into a flow system and its declarations."""
 
     points: list[tuple[str, int]] = []
     moduli: dict[tuple[str, str], list[tuple[str, Shape, tuple[Endpoint, ...]]]] = {}
+    moduli_line: dict[tuple[str, str], int] = {}
     # declare sections: addr -> {comp -> (points, moduli-lines)}
     declared: dict[str, dict[str, tuple[list[DeclaredPoint], list[tuple]]]] = {}
     point_of_name: dict[str, str] = {}  # declared name -> owning comp (per section)
@@ -130,6 +141,7 @@ def parse_tower_file(text: str) -> tuple[FlowSystem, Declarations]:
                 if key in moduli:
                     raise ParseError(lineno, f"second [moduli {head[1]} {head[2]}] section")
                 moduli[key] = []
+                moduli_line[key] = lineno
                 section = ("moduli", key)
             elif len(head) == 2 and head[0] == "declare":
                 declared.setdefault(head[1], {})
@@ -146,10 +158,7 @@ def parse_tower_file(text: str) -> tuple[FlowSystem, Declarations]:
         if section[0] == "critical":
             if len(tokens) != 2:
                 raise ParseError(lineno, f"expected 'id index', got {line!r}")
-            try:
-                idx = int(tokens[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad index {tokens[1]!r}") from None
+            idx = _parse_index(lineno, tokens[1])
             if tokens[0] in names_seen:
                 raise ParseError(lineno, f"duplicate name {tokens[0]!r}")
             names_seen[tokens[0]] = lineno
@@ -191,10 +200,7 @@ def parse_tower_file(text: str) -> tuple[FlowSystem, Declarations]:
                         f"got {line!r}",
                     )
                 name, cid = tokens[1], tokens[5]
-                try:
-                    idx = int(tokens[3])
-                except ValueError:
-                    raise ParseError(lineno, f"bad index {tokens[3]!r}") from None
+                idx = _parse_index(lineno, tokens[3])
                 if name in names_seen:
                     raise ParseError(
                         lineno,
@@ -237,6 +243,11 @@ def parse_tower_file(text: str) -> tuple[FlowSystem, Declarations]:
 
     if not points:
         raise ParseError(1, "no [critical] section with points")
+    known = {pid for pid, _ in points}
+    for (s, t), lineno in moduli_line.items():
+        for e in (s, t):
+            if e not in known:
+                raise ParseError(lineno, f"[moduli {s} {t}] names unknown point {e!r}")
 
     items: dict[tuple[str, str], ComponentDecl] = {}
     for addr, per_comp in declared.items():

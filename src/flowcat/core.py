@@ -35,7 +35,7 @@ __all__ = [
     "point_key",
     "address_key",
     "cell_key",
-    "stationary_address",
+    "next_address",
     "stationary_point",
     "ambient_of_point",
 ]
@@ -328,23 +328,28 @@ def ambient_of_point(p: Point) -> ModuliAddress | None:
     return ModuliAddress(first.source, last.target, first.history)
 
 
-def stationary_address(at: Point, ambient: ModuliAddress | None) -> ModuliAddress:
-    """Address of the stationary space at a point of an ambient space.
+def next_address(source: Point, target: Point, ambient: ModuliAddress | None) -> ModuliAddress:
+    """Address of the space of flow lines between two points of a space.
 
-    The new space sits one level above the ambient one: its history is
-    the ambient's history with the ambient's own endpoint pair appended.
+    The new space sits one level above ``ambient``: its history is the
+    ambient's history with the ambient's own endpoint pair appended.
+    ``ambient`` is ``None`` for the base flow system, whose spaces have
+    no history.
     """
 
     if ambient is None:
-        return ModuliAddress(at, at, EMPTY_HISTORY)
-    hist = History.from_pairs(ambient.history.pairs + ((ambient.source, ambient.target),))
-    return ModuliAddress(at, at, hist)
+        return ModuliAddress(source, target)
+    hist = History(
+        ambient.history.sources + (ambient.source,),
+        ambient.history.targets + (ambient.target,),
+    )
+    return ModuliAddress(source, target, hist)
 
 
 def stationary_point(at: Point, ambient: ModuliAddress | None) -> Primitive:
     """The canonical point of the stationary space at ``at``."""
 
-    home = stationary_address(at, ambient)
+    home = next_address(at, at, ambient)
     return Primitive(
         CritPoint(id=f"1({point_key(at)})", index=0, value=Fraction(0), home=home)
     )

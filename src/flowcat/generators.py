@@ -11,13 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import (
-    CritPoint,
-    History,
-    ModuliAddress,
-    Primitive,
-    address_key,
-)
+from .core import CritPoint, ModuliAddress, Primitive, address_key, next_address
 from .stratification import (
     CIRCLE,
     Endpoint,
@@ -70,13 +64,10 @@ def sphere_system(n: int) -> tuple[FlowSystem, Declarations]:
         hi = DeclaredPoint(f"hi{level}", n - level)
         lo = DeclaredPoint(f"lo{level}", 0)
         items[(address_key(addr), comp_id)] = ComponentDecl(points=(hi, lo))
-        hist = History.from_pairs(
-            addr.history.pairs + ((addr.source, addr.target),)
-        )
-        addr = ModuliAddress(
+        addr = next_address(
             Primitive(CritPoint(hi.name, hi.index, Fraction(2), addr)),
             Primitive(CritPoint(lo.name, lo.index, Fraction(1), addr)),
-            hist,
+            addr,
         )
         comp_id = "0"
     return fs, Declarations.build(items)

@@ -234,6 +234,17 @@ class FlowSystem:
         )
 
     @property
+    def table(self) -> dict[tuple[str, str], tuple[Component, ...]]:
+        """The nonempty pairs as a ``{(source, target): components}`` table.
+
+        This is the pair table of a level-0 space whose points are the
+        base critical points: the build's first round reads it exactly
+        as later rounds read the tables derived on built spaces.
+        """
+
+        return {(s, t): comps for s, t, comps in self.pairs if comps}
+
+    @property
     def max_index(self) -> int:
         return max((p.index for p in self.points), default=0)
 
@@ -338,19 +349,26 @@ def moduli_dimension(fs: FlowSystem, source: str, target: str) -> int:
     return fs.point(source).index - fs.point(target).index - 1
 
 
-def _chains(fs: FlowSystem, source: str, target: str) -> list[tuple[str, ...]]:
+def _chains(
+    table: dict[tuple[str, str], tuple[Component, ...]], source: str, target: str
+) -> list[tuple[str, ...]]:
     """All chains of intermediate points from source to target.
 
-    Every consecutive pair along a chain must be directly connected.
+    ``table`` maps ordered pairs of points to the components between
+    them; every consecutive pair along a chain must have components.
     Returns tuples of intermediates (possibly empty), shortest first.
     """
 
+    succ: dict[str, list[str]] = {}
+    for (a, b), comps in table.items():
+        if comps and a != b:
+            succ.setdefault(a, []).append(b)
     out: list[tuple[str, ...]] = []
 
     def walk(at: str, mids: tuple[str, ...]) -> None:
-        if fs.connected(at, target):
+        if table.get((at, target)):
             out.append(mids)
-        for nxt in fs.successors(at):
+        for nxt in succ.get(at, ()):
             if nxt != target and nxt != source and nxt not in mids:
                 walk(nxt, mids + (nxt,))
 
@@ -398,21 +416,22 @@ def _refines(
 
 
 def _stratify(
-    source: str,
-    target: str,
-    chains: list[tuple[str, ...]],
-    comps_of: dict[tuple[str, str], tuple[Component, ...]],
+    table: dict[tuple[str, str], tuple[Component, ...]], source: str, target: str
 ) -> Stratification:
-    """Enumerate strata (all chains, all factor choices) with closure."""
+    """Enumerate strata (all chains, all factor choices) with closure.
 
-    comp_of = {(s, t, c.id): c for (s, t), cs in comps_of.items() for c in cs}
+    ``table`` is the pair table of the space one level down, whose
+    points ``source`` and ``target`` are.
+    """
+
+    comp_of = {(s, t, c.id): c for (s, t), cs in table.items() for c in cs}
     strata: list[Stratum] = []
-    for mids in chains:
+    for mids in _chains(table, source, target):
         chain = (source,) + mids + (target,)
         segs = list(zip(chain, chain[1:]))
         choices: list[tuple[PieceRef, ...]] = [()]
         for s, t in segs:
-            comps = comps_of.get((s, t), ())
+            comps = table.get((s, t), ())
             choices = [
                 chosen + (PieceRef(s, t, c.id),) for chosen in choices for c in comps
             ]
@@ -450,9 +469,7 @@ def boundary_strata(fs: FlowSystem, source: str, target: str) -> Stratification:
 
     if not fs.connected(source, target):
         raise ValueError(f"no flow lines from {source!r} to {target!r}")
-    chains = _chains(fs, source, target)
-    comps_of = {(s, t): cs for s, t, cs in fs.pairs}
-    return _stratify(source, target, chains, comps_of)
+    return _stratify(fs.table, source, target)
 
 
 def depth(p: Point) -> int:
@@ -608,12 +625,13 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
 
     # Broken configurations must match interval endpoints exactly.
     if not any(v.code in ("index-order", "unknown-point", "self-pair") for v in out):
+        table = fs.table
         ids = sorted(p.id for p in fs.points)
         for x in ids:
             for z in ids:
                 if x == z:
                     continue
-                mids = [m for m in _chains(fs, x, z) if len(m) == 1]
+                mids = [m for m in _chains(table, x, z) if len(m) == 1]
                 configs: set[Endpoint] = set()
                 for (m,) in mids:
                     for c1 in fs.components(x, m):
@@ -672,7 +690,7 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
             for z in ids:
                 if x == z or not fs.connected(x, z):
                     continue
-                strat = boundary_strata(fs, x, z)
+                strat = _stratify(table, x, z)
                 for sub in strat.strata:
                     if sub.depth < 2:
                         continue

@@ -20,12 +20,11 @@ over different broken configurations and therefore never tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
     CritPoint,
-    History,
     ModuliAddress,
     Point,
     Primitive,
@@ -33,15 +32,13 @@ from .core import (
     address_key,
     flatten_point,
     is_stationary,
+    next_address,
     point_key,
-    point_value,
-    stationary_address,
     stationary_point,
 )
 from .stratification import (
     CIRCLE,
     Component,
-    Endpoint,
     FlowSystem,
     INTERVAL,
     PieceRef,
@@ -49,9 +46,7 @@ from .stratification import (
     Shape,
     Stratification,
     Stratum,
-    _chains,
     _stratify,
-    boundary_strata,
     sphere_like,
     validate_flow_system,
 )
@@ -167,12 +162,6 @@ class MorseData:
 
     entries: tuple[MorseEntry, ...]
 
-    def by_key(self, key: str) -> MorseEntry:
-        for e in self.entries:
-            if point_key(e.point) == key:
-                return e
-        raise KeyError(f"no critical point {key!r} on this space")
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -198,12 +187,6 @@ class SpaceData:
     @property
     def stationary(self) -> bool:
         return is_stationary(self.address)
-
-    def derived_components(self, p_key: str, q_key: str) -> tuple[Component, ...]:
-        for a, b, comps in self.derived:
-            if (a, b) == (p_key, q_key):
-                return comps
-        return ()
 
 
 @dataclass(frozen=True)
@@ -347,12 +330,20 @@ def _declared_points(
     """Declared interior points of a component, highest first.
 
     Closed positive-dimensional shapes require exactly two points with
-    the extreme indices; a missing or malformed declaration is an error
+    the extreme indices, and declared positive-dimensional shapes at
+    least one point; a missing or malformed declaration is an error
     naming the space and component.
     """
 
     decl = decls.get(addr_key_str, comp.id)
     pts = decl.points if decl else ()
+    if comp.shape.kind == "declared" and comp.dim >= 1 and not pts:
+        raise MissingDeclarationError(
+            addr_key_str,
+            comp.id,
+            f"a declared {comp.dim}-dimensional component needs declared "
+            "critical points",
+        )
     if comp.shape.kind in ("circle", "sphere"):
         want_top = comp.dim if comp.shape.kind == "sphere" else 1
         if not pts:
@@ -389,25 +380,20 @@ def critical_points(
     0-dimensional components contribute their point; intervals contribute
     their two endpoints (broken points, height the sum over pieces, index
     1 at the higher endpoint); closed or declared components contribute
-    their declared interior points.  ``registry`` resolves endpoint
-    references to the points of sibling 0-dimensional components.
+    their declared interior points.  ``registry`` holds the points of
+    every 0-dimensional component of the round, keyed by ``(source key,
+    target key, component id)``: this space's own, and those of sibling
+    spaces that interval endpoints reference.
     """
 
     akey = address_key(address)
     if is_stationary(address):
         raise ValueError("critical_points expects a nonstationary space")
+    src, tgt = point_key(address.source), point_key(address.target)
     entries: list[MorseEntry] = []
     for comp in sorted(components, key=lambda c: c.id):
         if comp.dim == 0:
-            pt = Primitive(
-                CritPoint(
-                    id=f"{point_key(address.source)}/{point_key(address.target)}:{comp.id}",
-                    index=0,
-                    value=values.comp_values[(akey, comp.id)],
-                    home=address,
-                )
-            )
-            entries.append(MorseEntry(pt, 0, pt.crit.value, comp.id, "point"))
+            entries.append(registry[(src, tgt, comp.id)])
             continue
         for dp in _declared_points(decls, akey, comp):
             val = values.point_values[(akey, comp.id, dp.name)]
@@ -441,15 +427,6 @@ def critical_points(
     return tuple(entries)
 
 
-def _extended_address(p: Point, q: Point, ambient: ModuliAddress) -> ModuliAddress:
-    """Address of the next space between two points of an ambient space."""
-
-    hist = History.from_pairs(
-        ambient.history.pairs + ((ambient.source, ambient.target),)
-    )
-    return ModuliAddress(p, q, hist)
-
-
 def derive_moduli(
     space: SpaceData,
     p: MorseEntry,
@@ -469,7 +446,7 @@ def derive_moduli(
 
     akey = space.key
     pk, qk = point_key(p.point), point_key(q.point)
-    new_addr = _extended_address(p.point, q.point, space.address)
+    new_addr = next_address(p.point, q.point, space.address)
 
     if pk == qk:
         return (
@@ -527,34 +504,6 @@ def derive_moduli(
     )
 
 
-def _level_strata(
-    address: ModuliAddress,
-    parent_derived: dict[tuple[str, str], tuple[Component, ...]],
-) -> Stratification:
-    """Stratification of a derived space from its parent's pair table."""
-
-    src, tgt = point_key(address.source), point_key(address.target)
-    succ: dict[str, list[str]] = {}
-    for (a, b), comps in parent_derived.items():
-        if comps and a != b:
-            succ.setdefault(a, []).append(b)
-
-    chains: list[tuple[str, ...]] = []
-
-    def walk(at: str, mids: tuple[str, ...]) -> None:
-        if parent_derived.get((at, tgt)):
-            chains.append(mids)
-        for nxt in sorted(succ.get(at, [])):
-            if nxt != tgt and nxt != src and nxt not in mids:
-                walk(nxt, mids + (nxt,))
-
-    walk(src, ())
-    comps_of = {
-        (a, b): comps for (a, b), comps in parent_derived.items() if a != b and comps
-    }
-    return _stratify(src, tgt, sorted(chains, key=lambda m: (len(m), m)), comps_of)
-
-
 def _stationary_space(at: Point, ambient: ModuliAddress | None) -> SpaceData:
     """The one-point space over a critical point, with its Morse datum."""
 
@@ -583,9 +532,46 @@ class _Seed:
     """One space scheduled for the next round of the build."""
 
     address: ModuliAddress
+    key: str
     components: tuple[Component, ...]
-    # the parent space's pair table, for stratifying this space (None at level 1)
-    parent_table: tuple[tuple[str, str, tuple[Component, ...]], ...] | None = None
+    # the pair table of the space one level down, for stratifying this space
+    table: dict[tuple[str, str], tuple[Component, ...]]
+
+
+def _schedule(
+    table: dict[tuple[str, str], tuple[Component, ...]],
+    points: list[Point],
+    ambient: ModuliAddress | None,
+) -> tuple[list[_Seed], list[SpaceData], set[tuple[str, str]]]:
+    """The next round over the pair table of one space.
+
+    ``table`` maps pairs of point keys of the space to the components
+    between them, ``points`` lists the space's critical points and
+    ``ambient`` is its address.  Each pair seeds a space; each point in
+    no pair gets a stationary tail; each chain a > b > c of pairs yields
+    the edge (a,b) > (b,c): heights on the first space exceed those on
+    the second.
+    """
+
+    point_of = {point_key(p): p for p in points}
+    seeds = []
+    key_of: dict[tuple[str, str], str] = {}
+    for (a, b), comps in table.items():
+        addr = next_address(point_of[a], point_of[b], ambient)
+        key_of[a, b] = address_key(addr)
+        seeds.append(_Seed(addr, key_of[a, b], comps, table))
+    used = {k for pair in table for k in pair}
+    tails = [_stationary_space(p, ambient) for p in points if point_key(p) not in used]
+    succ: dict[str, list[str]] = {}
+    for a, b in table:
+        succ.setdefault(a, []).append(b)
+    edges = {
+        (key_of[a, b], key_of[b, c])
+        for a, b in table
+        for c in succ.get(b, ())
+        if len({a, b, c}) == 3
+    }
+    return seeds, tails, edges
 
 
 def build_tower(
@@ -608,53 +594,40 @@ def build_tower(
 
     hard_cap = fs.max_index + 1
     levels: list[tuple[SpaceData, ...]] = []
-
-    # Seeds for level 1: the given pairs, plus tails for isolated points.
-    seeds: list[_Seed] = []
-    participating: set[str] = set()
-    for s, t, comps in fs.pairs:
-        if comps:
-            seeds.append(_Seed(fs.address(s, t), comps))
-            participating.update((s, t))
-    tails: list[tuple[Point, ModuliAddress | None]] = [
-        (Primitive(p), None) for p in fs.points if p.id not in participating
-    ]
-    ids = sorted(p.id for p in fs.points)
-    chain_edges: set[tuple[str, str]] = set()
-    for x in ids:
-        for m in ids:
-            for z in ids:
-                if len({x, m, z}) == 3 and fs.connected(x, m) and fs.connected(m, z):
-                    chain_edges.add(
-                        (address_key(fs.address(x, m)), address_key(fs.address(m, z)))
-                    )
-
-    level = 0
+    # The base flow system is the pair table of a level-0 space: its
+    # points are the base critical points and it has no address.
+    rounds = [(fs.table, [Primitive(p) for p in fs.points], None)]
     while True:
-        level += 1
-        if level > hard_cap + 1:
+        if len(levels) > hard_cap:
             raise BuildError(
                 f"construction failed to terminate within {hard_cap} rounds"
             )
+        seeds: list[_Seed] = []
+        tails: list[SpaceData] = []
+        chain_edges: set[tuple[str, str]] = set()
+        for table, points, ambient in rounds:
+            more_seeds, more_tails, edges = _schedule(table, points, ambient)
+            seeds += more_seeds
+            tails += more_tails
+            chain_edges |= edges
+        seeds.sort(key=lambda sd: sd.key)
 
         # Heights for the round: slots from chain constraints, then one
         # dyadic tag per primitive height in deterministic order.
         value_spec = []
         for seed in seeds:
-            akey = address_key(seed.address)
             declared = []
             for comp in sorted(seed.components, key=lambda c: c.id):
                 if comp.dim >= 1:
-                    names = [dp.name for dp in _declared_points(decls, akey, comp)]
+                    names = [dp.name for dp in _declared_points(decls, seed.key, comp)]
                     declared.append((comp.id, names))
-            value_spec.append((akey, seed.components, declared))
+            value_spec.append((seed.key, seed.components, declared))
         values = assign_values(value_spec, chain_edges)
 
         # Register the points of 0-dimensional components first, so that
         # interval endpoints can be resolved across sibling spaces.
         registry: dict[tuple[str, str, str], MorseEntry] = {}
         for seed in seeds:
-            akey = address_key(seed.address)
             src, tgt = point_key(seed.address.source), point_key(seed.address.target)
             for comp in sorted(seed.components, key=lambda c: c.id):
                 if comp.dim == 0:
@@ -662,7 +635,7 @@ def build_tower(
                         CritPoint(
                             id=f"{src}/{tgt}:{comp.id}",
                             index=0,
-                            value=values.comp_values[(akey, comp.id)],
+                            value=values.comp_values[(seed.key, comp.id)],
                             home=seed.address,
                         )
                     )
@@ -672,16 +645,7 @@ def build_tower(
 
         built: list[SpaceData] = []
         for seed in seeds:
-            if seed.parent_table is None:
-                strat = boundary_strata(
-                    fs,
-                    point_key(seed.address.source),
-                    point_key(seed.address.target),
-                )
-            else:
-                strat = _level_strata(seed.address, dict(
-                    ((a, b), comps) for a, b, comps in seed.parent_table
-                ))
+            src, tgt = point_key(seed.address.source), point_key(seed.address.target)
             entries = critical_points(
                 seed.address, seed.components, values, registry, decls
             )
@@ -689,27 +653,18 @@ def build_tower(
                 SpaceData(
                     address=seed.address,
                     components=seed.components,
-                    stratification=strat,
+                    stratification=_stratify(seed.table, src, tgt),
                     morse=MorseData(entries),
-                    derived=(),
                 )
             )
-        for at, ambient in tails:
-            built.append(_stationary_space(at, ambient))
+        built += tails
 
-        # Derive next-round components for every ordered pair of critical
-        # points; points taking part in no nonempty pair get a tail.
-        next_seeds: list[_Seed] = []
-        next_tails: list[tuple[Point, ModuliAddress | None]] = []
-        next_edges: set[tuple[str, str]] = set()
+        # Derive the pair table of every space: the components of the
+        # next space for every ordered pair of its critical points.
+        rounds = []
         finished: list[SpaceData] = []
         for data in built:
-            if data.stationary:
-                finished.append(data)
-                next_tails.append((data.morse.entries[0].point, data.address))
-                continue
             table: dict[tuple[str, str], tuple[Component, ...]] = {}
-            point_of = {point_key(e.point): e.point for e in data.morse}
             for p in data.morse:
                 for q in data.morse:
                     if p is q:
@@ -717,54 +672,17 @@ def build_tower(
                     comps = derive_moduli(data, p, q, decls)
                     if comps:
                         table[(point_key(p.point), point_key(q.point))] = comps
-            used = {k for pair in table for k in pair}
-            for p in data.morse:
-                if point_key(p.point) not in used:
-                    next_tails.append((p.point, data.address))
+            rounds.append((table, [e.point for e in data.morse], data.address))
             derived = tuple((a, b, comps) for (a, b), comps in sorted(table.items()))
-            for (a, b), comps in sorted(table.items()):
-                next_seeds.append(
-                    _Seed(
-                        _extended_address(point_of[a], point_of[b], data.address),
-                        comps,
-                        derived,
-                    )
-                )
-            for (a, b) in table:
-                for (b2, c) in table:
-                    if b == b2 and len({a, b, c}) == 3:
-                        next_edges.add(
-                            (
-                                address_key(
-                                    _extended_address(point_of[a], point_of[b], data.address)
-                                ),
-                                address_key(
-                                    _extended_address(point_of[b], point_of[c], data.address)
-                                ),
-                            )
-                        )
-            finished.append(
-                SpaceData(
-                    address=data.address,
-                    components=data.components,
-                    stratification=data.stratification,
-                    morse=data.morse,
-                    derived=derived,
-                )
-            )
+            finished.append(replace(data, derived=derived))
 
         finished.sort(key=lambda d: d.key)
         levels.append(tuple(finished))
-
-        all_stationary = all(d.stationary for d in finished)
-        if all_stationary or (max_level is not None and level == max_level):
+        complete = all(d.stationary for d in finished)
+        if complete or len(levels) == max_level:
             return Tower(
                 base=fs,
                 declarations=decls,
                 levels=tuple(levels),
-                complete=all_stationary,
+                complete=complete,
             )
-
-        seeds = sorted(next_seeds, key=lambda sd: address_key(sd.address))
-        tails = next_tails
-        chain_edges = next_edges

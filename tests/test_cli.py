@@ -69,6 +69,12 @@ class TestParseErrors:
                 11,
                 "cannot be Interval",
             ),
+            ("[critical]\nx -1\n", 2, "negative index"),
+            (
+                "[critical]\nx 1\ny 0\n\n[moduli x q]\ncomponent c0 shape Point\n",
+                5,
+                "unknown point 'q'",
+            ),
         ],
     )
     def test_line_numbers_and_messages(self, text, lineno, needle):
@@ -114,6 +120,12 @@ class TestExitCodes:
         bad = _write(tmp_path, "invalid.ft", text)
         assert main(["build", bad]) == 2
         assert "missing-space" in capsys.readouterr().err
+
+    def test_unknown_moduli_point_exits_2(self, tmp_path, capsys):
+        text = "[critical]\nx 1\ny 0\n\n[moduli x q]\ncomponent c0 shape Point\n"
+        bad = _write(tmp_path, "unknown.ft", text)
+        assert main(["check", bad]) == 2
+        assert "line 5" in capsys.readouterr().err
 
     def test_missing_declaration_exits_3(self, tmp_path, capsys):
         fs, _ = fc.sphere_system(2)

@@ -12,7 +12,7 @@ from flowcat.core import (
     History,
     ambient_of_point,
     breaking_key,
-    stationary_address,
+    next_address,
     stationary_point,
 )
 
@@ -109,7 +109,7 @@ class TestStationaryHelpers:
 
     def test_stationary_address_without_ambient(self, deformed_tower):
         w = find_cell(deformed_tower, 0, "w").top
-        addr = stationary_address(w, None)
+        addr = next_address(w, w, None)
         assert addr.source == w and addr.target == w
         assert addr.history == EMPTY_HISTORY
         assert fc.is_stationary(addr)

@@ -188,6 +188,13 @@ class TestBuildControls:
         with pytest.raises(fc.MissingDeclarationError):
             fc.build_tower(fs)
 
+    def test_declared_component_requires_declaration(self):
+        fs = fc.flow_system(
+            [("N", 2), ("S", 0)], {("N", "S"): [("c0", fc.parse_shape("Declared 1"), ())]}
+        )
+        with pytest.raises(fc.MissingDeclarationError):
+            fc.build_tower(fs)
+
     def test_declarations_lookup_and_rebuild(self):
         fs, decls = fc.sphere_system(2)
         assert decls.get("M(N>S)", "c0") is not None
