@@ -14,8 +14,6 @@ and sorts glued pieces into flow order.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .core import (
     Broken,
     Cell,
@@ -29,6 +27,7 @@ from .core import (
     cell_key,
     flatten_point,
     is_stationary,
+    memo_on_node,
     point_key,
     stationary_point,
 )
@@ -82,20 +81,23 @@ def extended_cells(tower: Tower, level: int) -> tuple[Cell, ...]:
     return tuple(sorted(out, key=cell_key))
 
 
+@memo_on_node
+def _down(sp: ModuliAddress) -> ModuliAddress:
+    """The address one level below a space of level >= 2."""
+
+    h = sp.history
+    return ModuliAddress(
+        h.sources[-1], h.targets[-1], History(h.sources[:-1], h.targets[:-1])
+    )
+
+
 def source(cell: Cell) -> Cell:
     """The cell one level down at the source side."""
 
     if cell.space is None:
         raise ValueError("a level-0 cell has no source")
     sp = cell.space
-    if sp.level == 1:
-        return Cell(sp.source, None)
-    down = ModuliAddress(
-        sp.history.sources[-1],
-        sp.history.targets[-1],
-        History.from_pairs(sp.history.pairs[:-1]),
-    )
-    return Cell(sp.source, down)
+    return Cell(sp.source, None if sp.level == 1 else _down(sp))
 
 
 def target(cell: Cell) -> Cell:
@@ -104,16 +106,10 @@ def target(cell: Cell) -> Cell:
     if cell.space is None:
         raise ValueError("a level-0 cell has no target")
     sp = cell.space
-    if sp.level == 1:
-        return Cell(sp.target, None)
-    down = ModuliAddress(
-        sp.history.sources[-1],
-        sp.history.targets[-1],
-        History.from_pairs(sp.history.pairs[:-1]),
-    )
-    return Cell(sp.target, down)
+    return Cell(sp.target, None if sp.level == 1 else _down(sp))
 
 
+@memo_on_node
 def identity(cell: Cell) -> Cell:
     """The constant cell one level up: the stationary space at the point.
 
@@ -137,7 +133,7 @@ def composable(p: int, after: Cell, first: Cell) -> bool:
     lhs, rhs = after, first
     for _ in range(level - p):
         lhs, rhs = source(lhs), target(rhs)
-    return normalize(lhs) == normalize(rhs)
+    return _normalize_cell(lhs) is _normalize_cell(rhs)
 
 
 def compose(p: int, after: Cell, first: Cell) -> Cell:
@@ -191,7 +187,7 @@ def _stationary_over(base: Point) -> Primitive:
     return stationary_point(base, ambient_of_point(base))
 
 
-@lru_cache(maxsize=None)
+@memo_on_node
 def normalize_point(pt: Point) -> Point:
     """Canonical form of a point.
 
@@ -224,9 +220,8 @@ def normalize_point(pt: Point) -> Point:
     return _stationary_over(base)
 
 
-def _normalize_address(addr: ModuliAddress | None) -> ModuliAddress | None:
-    if addr is None:
-        return None
+@memo_on_node
+def _normalize_address(addr: ModuliAddress) -> ModuliAddress:
     pairs = tuple(
         (normalize_point(s), normalize_point(t)) for s, t in addr.history.pairs
     )
@@ -237,28 +232,33 @@ def _normalize_address(addr: ModuliAddress | None) -> ModuliAddress | None:
     )
 
 
-@lru_cache(maxsize=None)
+@memo_on_node
+def _normalize_cell(cell: Cell) -> Cell:
+    space = None if cell.space is None else _normalize_address(cell.space)
+    return Cell(normalize_point(cell.top), space)
+
+
 def normalize(cell: Cell | NormalCell) -> NormalCell:
     """Canonical form of a cell: point and address normalized alike.
 
     Levels are preserved; two cells represent the same cell exactly when
-    their normal forms are equal.
+    their normal forms are equal.  The normal form is memoized on the cell
+    as a plain :class:`Cell`, since a memoized :class:`NormalCell` would
+    refer back to a cell that is already normal.
     """
 
     if isinstance(cell, NormalCell):
         cell = cell.cell
-    return NormalCell(Cell(normalize_point(cell.top), _normalize_address(cell.space)))
+    return NormalCell(_normalize_cell(cell))
 
 
 class GlobularSet:
     """The levelwise cells with their boundary maps, as checkable data.
 
-    Sources and targets of built cells are materialized as finite maps
-    (falling back to the structural reading off the address for cells
-    outside the tower, such as raw composites).  The maps, the identity
-    assignment, and the composition table can each be overridden entry
-    by entry, so that every law the checker verifies can be broken by a
-    single targeted mutation.
+    Sources and targets are read off the address, for tower cells and raw
+    composites alike.  The boundary maps, the identity assignment, and the
+    composition table can each be overridden entry by entry, so that every
+    law the checker verifies can be broken by a single targeted mutation.
     """
 
     def __init__(
@@ -277,16 +277,10 @@ class GlobularSet:
         self._identity_over = dict(identity_over or {})
         self._compose_over = dict(compose_over or {})
         self._cells = {l: cells(tower, l) for l in range(self.n + 1)}
-        self._smap = {}
-        self._tmap = {}
-        for l in range(1, self.n + 1):
-            for c in self._cells[l]:
-                self._smap[c] = source(c)
-                self._tmap[c] = target(c)
         self._pairs_memo: dict[tuple[int, int], tuple[tuple[Cell, Cell], ...]] = {}
 
     def _key(self, cell: Cell) -> str:
-        return cell_key(normalize(cell))
+        return cell_key(_normalize_cell(cell))
 
     def cells(self, level: int) -> tuple[Cell, ...]:
         if not 0 <= level <= self.n:
@@ -298,8 +292,6 @@ class GlobularSet:
             k = self._key(cell)
             if k in self._source_over:
                 return self._source_over[k]
-        if cell in self._smap:
-            return self._smap[cell]
         return source(cell)
 
     def t(self, cell: Cell) -> Cell:
@@ -307,8 +299,6 @@ class GlobularSet:
             k = self._key(cell)
             if k in self._target_over:
                 return self._target_over[k]
-        if cell in self._tmap:
-            return self._tmap[cell]
         return target(cell)
 
     def identity(self, cell: Cell) -> Cell:

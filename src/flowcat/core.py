@@ -11,12 +11,20 @@ point) or :class:`Broken` (an ordered tuple of pieces, one per factor of
 a product stratum on the boundary).  Broken points are glued along
 matching endpoints; flattening erases the grouping and yields the
 primitive pieces in gluing order.
+
+The seven node classes are hash-consed (Filliâtre & Conchon, "Type-Safe
+Modular Hash-Consing", 2006): building a node whose fields are those of a
+live node returns that node.  Equal nodes are therefore one object, and
+``==`` and ``hash`` are identity, O(1) however deep the node.  Derived
+data such as key strings and normal forms is memoized on the node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial, wraps
 from typing import Iterator, Union
 
 __all__ = [
@@ -41,7 +49,79 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _hashconsed(cls):
+    """Class decorator: intern the nodes of a frozen ``eq=False`` dataclass.
+
+    The class's ``__new__`` passes its fields, in declaration order, to
+    :func:`_intern`.  The table maps each key to a weak reference, so a
+    node nobody else holds is freed and its entry leaves the table.
+    """
+
+    names = tuple(f.name for f in fields(cls))
+    cls._table = {}
+    cls._init = cls.__init__
+    # ``__new__`` has already run the dataclass ``__init__`` on a new node;
+    # ``object.__init__`` ignores the arguments when ``__new__`` is custom.
+    cls.__init__ = object.__init__
+    cls.__reduce__ = lambda node: (cls, tuple(getattr(node, n) for n in names))
+    return cls
+
+
+def _intern(cls, values: tuple, kinds: tuple = ()):
+    """The live node of ``cls`` with these field values, built on first use.
+
+    ``kinds`` joins the key with the types of scalar fields, so values that
+    compare equal but print differently (``1``, ``True``, ``Fraction(1)``)
+    stay different nodes.  A node that fails its ``__post_init__`` checks
+    is never stored, so building it raises every time.
+    """
+
+    key = values + kinds
+    table = cls._table
+    ref = table.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        cls._init(node, *values)
+        table[key] = weakref.ref(node, partial(_forget, table, key))
+    return node
+
+
+def _forget(table: dict, key: tuple, ref: weakref.ref) -> None:
+    """Weak reference callback: drop the entry of a freed node."""
+
+    if table.get(key) is ref:
+        del table[key]
+
+
+_SELF = object()
+
+
+def memo_on_node(fn):
+    """Memoize a function of one node in the node's own ``__dict__``.
+
+    A result that is the node itself is stored as a marker, so that the
+    memo never makes a node refer to itself and a dropped tower is freed by
+    reference counting alone.
+    """
+
+    attr = f"_memo_{fn.__name__}"
+
+    @wraps(fn)
+    def memoized(node):
+        memo = node.__dict__
+        out = memo.get(attr)
+        if out is None:
+            out = fn(node)
+            memo[attr] = _SELF if out is node else out
+            return out
+        return node if out is _SELF else out
+
+    return memoized
+
+
+@_hashconsed
+@dataclass(frozen=True, eq=False)
 class History:
     """Aligned source/target chains recorded below a space.
 
@@ -51,6 +131,9 @@ class History:
 
     sources: tuple["Point", ...]
     targets: tuple["Point", ...]
+
+    def __new__(cls, sources, targets):
+        return _intern(cls, (sources, targets))
 
     def __post_init__(self) -> None:
         if len(self.sources) != len(self.targets):
@@ -83,7 +166,8 @@ class History:
 EMPTY_HISTORY = History((), ())
 
 
-@dataclass(frozen=True)
+@_hashconsed
+@dataclass(frozen=True, eq=False)
 class ModuliAddress:
     """Identity of one compactified space of flow lines.
 
@@ -99,12 +183,16 @@ class ModuliAddress:
     target: "Point"
     history: History = EMPTY_HISTORY
 
+    def __new__(cls, source, target, history=EMPTY_HISTORY):
+        return _intern(cls, (source, target, history))
+
     @property
     def level(self) -> int:
-        return 1 + len(self.history)
+        return 1 + len(self.history.sources)
 
 
-@dataclass(frozen=True)
+@_hashconsed
+@dataclass(frozen=True, eq=False)
 class CritPoint:
     """A primitive critical point.
 
@@ -118,6 +206,9 @@ class CritPoint:
     index: int
     value: Fraction
     home: ModuliAddress | None = None
+
+    def __new__(cls, id, index, value, home=None):
+        return _intern(cls, (id, index, value, home), (type(index), type(value)))
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -133,14 +224,19 @@ class CritPoint:
             )
 
 
-@dataclass(frozen=True)
+@_hashconsed
+@dataclass(frozen=True, eq=False)
 class Primitive:
     """A point of a space that is a single critical point."""
 
     crit: CritPoint
 
+    def __new__(cls, crit):
+        return _intern(cls, (crit,))
 
-@dataclass(frozen=True)
+
+@_hashconsed
+@dataclass(frozen=True, eq=False)
 class Broken:
     """An ordered tuple of points glued along matching endpoints.
 
@@ -151,6 +247,9 @@ class Broken:
 
     pieces: tuple["Point", ...]
 
+    def __new__(cls, pieces):
+        return _intern(cls, (pieces,))
+
     def __post_init__(self) -> None:
         if len(self.pieces) < 2:
             raise ValueError("a broken point needs at least two pieces")
@@ -159,7 +258,8 @@ class Broken:
 Point = Union[Primitive, Broken]
 
 
-@dataclass(frozen=True)
+@_hashconsed
+@dataclass(frozen=True, eq=False)
 class Cell:
     """A cell of the globular set: a critical point on a named space.
 
@@ -170,12 +270,16 @@ class Cell:
     top: "Point"
     space: ModuliAddress | None
 
+    def __new__(cls, top, space):
+        return _intern(cls, (top, space))
+
     @property
     def level(self) -> int:
         return 0 if self.space is None else self.space.level
 
 
-@dataclass(frozen=True)
+@_hashconsed
+@dataclass(frozen=True, eq=False)
 class NormalCell:
     """A cell in canonical form, produced by the normalizer.
 
@@ -186,6 +290,9 @@ class NormalCell:
     """
 
     cell: Cell
+
+    def __new__(cls, cell):
+        return _intern(cls, (cell,))
 
     @property
     def top(self) -> "Point":
@@ -225,6 +332,7 @@ def point_value(p: Point) -> Fraction:
     return sum((point_value(q) for q in p.pieces), Fraction(0))
 
 
+@memo_on_node
 def point_key(p: Point) -> str:
     """Deterministic canonical string for a point."""
 
@@ -233,6 +341,7 @@ def point_key(p: Point) -> str:
     return "(" + ",".join(point_key(q) for q in p.pieces) + ")"
 
 
+@memo_on_node
 def address_key(a: ModuliAddress) -> str:
     """Deterministic canonical string for a space address.
 
@@ -248,11 +357,12 @@ def address_key(a: ModuliAddress) -> str:
     return f"M({core}|{hist})"
 
 
+@memo_on_node
 def cell_key(c: Cell | NormalCell) -> str:
     """Deterministic canonical string for a cell."""
 
     if isinstance(c, NormalCell):
-        c = c.cell
+        return cell_key(c.cell)
     if c.space is None:
         return point_key(c.top)
     return f"{point_key(c.top)} @ {address_key(c.space)}"

@@ -286,9 +286,19 @@ def flow_system(
     ``points`` lists ``(id, index)``; ``moduli`` maps ordered pairs to
     component specs ``(component_id, shape, boundary)``.  Heights strictly
     decrease along the flow and are pairwise distinct: each point gets its
-    longest-chain rank plus a dyadic offset by rank-then-id order.
+    longest-chain rank plus a dyadic offset by rank-then-id order.  Raises
+    :class:`InvalidFlowSystemError` with an ``unknown-point`` violation for
+    every pair naming a point not in ``points``.
     """
 
+    index_of = dict(points)
+    unknown = [
+        _unknown_point(s, t, e) for s, t in sorted(moduli) for e in (s, t) if e not in index_of
+    ]
+    if unknown:
+        from .tower import InvalidFlowSystemError  # tower imports this module
+
+        raise InvalidFlowSystemError(unknown)
     ids = tuple(pid for pid, _ in points)
     edges: dict[str, set[str]] = {}
     for (s, t), comps in moduli.items():
@@ -297,7 +307,6 @@ def flow_system(
     ranks = _base_ranks(ids, edges)
     order = sorted(ids, key=lambda i: (ranks.get(i, 0), i))
     ordinal = {pid: n for n, pid in enumerate(order)}
-    index_of = dict(points)
     crit = tuple(
         CritPoint(
             id=pid,
@@ -337,6 +346,10 @@ class Violation:
         return f"[{self.code}] {self.message}"
 
 
+def _unknown_point(s: str, t: str, e: str) -> Violation:
+    return Violation("unknown-point", f"pair ({s},{t}) names unknown point {e!r}", (s, t))
+
+
 def moduli_dimension(fs: FlowSystem, source: str, target: str) -> int:
     """Dimension of the compactified space between two base points.
 
@@ -349,6 +362,18 @@ def moduli_dimension(fs: FlowSystem, source: str, target: str) -> int:
     return fs.point(source).index - fs.point(target).index - 1
 
 
+def _successors(
+    table: dict[tuple[str, str], tuple[Component, ...]]
+) -> dict[str, list[str]]:
+    """Per point, the other points it has components to, in table order."""
+
+    succ: dict[str, list[str]] = {}
+    for (a, b), comps in table.items():
+        if comps and a != b:
+            succ.setdefault(a, []).append(b)
+    return succ
+
+
 def _chains(
     table: dict[tuple[str, str], tuple[Component, ...]], source: str, target: str
 ) -> list[tuple[str, ...]]:
@@ -359,20 +384,18 @@ def _chains(
     Returns tuples of intermediates (possibly empty), shortest first.
     """
 
-    succ: dict[str, list[str]] = {}
-    for (a, b), comps in table.items():
-        if comps and a != b:
-            succ.setdefault(a, []).append(b)
+    succ = _successors(table)
     out: list[tuple[str, ...]] = []
-
-    def walk(at: str, mids: tuple[str, ...]) -> None:
+    # A stack, not a recursive closure: a closure that calls itself is a
+    # reference cycle and would keep the table alive until a gc pass.
+    stack: list[tuple[str, tuple[str, ...]]] = [(source, ())]
+    while stack:
+        at, mids = stack.pop()
         if table.get((at, target)):
             out.append(mids)
         for nxt in succ.get(at, ()):
             if nxt != target and nxt != source and nxt not in mids:
-                walk(nxt, mids + (nxt,))
-
-    walk(source, ())
+                stack.append((nxt, mids + (nxt,)))
     return sorted(out, key=lambda m: (len(m), m))
 
 
@@ -512,23 +535,31 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
         if p.index < 0:
             out.append(Violation("bad-index", f"{p.id!r} has negative index", (p.id,)))
 
+    # The first point per id and the first components per pair, as
+    # FlowSystem.point and FlowSystem.components return them.
+    point_of: dict[str, CritPoint] = {}
+    for p in fs.points:
+        point_of.setdefault(p.id, p)
+    comps_of: dict[tuple[str, str], tuple[Component, ...]] = {}
+    for s, t, comps in fs.pairs:
+        comps_of.setdefault((s, t), comps)
+
     pair_seen: set[tuple[str, str]] = set()
     for s, t, comps in fs.pairs:
         subj = (s, t)
         if (s, t) in pair_seen:
             out.append(Violation("dup-pair", f"pair ({s},{t}) listed twice", subj))
         pair_seen.add((s, t))
-        for e in (s, t):
-            if not fs.has_point(e):
-                out.append(Violation("unknown-point", f"pair ({s},{t}) names unknown point {e!r}", subj))
-        if not all(fs.has_point(e) for e in (s, t)):
+        unknown = [_unknown_point(s, t, e) for e in (s, t) if e not in point_of]
+        if unknown:
+            out += unknown
             continue
         if s == t:
             out.append(Violation("self-pair", f"pair ({s},{t}): stationary spaces are implicit, not input", subj))
             continue
         if not comps:
             continue
-        si, ti = fs.point(s).index, fs.point(t).index
+        si, ti = point_of[s].index, point_of[t].index
         if si <= ti:
             out.append(
                 Violation(
@@ -601,7 +632,7 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
                     continue
                 for r in end:
                     rc = next(
-                        (cc for cc in fs.components(r.source, r.target) if cc.id == r.component),
+                        (cc for cc in comps_of.get((r.source, r.target), ()) if cc.id == r.component),
                         None,
                     )
                     if rc is None:
@@ -626,27 +657,29 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
     # Broken configurations must match interval endpoints exactly.
     if not any(v.code in ("index-order", "unknown-point", "self-pair") for v in out):
         table = fs.table
+        succ = _successors(table)
         ids = sorted(p.id for p in fs.points)
         for x in ids:
             for z in ids:
                 if x == z:
                     continue
-                mids = [m for m in _chains(table, x, z) if len(m) == 1]
+                # The chains from x to z through exactly one point m.
+                mids = [m for m in succ.get(x, ()) if m != z and table.get((m, z))]
                 configs: set[Endpoint] = set()
-                for (m,) in mids:
-                    for c1 in fs.components(x, m):
+                for m in mids:
+                    for c1 in comps_of.get((x, m), ()):
                         if c1.dim != 0:
                             continue
-                        for c2 in fs.components(m, z):
+                        for c2 in comps_of.get((m, z), ()):
                             if c2.dim != 0:
                                 continue
                             configs.add((PieceRef(x, m, c1.id), PieceRef(m, z, c2.id)))
                 used: list[Endpoint] = []
-                for c in fs.components(x, z):
+                for c in comps_of.get((x, z), ()):
                     for end in c.boundary:
                         if len(end) == 2:
                             used.append(end)
-                if configs and not fs.connected(x, z):
+                if configs and not comps_of.get((x, z)):
                     out.append(
                         Violation(
                             "missing-space",
@@ -655,7 +688,7 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
                         )
                     )
                     continue
-                if fs.connected(x, z) and fs.point(x).index - fs.point(z).index - 1 == 1:
+                if comps_of.get((x, z)) and point_of[x].index - point_of[z].index - 1 == 1:
                     for cfg in sorted(configs - set(used)):
                         out.append(
                             Violation(
@@ -686,9 +719,10 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
                             )
 
         # Face-of-face: every double break refines through a single break.
+        comp_of = {(s, t, c.id): c for s, t, cs in fs.pairs for c in cs}
         for x in ids:
             for z in ids:
-                if x == z or not fs.connected(x, z):
+                if x == z or not comps_of.get((x, z)):
                     continue
                 strat = _stratify(table, x, z)
                 for sub in strat.strata:
@@ -698,7 +732,7 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
                         mids = sub.intermediates[:drop] + sub.intermediates[drop + 1 :]
                         found = any(
                             sup.intermediates == mids
-                            and _refines(sub, sup, _comp_map(fs))
+                            and _refines(sub, sup, comp_of)
                             for sup in strat.strata
                         )
                         if not found:
@@ -711,10 +745,6 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
                                 )
                             )
     return tuple(out)
-
-
-def _comp_map(fs: FlowSystem) -> dict[tuple[str, str, str], Component]:
-    return {(s, t, c.id): c for s, t, cs in fs.pairs for c in cs}
 
 
 def _end_str(end: Endpoint) -> str:

@@ -22,6 +22,9 @@ from test_axioms import _mutants
 
 SPHERES = (1, 2, 3)
 SEEDS = range(200)
+# Deep spheres and their law instance counts; checking them takes time
+# polynomial in the depth.
+DEEP_SPHERES = {7: 226, 8: 272, 9: 322, 10: 376}
 
 # Towers built by criterion 3 (inside its timing window) and reused by the
 # later criteria; built on demand when a later test runs on its own.
@@ -424,3 +427,15 @@ def test_criterion_7_normal_form(emit):
                                     raw_distinct += 1
         assert quadruples == 1038, quadruples
         assert raw_distinct == 600, raw_distinct
+
+
+@pytest.mark.parametrize("n", sorted(DEEP_SPHERES))
+def test_criterion_8_deep_spheres(emit, n):
+    with emit(8, f"sphere {n}: clean, counts independently recounted, fast"):
+        t0 = time.perf_counter()
+        tower = fc.build_tower(*fc.sphere_system(n))
+        rep = fc.check_all(tower)
+        assert rep.ok, rep.to_text()
+        assert rep.instances == DEEP_SPHERES[n]
+        assert report_counts(rep) == independent_tag_counts(tower)
+        assert time.perf_counter() - t0 < 10.0, f"sphere {n} too slow"

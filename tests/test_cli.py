@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import flowcat as fc
@@ -223,3 +228,29 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestDeterminism:
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def _check(self, path: str, hash_seed: str) -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": self.SRC}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from flowcat.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "check", path],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    @pytest.mark.parametrize("name", ["deformed", "sphere4"])
+    def test_check_output_does_not_depend_on_the_process(self, tmp_path, name):
+        # Nodes hash by identity, so hashes differ from process to process.
+        if name == "deformed":
+            text = fc.render_tower_file(fc.deformed_sphere_system())
+        else:
+            text = fc.render_tower_file(*fc.sphere_system(4))
+        path = _write(tmp_path, f"{name}.ft", text)
+        first = self._check(path, "0")
+        assert b"PASS" in first
+        assert self._check(path, "1") == first

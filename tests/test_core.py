@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -146,3 +149,80 @@ class TestCritPointValidation:
             fc.CritPoint("bad", 0, Fraction(1), addr)
         ok = fc.CritPoint("fine", 0, Fraction(0), addr)
         assert ok.value == 0
+
+
+NODE_CLASSES = (
+    fc.History,
+    fc.ModuliAddress,
+    fc.CritPoint,
+    fc.Primitive,
+    fc.Broken,
+    fc.Cell,
+    fc.NormalCell,
+)
+
+
+def _table_sizes() -> dict[str, int]:
+    return {cls.__name__: len(cls._table) for cls in NODE_CLASSES}
+
+
+class TestInterning:
+    def test_equal_addresses_and_cells_are_one_object(self):
+        x, w = _prim("x", 2, 3), _prim("w", 0, 1)
+        addr = fc.ModuliAddress(x, w)
+        again = fc.ModuliAddress(
+            source=_prim("x", 2, 3), target=_prim("w", 0, 1), history=EMPTY_HISTORY
+        )
+        assert again is addr
+        top = _prim("x/w:0", 0, Fraction(1, 2), addr)
+        cell = fc.Cell(top, addr)
+        assert fc.Cell(top=_prim("x/w:0", 0, Fraction(1, 2), again), space=again) is cell
+        assert fc.Cell(_prim("x/w:1", 0, Fraction(1, 2), addr), addr) is not cell
+
+    def test_independently_built_towers_share_their_cells(self, deformed_fs):
+        one = fc.cells(fc.build_tower(deformed_fs), 2)
+        two = fc.cells(fc.build_tower(fc.deformed_sphere_system()), 2)
+        assert all(a is b for a, b in zip(one, two)) and len(one) == len(two)
+
+    def test_equal_values_that_print_differently_stay_apart(self):
+        as_int = fc.CritPoint("p", 1, 1)
+        as_fraction = fc.CritPoint("p", 1, Fraction(1))
+        as_bool = fc.CritPoint("p", True, 1)
+        assert len({id(as_int), id(as_fraction), id(as_bool)}) == 3
+        assert len({repr(as_int), repr(as_fraction), repr(as_bool)}) == 3
+        assert fc.CritPoint("p", 1, Fraction(1)) is as_fraction
+
+    def test_failing_checks_raise_on_every_build(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fc.CritPoint("p", -1, Fraction(1))
+            with pytest.raises(ValueError):
+                History((_prim("x", 2, 3),), ())
+            with pytest.raises(ValueError):
+                fc.Broken((_prim("x", 2, 3),))
+
+    def test_normal_form_is_memoized(self, deformed_tower):
+        after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
+        unit = fc.identity(find_cell(deformed_tower, 0, "y"))
+        padded = fc.compose(0, after, unit)
+        assert fc.normalize(padded).cell is after
+        for cell in (*fc.extended_cells(deformed_tower, 2), padded):
+            assert fc.normalize(cell) is fc.normalize(cell)
+            assert fc.normalize(fc.normalize(cell)) is fc.normalize(cell)
+
+    def test_copy_and_pickle_return_the_interned_node(self, deformed_tower):
+        cell = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
+        assert copy.copy(cell) is cell
+        assert copy.deepcopy(cell) is cell
+        assert pickle.loads(pickle.dumps(cell)) is cell
+
+    def test_dropped_tower_leaves_the_intern_tables(self):
+        gc.collect()
+        before = _table_sizes()
+        tower = fc.build_tower(*fc.sphere_system(5))
+        fc.check_all(tower)
+        grown = _table_sizes()
+        assert sum(grown.values()) > sum(before.values())
+        del tower
+        gc.collect()
+        assert _table_sizes() == before

@@ -109,6 +109,15 @@ class TestValidatorViolations:
             dataclasses.replace(deformed_fs, points=points)
         )
 
+    def test_flow_system_reports_unknown_point(self):
+        with pytest.raises(fc.InvalidFlowSystemError) as err:
+            fc.flow_system(
+                [("x", 1), ("y", 0)], {("x", "q"): [("c0", fc.parse_shape("Point"), ())]}
+            )
+        (v,) = err.value.violations
+        assert (v.code, v.subjects) == ("unknown-point", ("x", "q"))
+        assert str(v) == "[unknown-point] pair (x,q) names unknown point 'q'"
+
     def test_self_pair(self, deformed_fs):
         comps = deformed_fs.components("x", "y")
         pairs = deformed_fs.pairs + (("x", "x", comps),)
