@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import GlobularSet, normalize
+from .category import GlobularSet, _normalize_cell
 from .core import Cell, cell_key
 from .tower import Tower
 
@@ -107,7 +107,7 @@ class AxiomReport:
 
 
 def _nkey(cell: Cell) -> str:
-    return cell_key(normalize(cell))
+    return cell_key(_normalize_cell(cell))
 
 
 class _Recorder:
@@ -134,7 +134,7 @@ class _Recorder:
         if lhs == rhs:
             self.strict += 1
             return
-        if normalize(lhs) == normalize(rhs):
+        if _normalize_cell(lhs) is _normalize_cell(rhs):
             return
         self.failures.append(
             Failure(
@@ -144,8 +144,7 @@ class _Recorder:
                 q=q,
                 cells=tuple(cell_key(c) for c in cells),
                 detail=(
-                    f"{what}: {cell_key(normalize(lhs))}  !=  "
-                    f"{cell_key(normalize(rhs))}"
+                    f"{what}: {_nkey(lhs)}  !=  {_nkey(rhs)}"
                 ),
             )
         )
@@ -351,10 +350,12 @@ def _check_e(X: GlobularSet) -> TagReport:
             for q in range(p):
                 skey = {c: X.boundary_key(q, c, "s") for c in cs}
                 tkey = {c: X.boundary_key(q, c, "t") for c in cs}
+                # The pairs (C, A) by their level-q targets, in pair order.
+                below: dict[tuple[str, str], list[tuple[Cell, Cell]]] = {}
+                for C, A in pairs:
+                    below.setdefault((tkey[C], tkey[A]), []).append((C, A))
                 for H, E in pairs:
-                    for C, A in pairs:
-                        if not (skey[H] == tkey[C] and skey[E] == tkey[A]):
-                            continue
+                    for C, A in below.get((skey[H], skey[E]), ()):
                         try:
                             lhs = X.compose(
                                 q, X.compose(p, H, E), X.compose(p, C, A)

@@ -259,6 +259,8 @@ class GlobularSet:
     composites alike.  The boundary maps, the identity assignment, and the
     composition table can each be overridden entry by entry, so that every
     law the checker verifies can be broken by a single targeted mutation.
+    Composites of two of the view's own cells are kept for the life of the
+    view and read after the overrides.
     """
 
     def __init__(
@@ -277,7 +279,11 @@ class GlobularSet:
         self._identity_over = dict(identity_over or {})
         self._compose_over = dict(compose_over or {})
         self._cells = {l: cells(tower, l) for l in range(self.n + 1)}
+        self._own = {c for cs in self._cells.values() for c in cs}
         self._pairs_memo: dict[tuple[int, int], tuple[tuple[Cell, Cell], ...]] = {}
+        # Composites of two of the view's own cells, keyed (p, after, first):
+        # the pairs that laws a, c, e and f glue again and again.
+        self._composites: dict[tuple[int, Cell, Cell], Cell] = {}
 
     def _key(self, cell: Cell) -> str:
         return cell_key(_normalize_cell(cell))
@@ -329,10 +335,11 @@ class GlobularSet:
         memo_key = (level, p)
         if memo_key not in self._pairs_memo:
             cs = self.cells(level)
-            skey = {c: self.boundary_key(p, c, "s") for c in cs}
-            tkey = {c: self.boundary_key(p, c, "t") for c in cs}
+            firsts: dict[str, list[Cell]] = {}
+            for a in cs:
+                firsts.setdefault(self.boundary_key(p, a, "t"), []).append(a)
             self._pairs_memo[memo_key] = tuple(
-                (c, a) for c in cs for a in cs if skey[c] == tkey[a]
+                (c, a) for c in cs for a in firsts.get(self.boundary_key(p, c, "s"), ())
             )
         return self._pairs_memo[memo_key]
 
@@ -341,7 +348,13 @@ class GlobularSet:
             k = (p, self._key(after), self._key(first))
             if k in self._compose_over:
                 return self._compose_over[k]
-        return compose(p, after, first)
+        key = (p, after, first)
+        glued = self._composites.get(key)
+        if glued is None:
+            glued = compose(p, after, first)
+            if after in self._own and first in self._own:
+                self._composites[key] = glued
+        return glued
 
     def normalize(self, cell: Cell) -> NormalCell:
         return normalize(cell)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial, wraps
+from functools import wraps
 from typing import Iterator, Union
 
 __all__ = [
@@ -53,12 +53,21 @@ def _hashconsed(cls):
     """Class decorator: intern the nodes of a frozen ``eq=False`` dataclass.
 
     The class's ``__new__`` passes its fields, in declaration order, to
-    :func:`_intern`.  The table maps each key to a weak reference, so a
-    node nobody else holds is freed and its entry leaves the table.
+    :func:`_intern`.  The table maps each key to a weak reference that
+    carries the key, with one removal callback per class, so a node nobody
+    else holds is freed and its entry leaves the table.
     """
 
     names = tuple(f.name for f in fields(cls))
-    cls._table = {}
+    table = cls._table = {}
+
+    def drop(ref: weakref.KeyedRef) -> None:
+        # Weak reference callback: drop the entry of a freed node, unless
+        # a new node has taken its key since.
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    cls._drop = staticmethod(drop)
     cls._init = cls.__init__
     # ``__new__`` has already run the dataclass ``__init__`` on a new node;
     # ``object.__init__`` ignores the arguments when ``__new__`` is custom.
@@ -83,15 +92,8 @@ def _intern(cls, values: tuple, kinds: tuple = ()):
     if node is None:
         node = object.__new__(cls)
         cls._init(node, *values)
-        table[key] = weakref.ref(node, partial(_forget, table, key))
+        table[key] = weakref.KeyedRef(node, cls._drop, key)
     return node
-
-
-def _forget(table: dict, key: tuple, ref: weakref.ref) -> None:
-    """Weak reference callback: drop the entry of a freed node."""
-
-    if table.get(key) is ref:
-        del table[key]
 
 
 _SELF = object()
@@ -377,6 +379,7 @@ def _spans(p: Primitive) -> tuple[tuple["Point", "Point"], ...]:
     return home.history.pairs + ((home.source, home.target),)
 
 
+@memo_on_node
 def breaking_key(p: Primitive) -> tuple:
     """Sort key that orders glued pieces in flow order.
 

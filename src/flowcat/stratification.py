@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     CritPoint,
@@ -207,20 +209,26 @@ class FlowSystem:
     points: tuple[CritPoint, ...]
     pairs: tuple[tuple[str, str, tuple[Component, ...]], ...]
 
+    # Built from the end, so that the first entry listed per key wins.
+    @cached_property
+    def _point_of(self) -> dict[str, CritPoint]:
+        return {p.id: p for p in reversed(self.points)}
+
+    @cached_property
+    def _components_of(self) -> dict[tuple[str, str], tuple[Component, ...]]:
+        return {(s, t): comps for s, t, comps in reversed(self.pairs)}
+
     def point(self, pt_id: str) -> CritPoint:
-        for p in self.points:
-            if p.id == pt_id:
-                return p
-        raise KeyError(f"no critical point {pt_id!r}")
+        try:
+            return self._point_of[pt_id]
+        except KeyError:
+            raise KeyError(f"no critical point {pt_id!r}") from None
 
     def has_point(self, pt_id: str) -> bool:
-        return any(p.id == pt_id for p in self.points)
+        return pt_id in self._point_of
 
     def components(self, source: str, target: str) -> tuple[Component, ...]:
-        for s, t, comps in self.pairs:
-            if (s, t) == (source, target):
-                return comps
-        return ()
+        return self._components_of.get((source, target), ())
 
     def connected(self, source: str, target: str) -> bool:
         return bool(self.components(source, target))
@@ -374,17 +382,34 @@ def _successors(
     return succ
 
 
-def _chains(
-    table: dict[tuple[str, str], tuple[Component, ...]], source: str, target: str
-) -> list[tuple[str, ...]]:
-    """All chains of intermediate points from source to target.
+class _PairTable(NamedTuple):
+    """A pair table with the maps that stratifying its spaces reads.
 
-    ``table`` maps ordered pairs of points to the components between
-    them; every consecutive pair along a chain must have components.
-    Returns tuples of intermediates (possibly empty), shortest first.
+    ``pairs`` maps ordered pairs of points to the components between
+    them, ``succ`` is its successor map and ``comp_of`` maps
+    ``(source, target, component id)`` to the component.  Built once per
+    table by :func:`_pair_table` and shared by every space over it.
     """
 
-    succ = _successors(table)
+    pairs: dict[tuple[str, str], tuple[Component, ...]]
+    succ: dict[str, list[str]]
+    comp_of: dict[tuple[str, str, str], Component]
+
+
+def _pair_table(table: dict[tuple[str, str], tuple[Component, ...]]) -> _PairTable:
+    comp_of = {(s, t, c.id): c for (s, t), cs in table.items() for c in cs}
+    return _PairTable(table, _successors(table), comp_of)
+
+
+def _chains(pt: _PairTable, source: str, target: str) -> list[tuple[str, ...]]:
+    """All chains of intermediate points from source to target.
+
+    Every consecutive pair along a chain must have components in
+    ``pt.pairs``.  Returns tuples of intermediates (possibly empty),
+    shortest first.
+    """
+
+    table, succ = pt.pairs, pt.succ
     out: list[tuple[str, ...]] = []
     # A stack, not a recursive closure: a closure that calls itself is a
     # reference cycle and would keep the table alive until a gc pass.
@@ -438,18 +463,16 @@ def _refines(
     return True
 
 
-def _stratify(
-    table: dict[tuple[str, str], tuple[Component, ...]], source: str, target: str
-) -> Stratification:
+def _stratify(pt: _PairTable, source: str, target: str) -> Stratification:
     """Enumerate strata (all chains, all factor choices) with closure.
 
-    ``table`` is the pair table of the space one level down, whose
-    points ``source`` and ``target`` are.
+    ``pt`` is the pair table of the space one level down, whose points
+    ``source`` and ``target`` are.
     """
 
-    comp_of = {(s, t, c.id): c for (s, t), cs in table.items() for c in cs}
+    table, comp_of = pt.pairs, pt.comp_of
     strata: list[Stratum] = []
-    for mids in _chains(table, source, target):
+    for mids in _chains(pt, source, target):
         chain = (source,) + mids + (target,)
         segs = list(zip(chain, chain[1:]))
         choices: list[tuple[PieceRef, ...]] = [()]
@@ -492,7 +515,7 @@ def boundary_strata(fs: FlowSystem, source: str, target: str) -> Stratification:
 
     if not fs.connected(source, target):
         raise ValueError(f"no flow lines from {source!r} to {target!r}")
-    return _stratify(fs.table, source, target)
+    return _stratify(_pair_table(fs.table), source, target)
 
 
 def depth(p: Point) -> int:
@@ -535,14 +558,9 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
         if p.index < 0:
             out.append(Violation("bad-index", f"{p.id!r} has negative index", (p.id,)))
 
-    # The first point per id and the first components per pair, as
-    # FlowSystem.point and FlowSystem.components return them.
-    point_of: dict[str, CritPoint] = {}
-    for p in fs.points:
-        point_of.setdefault(p.id, p)
-    comps_of: dict[tuple[str, str], tuple[Component, ...]] = {}
-    for s, t, comps in fs.pairs:
-        comps_of.setdefault((s, t), comps)
+    # The first point per id and the first components per pair.
+    point_of = fs._point_of
+    comps_of = fs._components_of
 
     pair_seen: set[tuple[str, str]] = set()
     for s, t, comps in fs.pairs:
@@ -656,8 +674,8 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
 
     # Broken configurations must match interval endpoints exactly.
     if not any(v.code in ("index-order", "unknown-point", "self-pair") for v in out):
-        table = fs.table
-        succ = _successors(table)
+        pt = _pair_table(fs.table)
+        table, succ = pt.pairs, pt.succ
         ids = sorted(p.id for p in fs.points)
         for x in ids:
             for z in ids:
@@ -724,7 +742,7 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
             for z in ids:
                 if x == z or not comps_of.get((x, z)):
                     continue
-                strat = _stratify(table, x, z)
+                strat = _stratify(pt, x, z)
                 for sub in strat.strata:
                     if sub.depth < 2:
                         continue

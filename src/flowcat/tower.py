@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     CritPoint,
@@ -46,6 +47,8 @@ from .stratification import (
     Shape,
     Stratification,
     Stratum,
+    _PairTable,
+    _pair_table,
     _stratify,
     sphere_like,
     validate_flow_system,
@@ -127,11 +130,13 @@ class Declarations:
 
     entries: tuple[tuple[str, str, ComponentDecl], ...] = ()
 
+    @cached_property
+    def _by_key(self) -> dict[tuple[str, str], ComponentDecl]:
+        # Built from the end, so that the first entry listed per key wins.
+        return {(a, c): d for a, c, d in reversed(self.entries)}
+
     def get(self, addr_key: str, comp_id: str) -> ComponentDecl | None:
-        for a, c, d in self.entries:
-            if (a, c) == (addr_key, comp_id):
-                return d
-        return None
+        return self._by_key.get((addr_key, comp_id))
 
     @staticmethod
     def build(items: dict[tuple[str, str], ComponentDecl]) -> "Declarations":
@@ -209,11 +214,17 @@ class Tower:
             )
         return self.levels[level - 1]
 
+    @cached_property
+    def _space_of(self) -> tuple[dict[str, SpaceData], ...]:
+        # Per level; built from the end, so that the first space per key wins.
+        return tuple({sd.key: sd for sd in reversed(spaces)} for spaces in self.levels)
+
     def space(self, level: int, addr_key: str) -> SpaceData:
-        for sd in self.spaces(level):
-            if sd.key == addr_key:
-                return sd
-        raise KeyError(f"no space {addr_key} at level {level}")
+        self.spaces(level)  # raises on a level out of range
+        try:
+            return self._space_of[level - 1][addr_key]
+        except KeyError:
+            raise KeyError(f"no space {addr_key} at level {level}") from None
 
 
 @dataclass(frozen=True)
@@ -535,7 +546,7 @@ class _Seed:
     key: str
     components: tuple[Component, ...]
     # the pair table of the space one level down, for stratifying this space
-    table: dict[tuple[str, str], tuple[Component, ...]]
+    table: _PairTable
 
 
 def _schedule(
@@ -554,21 +565,19 @@ def _schedule(
     """
 
     point_of = {point_key(p): p for p in points}
+    pt = _pair_table(table)
     seeds = []
     key_of: dict[tuple[str, str], str] = {}
     for (a, b), comps in table.items():
         addr = next_address(point_of[a], point_of[b], ambient)
         key_of[a, b] = address_key(addr)
-        seeds.append(_Seed(addr, key_of[a, b], comps, table))
+        seeds.append(_Seed(addr, key_of[a, b], comps, pt))
     used = {k for pair in table for k in pair}
     tails = [_stationary_space(p, ambient) for p in points if point_key(p) not in used]
-    succ: dict[str, list[str]] = {}
-    for a, b in table:
-        succ.setdefault(a, []).append(b)
     edges = {
         (key_of[a, b], key_of[b, c])
         for a, b in table
-        for c in succ.get(b, ())
+        for c in pt.succ.get(b, ())
         if len({a, b, c}) == 3
     }
     return seeds, tails, edges

@@ -136,3 +136,33 @@ class TestMutationSensitivity:
         rep = fc.check_all(mutated)
         assert not rep.ok
         assert "FAIL" in rep.to_text()
+
+    def test_compose_override_wins_over_the_parent_table(self, deformed_tower):
+        # The c and e mutants patch the self-gluing of the stationary cell
+        # over y/w:a, a composable pair whose composite a checked view has
+        # already tabled.  The override must win over that table.
+        parent = fc.GlobularSet(deformed_tower)
+        fc.check_all(parent)
+        s_a = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
+        assert (1, s_a, s_a) in parent._composites
+        fresh = _mutants(deformed_tower, fc.GlobularSet(deformed_tower))["c"]
+        mutated = _mutants(deformed_tower, parent)["c"]
+        text = fc.check_all(mutated).to_text()
+        assert text == fc.check_all(fresh).to_text()
+        assert text == fc.check_all(mutated).to_text()
+        rep = fc.check_all(mutated)
+        assert {t.tag for t in rep.tags if not t.ok} == {"a", "c", "d", "e", "f"}
+        patched = "(x/y:c0,y/w:a)/(x/y:c0,y/w:b):0 @ M((x/y:c0,y/w:a)>(x/y:c0,y/w:b)|x>w)"
+        assert [f.detail for f in rep.by_tag("c").failures] == [
+            f"cells do not glue along level 1: the level-1 source of {patched} "
+            "differs from the level-1 target of 1(y/w:a) @ M(y/w:a>y/w:a|y>w)"
+        ]
+        assert [f.detail for f in rep.by_tag("e").failures] == [
+            f"cells do not glue along level 0: the level-0 source of {patched} "
+            f"differs from the level-0 target of ({one}) @ M({base}>{base}|{down})"
+            for one, base, down in (
+                ("1(x/y:c0),1(x/y:c0)", "x/y:c0", "x>y"),
+                ("1(z/y:c0),1(z/y:c0)", "z/y:c0", "z>y"),
+            )
+        ]
+        assert fc.check_all(parent).ok

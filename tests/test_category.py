@@ -113,6 +113,31 @@ class TestComposition:
         for (lv, p), count in expect.items():
             assert len(deformed_view.composable_pairs(lv, p)) == count
 
+    def test_composable_pairs_keep_the_scan_order(self, deformed_tower, sphere_towers):
+        for tower in (deformed_tower, *sphere_towers.values()):
+            view = fc.GlobularSet(tower)
+            for level in range(1, view.n + 1):
+                cs = view.cells(level)
+                for p in range(level):
+                    scan = tuple(
+                        (c, a) for c in cs for a in cs if view.composable(p, c, a)
+                    )
+                    assert view.composable_pairs(level, p) == scan
+
+    def test_view_keeps_only_composites_of_its_own_cells(self, deformed_tower):
+        view = fc.GlobularSet(deformed_tower)
+        fc.check_all(view)
+        own = {c for level in range(view.n + 1) for c in view.cells(level)}
+        assert view._composites
+        for (p, after, first), glued in view._composites.items():
+            assert after in own and first in own
+            assert view.compose(p, after, first) is glued
+        unit = fc.identity(find_cell(deformed_tower, 0, "y"))
+        after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
+        assert unit not in own
+        view.compose(0, after, unit)
+        assert (0, after, unit) not in view._composites
+
     def test_non_composable_pairs_raise(self, deformed_tower):
         first = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")

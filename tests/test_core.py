@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import copy
 import gc
+import inspect
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import flowcat as fc
+import flowcat.core
 from flowcat.core import (
     EMPTY_HISTORY,
     History,
@@ -226,3 +229,30 @@ class TestInterning:
         del tower
         gc.collect()
         assert _table_sizes() == before
+
+    def test_dropped_view_leaves_the_intern_tables(self):
+        gc.collect()
+        before = _table_sizes()
+        view = fc.GlobularSet(fc.build_tower(*fc.sphere_system(5)))
+        fc.check_all(view)
+        assert view._composites
+        grown = _table_sizes()
+        assert grown["Cell"] > before["Cell"]
+        del view
+        gc.collect()
+        assert _table_sizes() == before
+
+    def test_entries_are_dropped_by_one_callback_per_class(self):
+        node = fc.CritPoint("probe", 0, Fraction(7, 3))
+        table = fc.CritPoint._table
+        key = ("probe", 0, Fraction(7, 3), None, int, Fraction)
+        ref = table[key]
+        assert type(ref) is weakref.KeyedRef and ref.key == key and ref() is node
+        assert ref.__callback__ is fc.CritPoint._drop
+        assert len({cls._drop for cls in NODE_CLASSES}) == len(NODE_CLASSES)
+        for cls in NODE_CLASSES:
+            assert all(r.__callback__ is cls._drop for r in cls._table.values())
+        del node, ref
+        # Reference counting alone frees the node and fires the callback.
+        assert key not in table
+        assert "partial" not in inspect.getsource(flowcat.core)

@@ -71,6 +71,18 @@ class TestFlowSystem:
         assert deformed_fs.max_index == 2
         assert [c.id for c in deformed_fs.components("y", "w")] == ["a", "b"]
         assert deformed_fs.components("w", "x") == ()
+        with pytest.raises(KeyError, match="no critical point 'nope'"):
+            deformed_fs.point("nope")
+
+    def test_lookups_return_the_first_listed_entry(self, deformed_fs):
+        x, y = deformed_fs.point("x"), deformed_fs.point("y")
+        first, second = deformed_fs.components("y", "w"), deformed_fs.components("x", "y")
+        fs = fc.FlowSystem(
+            points=(x, dataclasses.replace(y, id="x"), y),
+            pairs=(("y", "w", first), ("y", "w", second)),
+        )
+        assert fs.point("x") is x and fs.has_point("y")
+        assert fs.components("y", "w") is first
 
     def test_moduli_dimension_is_index_gap_minus_one(self, deformed_fs):
         assert fc.moduli_dimension(deformed_fs, "x", "w") == 1

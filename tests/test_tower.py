@@ -98,6 +98,15 @@ class TestDeformedHigherLevels:
         with pytest.raises(ValueError):
             deformed_tower.spaces(4)
 
+    def test_space_lookup_by_key(self, deformed_tower):
+        for level in range(1, deformed_tower.max_level + 1):
+            for sd in deformed_tower.spaces(level):
+                assert deformed_tower.space(level, sd.key) is sd
+        with pytest.raises(KeyError, match=r"no space M\(w>x\) at level 1"):
+            deformed_tower.space(1, "M(w>x)")
+        with pytest.raises(ValueError):
+            deformed_tower.space(4, "M(x>w)")
+
     def test_derived_table_links_parent_entries(self, deformed_tower):
         sp = deformed_tower.space(1, "M(x>w)")
         assert len(sp.derived) == 1
@@ -200,6 +209,9 @@ class TestBuildControls:
         assert decls.get("M(N>S)", "c0") is not None
         assert decls.get("M(N>S)", "ghost") is None
         assert decls.get("M(no>pe)", "c0") is None
+        first, second = fc.ComponentDecl(), fc.ComponentDecl(points=(fc.DeclaredPoint("p", 0),))
+        twice = fc.Declarations((("M(N>S)", "c0", first), ("M(N>S)", "c0", second)))
+        assert twice.get("M(N>S)", "c0") is first
         rebuilt = fc.Declarations.build(
             {(a, c): d for a, c, d in decls.entries}
         )
