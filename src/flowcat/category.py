@@ -279,7 +279,7 @@ class GlobularSet:
         self._identity_over = dict(identity_over or {})
         self._compose_over = dict(compose_over or {})
         self._cells = {l: cells(tower, l) for l in range(self.n + 1)}
-        self._own = {c for cs in self._cells.values() for c in cs}
+        self._own_cells = {c for cs in self._cells.values() for c in cs}
         self._pairs_memo: dict[tuple[int, int], tuple[tuple[Cell, Cell], ...]] = {}
         # Composites of two of the view's own cells, keyed (p, after, first):
         # the pairs that laws a, c, e and f glue again and again.
@@ -352,7 +352,7 @@ class GlobularSet:
         glued = self._composites.get(key)
         if glued is None:
             glued = compose(p, after, first)
-            if after in self._own and first in self._own:
+            if after in self._own_cells and first in self._own_cells:
                 self._composites[key] = glued
         return glued
 
