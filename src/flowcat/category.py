@@ -14,6 +14,8 @@ and sorts glued pieces into flow order.
 
 from __future__ import annotations
 
+import weakref
+
 from .core import (
     Broken,
     Cell,
@@ -120,6 +122,18 @@ def identity(cell: Cell) -> Cell:
     return Cell(pt, pt.crit.home)
 
 
+def _glues(p: int, after: Cell, first: Cell, s=source, t=target) -> bool:
+    """Whether the pair glues, walking the boundary maps ``s`` and ``t``."""
+
+    level = after.level
+    if first.level != level or not 0 <= p < level:
+        return False
+    lhs, rhs = after, first
+    for _ in range(level - p):
+        lhs, rhs = s(lhs), t(rhs)
+    return _normalize_cell(lhs) is _normalize_cell(rhs)
+
+
 def composable(p: int, after: Cell, first: Cell) -> bool:
     """Whether two same-level cells glue along their level-p boundary.
 
@@ -127,13 +141,14 @@ def composable(p: int, after: Cell, first: Cell) -> bool:
     iterated source of ``after``, up to normal form.
     """
 
-    level = after.level
-    if first.level != level or not 0 <= p < level:
-        return False
-    lhs, rhs = after, first
-    for _ in range(level - p):
-        lhs, rhs = source(lhs), target(rhs)
-    return _normalize_cell(lhs) is _normalize_cell(rhs)
+    return _glues(p, after, first)
+
+
+def _not_gluing(p: int, after: Cell, first: Cell) -> ValueError:
+    return ValueError(
+        f"cells do not glue along level {p}: the level-{p} source of "
+        f"{cell_key(after)} differs from the level-{p} target of {cell_key(first)}"
+    )
 
 
 def compose(p: int, after: Cell, first: Cell) -> Cell:
@@ -145,18 +160,18 @@ def compose(p: int, after: Cell, first: Cell) -> Cell:
     does not glue.
     """
 
-    level = after.level
     if not composable(p, after, first):
-        a = cell_key(after)
-        b = cell_key(first)
-        raise ValueError(
-            f"cells do not glue along level {p}: the level-{p} source of {a} "
-            f"differs from the level-{p} target of {b}"
-        )
+        raise _not_gluing(p, after, first)
+    return _glue(p, after, first)
+
+
+def _glue(p: int, after: Cell, first: Cell) -> Cell:
+    """The composite of a pair already known to glue along level p."""
+
     top = Broken((first.top, after.top))
     asp, csp = first.space, after.space
     assert asp is not None and csp is not None
-    if p == level - 1:
+    if p == after.level - 1:
         space = ModuliAddress(asp.source, csp.target, asp.history)
         return Cell(top, space)
     pairs: list[tuple[Point, Point]] = []
@@ -182,9 +197,21 @@ def _is_stationary_prim(q: Primitive) -> bool:
 
 
 def _stationary_over(base: Point) -> Primitive:
-    """The canonical constant point over an (already canonical) point."""
+    """The canonical constant point over an (already canonical) point.
 
-    return stationary_point(base, ambient_of_point(base))
+    Memoized on the base through a weak reference.  A base point is shared
+    by every live tower with a point of that name, so a strong memo would
+    keep one tower's constant points alive after the tower is dropped; the
+    constant point refers to its base, so the weak memo forms no cycle.
+    """
+
+    memo = base.__dict__
+    ref = memo.get("_memo_stationary_over")
+    pt = None if ref is None else ref()
+    if pt is None:
+        pt = stationary_point(base, ambient_of_point(base))
+        memo["_memo_stationary_over"] = weakref.ref(pt)
+    return pt
 
 
 @memo_on_node
@@ -259,8 +286,9 @@ class GlobularSet:
     composites alike.  The boundary maps, the identity assignment, and the
     composition table can each be overridden entry by entry, so that every
     law the checker verifies can be broken by a single targeted mutation.
-    Composites of two of the view's own cells are kept for the life of the
-    view and read after the overrides.
+    For the life of the view it keeps the raw source and target of its own
+    cells and of the identity cells memoized on them, and the composites of
+    two of its own cells; both tables are read after the overrides.
     """
 
     def __init__(
@@ -284,6 +312,14 @@ class GlobularSet:
         # Composites of two of the view's own cells, keyed (p, after, first):
         # the pairs that laws a, c, e and f glue again and again.
         self._composites: dict[tuple[int, Cell, Cell], Cell] = {}
+        # Raw (source, target) of the cells the view keeps alive anyway:
+        # its own cells of level >= 1, and the identity cells memoized on
+        # them (added by ``identity``).  Raw composites are not kept.
+        self._boundaries: dict[Cell, tuple[Cell, Cell]] = {
+            c: (source(c), target(c))
+            for l in range(1, self.n + 1)
+            for c in self._cells[l]
+        }
 
     def _key(self, cell: Cell) -> str:
         return cell_key(_normalize_cell(cell))
@@ -298,21 +334,33 @@ class GlobularSet:
             k = self._key(cell)
             if k in self._source_over:
                 return self._source_over[k]
-        return source(cell)
+        return self._source(cell)
 
     def t(self, cell: Cell) -> Cell:
         if self._target_over:
             k = self._key(cell)
             if k in self._target_over:
                 return self._target_over[k]
-        return target(cell)
+        return self._target(cell)
+
+    def _source(self, cell: Cell) -> Cell:
+        st = self._boundaries.get(cell)
+        return source(cell) if st is None else st[0]
+
+    def _target(self, cell: Cell) -> Cell:
+        st = self._boundaries.get(cell)
+        return target(cell) if st is None else st[1]
 
     def identity(self, cell: Cell) -> Cell:
         if self._identity_over:
             k = self._key(cell)
             if k in self._identity_over:
                 return self._identity_over[k]
-        return identity(cell)
+        one = identity(cell)
+        if cell in self._own_cells or cell in self._boundaries:
+            if one not in self._boundaries:
+                self._boundaries[one] = (source(one), target(one))
+        return one
 
     def boundary_key(self, q: int, cell: Cell, side: str) -> str:
         """Canonical key of the iterated level-q source or target."""
@@ -351,7 +399,9 @@ class GlobularSet:
         key = (p, after, first)
         glued = self._composites.get(key)
         if glued is None:
-            glued = compose(p, after, first)
+            if not _glues(p, after, first, self._source, self._target):
+                raise _not_gluing(p, after, first)
+            glued = _glue(p, after, first)
             if after in self._own_cells and first in self._own_cells:
                 self._composites[key] = glued
         return glued

@@ -47,12 +47,10 @@ from .stratification import (
     shape_label,
 )
 from .tower import (
-    BuildError,
     ComponentDecl,
     DeclaredModuli,
     DeclaredPoint,
     Declarations,
-    InvalidFlowSystemError,
     MissingDeclarationError,
     Tower,
     build_tower,
@@ -305,7 +303,7 @@ def _read(path: str) -> tuple[FlowSystem, Declarations] | int:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         return 2
     try:
@@ -320,13 +318,11 @@ def _build(
 ) -> Tower | int:
     try:
         return build_tower(fs, decls, max_level=max_level)
-    except InvalidFlowSystemError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except MissingDeclarationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except BuildError as e:
+    except ValueError as e:
+        # An invalid flow system, a failed build or a bad max_level.
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -339,17 +335,17 @@ def _load_tower(path: str, max_level: int | None = None) -> Tower | int:
 
 
 def _cmd_generate(args) -> int:
-    if args.kind == "sphere":
-        fs, decls = sphere_system(args.n)
-    elif args.kind == "deformed":
-        fs, decls = deformed_sphere_system(), Declarations()
-    else:
-        try:
+    try:
+        if args.kind == "sphere":
+            fs, decls = sphere_system(args.n)
+        elif args.kind == "deformed":
+            fs, decls = deformed_sphere_system(), Declarations()
+        else:
             fs = random_system(args.seed, args.max_points, args.max_index)
-        except (BuildError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        decls = Declarations()
+            decls = Declarations()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     text = render_tower_file(fs, decls)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

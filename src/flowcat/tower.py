@@ -593,9 +593,12 @@ def build_tower(
     Raises :class:`InvalidFlowSystemError` on bad base data and
     :class:`MissingDeclarationError` where interior data is needed but
     not declared.  ``max_level`` optionally truncates the build; a
-    complete build needs at most ``max base index + 1`` rounds.
+    complete build needs at most ``max base index + 1`` rounds.  Raises
+    :class:`ValueError` if ``max_level`` is given and below 1.
     """
 
+    if max_level is not None and max_level < 1:
+        raise ValueError(f"max_level must be >= 1, got {max_level}")
     decls = decls or Declarations()
     violations = validate_flow_system(fs)
     if violations:

@@ -69,6 +69,37 @@ class TestBoundaries:
                         c, q, "t"
                     )
 
+    @pytest.mark.parametrize("name", ["deformed", "sphere4"])
+    def test_view_boundary_table_is_the_raw_boundaries(self, name, deformed_tower):
+        tower = (
+            deformed_tower if name == "deformed" else fc.build_tower(*fc.sphere_system(4))
+        )
+        view = fc.GlobularSet(tower)
+        own = [c for level in range(1, view.n + 1) for c in view.cells(level)]
+        ones = [
+            view.identity(c)
+            for level in range(view.n)
+            for c in fc.extended_cells(tower, level)
+        ]
+        assert ones and all(one.level >= 1 for one in ones)
+        for c in own + ones:
+            assert c in view._boundaries
+            assert view.s(c) is fc.source(c)
+            assert view.t(c) is fc.target(c)
+
+    def test_view_boundary_table_keeps_only_own_and_identity_cells(self, deformed_tower):
+        view = fc.GlobularSet(deformed_tower)
+        fc.check_all(view)
+        own = {c for level in range(view.n + 1) for c in view.cells(level)}
+        kept = set(view._boundaries)
+        assert kept - own
+        for c in kept - own:
+            assert fc.identity(fc.source(c)) is c
+        after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
+        padded = view.compose(0, after, fc.identity(find_cell(deformed_tower, 0, "y")))
+        assert view.s(padded) is fc.source(padded)
+        assert padded not in view._boundaries
+
 
 class TestIdentities:
     def test_identity_raises_level_and_is_stationary(self, deformed_tower):
@@ -141,8 +172,16 @@ class TestComposition:
     def test_non_composable_pairs_raise(self, deformed_tower):
         first = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
-        with pytest.raises(ValueError):
-            fc.compose(0, after=first, first=after)
+        two = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
+        view = fc.GlobularSet(deformed_tower)
+        # The view checks gluing through its boundary table, with the same text.
+        for p, c, a in ((0, first, after), (1, first, after), (0, two, first)):
+            with pytest.raises(ValueError) as raw:
+                fc.compose(p, after=c, first=a)
+            with pytest.raises(ValueError) as viewed:
+                view.compose(p, c, a)
+            assert str(viewed.value) == str(raw.value)
+        assert "do not glue along level 0" in str(raw.value)
 
     def test_level_mismatch_raises(self, deformed_tower):
         one = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
@@ -196,6 +235,13 @@ class TestMutatedViews:
         assert fc.cell_key(mutated.s(end)) == "z"
         assert fc.cell_key(deformed_view.s(end)) == "x"
         assert fc.cell_key(fc.source(end)) == "x"
+        # The overrides win over the view's boundary table.
+        both = mutated.with_target(end, z)
+        assert end in both._boundaries
+        assert both.s(end) is z and both.t(end) is z
+        assert both.boundary_key(0, end, "t") == "z"
+        assert both.composable_pairs(1, 0) != deformed_view.composable_pairs(1, 0)
+        assert deformed_view.t(end) is fc.target(end)
 
     def test_with_identity_and_compose_overrides(self, deformed_tower, deformed_view):
         a = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")

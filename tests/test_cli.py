@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowcat as fc
 from flowcat.cli import main
@@ -111,6 +113,20 @@ class TestExitCodes:
         assert main(["generate", "random", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_generate_bad_sphere_dimension_exits_2(self, n, capsys):
+        assert main(["generate", "sphere", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: sphere dimension must be >= 1, got {n}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_build_bad_max_level_exits_2(self, level, deformed_file, capsys):
+        assert main(["build", deformed_file, "--max-level", level]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: max_level must be >= 1, got {level}\n"
+        assert captured.out == ""
+
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         bad = _write(tmp_path, "bad.ft", "[critical]\nw 0\nw 1\n")
         assert main(["check", bad]) == 2
@@ -141,6 +157,12 @@ class TestExitCodes:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.ft")]) == 2
         assert capsys.readouterr().err
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ft"
+        path.write_bytes(b"[critical]\nx\xe9 1\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 class TestSubcommands:
@@ -254,3 +276,82 @@ class TestDeterminism:
         first = self._check(path, "0")
         assert b"PASS" in first
         assert self._check(path, "1") == first
+
+
+# Generated systems: spheres, the deformed sphere and small random draws.
+_systems = st.one_of(
+    st.integers(min_value=1, max_value=3).map(fc.sphere_system),
+    st.just((fc.deformed_sphere_system(), fc.Declarations())),
+    st.builds(
+        lambda seed, points, index: (fc.random_system(seed, points, index), fc.Declarations()),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=3),
+    ),
+)
+
+# Words of the file format, spliced into lines by the mutations below.
+_WORDS = (
+    "[critical]", "[moduli", "[declare", "]", "component", "shape",
+    "endpoints", "critical", "index", "moduli", "Point", "Interval", "Circle",
+    "SphereLike", "Declared", "c0", "c1", "x", "N", "S", "M(N>S)", "(c0@N>S)",
+    "(c0@x>y,a@y>w)", "#", "-1", "0", "1", "2", "3",
+)
+_words = st.sampled_from(_WORDS)
+_lines = st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+
+
+@st.composite
+def _mutated_text(draw) -> str:
+    """A rendered system with a few lines deleted, copied, swapped or edited."""
+
+    lines = fc.render_tower_file(*draw(_systems)).splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "copy", "swap", "word", "line")))
+        if op == "delete":
+            del lines[i]
+        elif op == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "word":
+            words = lines[i].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = draw(_words)
+            lines[i] = " ".join(words)
+        else:
+            lines[i] = draw(_lines)
+    return "\n".join(lines) + "\n"
+
+
+class TestProperties:
+    EXIT_CODES = {0, 1, 2, 3}
+
+    def _check(self, directory, data: bytes) -> int:
+        path = directory / "fuzz.ft"
+        path.write_bytes(data)
+        return main(["check", str(path)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=_mutated_text())
+    def test_mutated_text_only_exits_with_a_documented_code(self, tmp_path_factory, text):
+        directory = tmp_path_factory.getbasetemp()
+        assert self._check(directory, text.encode("utf-8")) in self.EXIT_CODES
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.one_of(
+        st.lists(st.one_of(_words, _lines), max_size=30).map(" ".join),
+        st.lists(st.one_of(_words, _lines), max_size=30).map("\n".join),
+    ).map(lambda text: text.encode("utf-8")) | st.binary(max_size=64))
+    def test_arbitrary_text_only_exits_with_a_documented_code(self, tmp_path_factory, data):
+        directory = tmp_path_factory.getbasetemp()
+        assert self._check(directory, data) in self.EXIT_CODES
+
+    @settings(max_examples=40, deadline=None)
+    @given(system=_systems)
+    def test_parse_inverts_render(self, system):
+        fs, decls = system
+        assert fc.parse_tower_file(fc.render_tower_file(fs, decls)) == (fs, decls)

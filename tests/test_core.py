@@ -242,6 +242,24 @@ class TestInterning:
         gc.collect()
         assert _table_sizes() == before
 
+    def test_constant_point_memo_pins_nothing(self):
+        # Towers share their base points, so a memo on a base point of the
+        # live tower must not keep a dropped tower's constant points.  With
+        # gc off, a reference cycle would keep them too.
+        gc.collect()
+        gc.disable()
+        try:
+            live = fc.build_tower(fc.random_system(3))
+            fc.check_all(live)
+            one_tower = _table_sizes()
+            for n in (1, 2, 3, None):
+                system = fc.sphere_system(n) if n else (fc.random_system(5),)
+                fc.check_all(fc.build_tower(*system))
+                del system
+            assert _table_sizes() == one_tower
+        finally:
+            gc.enable()
+
     def test_entries_are_dropped_by_one_callback_per_class(self):
         node = fc.CritPoint("probe", 0, Fraction(7, 3))
         table = fc.CritPoint._table

@@ -184,6 +184,11 @@ class TestBuildControls:
             "M(z>y)",
         ]
 
+    @pytest.mark.parametrize("max_level", [0, -1])
+    def test_max_level_below_one_is_rejected(self, deformed_fs, max_level):
+        with pytest.raises(ValueError, match=f"max_level must be >= 1, got {max_level}"):
+            fc.build_tower(deformed_fs, max_level=max_level)
+
     def test_invalid_system_is_rejected_up_front(self):
         bad = fc.flow_system(
             [("x", 2), ("m", 1), ("y", 0)],
