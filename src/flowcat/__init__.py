@@ -14,7 +14,6 @@ from .core import (
     CritPoint,
     History,
     ModuliAddress,
-    NormalCell,
     Point,
     Primitive,
     address_key,
@@ -52,7 +51,6 @@ from .tower import (
     Declarations,
     InvalidFlowSystemError,
     MissingDeclarationError,
-    MorseData,
     MorseEntry,
     SpaceData,
     Tower,
@@ -87,8 +85,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     # core
-    "Broken", "Cell", "CritPoint", "History", "ModuliAddress", "NormalCell",
-    "Point", "Primitive", "address_key", "cell_key", "flatten_point",
+    "Broken", "Cell", "CritPoint", "History", "ModuliAddress", "Point",
+    "Primitive", "address_key", "cell_key", "flatten_point",
     "is_stationary", "point_key", "point_value",
     # stratification
     "CIRCLE", "Component", "Endpoint", "FlowSystem", "INTERVAL", "POINT",
@@ -98,7 +96,7 @@ __all__ = [
     # tower
     "BuildError", "ComponentDecl", "DeclaredModuli", "DeclaredPoint",
     "Declarations", "InvalidFlowSystemError", "MissingDeclarationError",
-    "MorseData", "MorseEntry", "SpaceData", "Tower", "build_tower",
+    "MorseEntry", "SpaceData", "Tower", "build_tower",
     "derive_moduli",
     # category
     "GlobularSet", "cells", "composable", "compose", "extended_cells",

@@ -21,7 +21,6 @@ from .core import (
     Cell,
     History,
     ModuliAddress,
-    NormalCell,
     Point,
     Primitive,
     ambient_of_point,
@@ -131,7 +130,7 @@ def _glues(p: int, after: Cell, first: Cell, s=source, t=target) -> bool:
     lhs, rhs = after, first
     for _ in range(level - p):
         lhs, rhs = s(lhs), t(rhs)
-    return _normalize_cell(lhs) is _normalize_cell(rhs)
+    return normalize(lhs) is normalize(rhs)
 
 
 def composable(p: int, after: Cell, first: Cell) -> bool:
@@ -260,23 +259,16 @@ def _normalize_address(addr: ModuliAddress) -> ModuliAddress:
 
 
 @memo_on_node
-def _normalize_cell(cell: Cell) -> Cell:
-    space = None if cell.space is None else _normalize_address(cell.space)
-    return Cell(normalize_point(cell.top), space)
-
-
-def normalize(cell: Cell | NormalCell) -> NormalCell:
+def normalize(cell: Cell) -> Cell:
     """Canonical form of a cell: point and address normalized alike.
 
     Levels are preserved; two cells represent the same cell exactly when
-    their normal forms are equal.  The normal form is memoized on the cell
-    as a plain :class:`Cell`, since a memoized :class:`NormalCell` would
-    refer back to a cell that is already normal.
+    their normal forms are one node.  The normal form is memoized on the
+    cell, and a normal cell is its own normal form.
     """
 
-    if isinstance(cell, NormalCell):
-        cell = cell.cell
-    return NormalCell(_normalize_cell(cell))
+    space = None if cell.space is None else _normalize_address(cell.space)
+    return Cell(normalize_point(cell.top), space)
 
 
 class GlobularSet:
@@ -291,21 +283,15 @@ class GlobularSet:
     two of its own cells; both tables are read after the overrides.
     """
 
-    def __init__(
-        self,
-        tower: Tower,
-        *,
-        source_over: dict[str, Cell] | None = None,
-        target_over: dict[str, Cell] | None = None,
-        identity_over: dict[str, Cell] | None = None,
-        compose_over: dict[tuple[int, str, str], Cell] | None = None,
-    ) -> None:
+    def __init__(self, tower: Tower) -> None:
         self.tower = tower
         self.n = tower.max_level
-        self._source_over = dict(source_over or {})
-        self._target_over = dict(target_over or {})
-        self._identity_over = dict(identity_over or {})
-        self._compose_over = dict(compose_over or {})
+        # The overrides, keyed (map, cell key) for the maps "s", "t" and
+        # "identity", and ("compose", p, after key, first key).  ``_maps``
+        # names the overridden maps: a map with no override never computes
+        # a key, and its lookup reads False.
+        self._over: dict[tuple, Cell] = {}
+        self._maps: frozenset[str] = frozenset()
         self._cells = {l: cells(tower, l) for l in range(self.n + 1)}
         self._own_cells = {c for cs in self._cells.values() for c in cs}
         self._pairs_memo: dict[tuple[int, int], tuple[tuple[Cell, Cell], ...]] = {}
@@ -322,7 +308,7 @@ class GlobularSet:
         }
 
     def _key(self, cell: Cell) -> str:
-        return cell_key(_normalize_cell(cell))
+        return cell_key(normalize(cell))
 
     def cells(self, level: int) -> tuple[Cell, ...]:
         if not 0 <= level <= self.n:
@@ -330,18 +316,12 @@ class GlobularSet:
         return self._cells[level]
 
     def s(self, cell: Cell) -> Cell:
-        if self._source_over:
-            k = self._key(cell)
-            if k in self._source_over:
-                return self._source_over[k]
-        return self._source(cell)
+        new = "s" in self._maps and self._over.get(("s", self._key(cell)))
+        return new or self._source(cell)
 
     def t(self, cell: Cell) -> Cell:
-        if self._target_over:
-            k = self._key(cell)
-            if k in self._target_over:
-                return self._target_over[k]
-        return self._target(cell)
+        new = "t" in self._maps and self._over.get(("t", self._key(cell)))
+        return new or self._target(cell)
 
     def _source(self, cell: Cell) -> Cell:
         st = self._boundaries.get(cell)
@@ -352,10 +332,9 @@ class GlobularSet:
         return target(cell) if st is None else st[1]
 
     def identity(self, cell: Cell) -> Cell:
-        if self._identity_over:
-            k = self._key(cell)
-            if k in self._identity_over:
-                return self._identity_over[k]
+        new = "identity" in self._maps and self._over.get(("identity", self._key(cell)))
+        if new:
+            return new
         one = identity(cell)
         if cell in self._own_cells or cell in self._boundaries:
             if one not in self._boundaries:
@@ -392,10 +371,11 @@ class GlobularSet:
         return self._pairs_memo[memo_key]
 
     def compose(self, p: int, after: Cell, first: Cell) -> Cell:
-        if self._compose_over:
-            k = (p, self._key(after), self._key(first))
-            if k in self._compose_over:
-                return self._compose_over[k]
+        new = "compose" in self._maps and self._over.get(
+            ("compose", p, self._key(after), self._key(first))
+        )
+        if new:
+            return new
         key = (p, after, first)
         glued = self._composites.get(key)
         if glued is None:
@@ -406,34 +386,22 @@ class GlobularSet:
                 self._composites[key] = glued
         return glued
 
-    def normalize(self, cell: Cell) -> NormalCell:
-        return normalize(cell)
+    def _with(self, key: tuple, new: Cell) -> "GlobularSet":
+        """A fresh view over the same tower with one more override."""
 
-    def _mutated(self, **updates) -> "GlobularSet":
-        kw = dict(
-            source_over=self._source_over,
-            target_over=self._target_over,
-            identity_over=self._identity_over,
-            compose_over=self._compose_over,
-        )
-        kw.update(updates)
-        return GlobularSet(self.tower, **kw)
+        view = GlobularSet(self.tower)
+        view._over = {**self._over, key: new}
+        view._maps = frozenset(k[0] for k in view._over)
+        return view
 
     def with_source(self, cell: Cell, new: Cell) -> "GlobularSet":
-        return self._mutated(
-            source_over={**self._source_over, self._key(cell): new}
-        )
+        return self._with(("s", self._key(cell)), new)
 
     def with_target(self, cell: Cell, new: Cell) -> "GlobularSet":
-        return self._mutated(
-            target_over={**self._target_over, self._key(cell): new}
-        )
+        return self._with(("t", self._key(cell)), new)
 
     def with_identity(self, cell: Cell, new: Cell) -> "GlobularSet":
-        return self._mutated(
-            identity_over={**self._identity_over, self._key(cell): new}
-        )
+        return self._with(("identity", self._key(cell)), new)
 
     def with_compose(self, p: int, after: Cell, first: Cell, new: Cell) -> "GlobularSet":
-        key = (p, self._key(after), self._key(first))
-        return self._mutated(compose_over={**self._compose_over, key: new})
+        return self._with(("compose", p, self._key(after), self._key(first)), new)

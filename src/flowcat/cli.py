@@ -23,12 +23,14 @@ depth).  ``#`` starts a comment; declared point names must not collide
 with each other or with base point ids.
 
 Exit codes: 0 success, 1 failed law check or failed composition,
-2 unreadable/invalid input, 3 missing declaration.
+2 unreadable/invalid input, 3 missing declaration, 141 (128 + SIGPIPE)
+stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -479,6 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     g_random.add_argument("--max-index", type=int, default=3)
     for g in (g_sphere, gsub.choices["deformed"], g_random):
         g.add_argument("-o", "--out", help="write to a file instead of stdout")
+    gen.set_defaults(func=_cmd_generate)
 
     b = sub.add_parser("build", help="build the tower and list its spaces")
     b.add_argument("file")
@@ -507,9 +510,15 @@ def main(argv: list[str] | None = None) -> int:
     d.set_defaults(func=_cmd_export_dot)
 
     args = parser.parse_args(argv)
-    if args.command == "generate":
-        return _cmd_generate(args)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone (``flowcat cells f | head -1``).  Point
+        # stdout at the null device, so that the flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ a product stratum on the boundary).  Broken points are glued along
 matching endpoints; flattening erases the grouping and yields the
 primitive pieces in gluing order.
 
-The seven node classes are hash-consed (Filliâtre & Conchon, "Type-Safe
+The six node classes are hash-consed (Filliâtre & Conchon, "Type-Safe
 Modular Hash-Consing", 2006): building a node whose fields are those of a
 live node returns that node.  Equal nodes are therefore one object, and
 ``==`` and ``hash`` are identity, O(1) however deep the node.  Derived
@@ -35,7 +35,6 @@ __all__ = [
     "Primitive",
     "Broken",
     "Cell",
-    "NormalCell",
     "flatten_point",
     "breaking_key",
     "is_stationary",
@@ -280,35 +279,6 @@ class Cell:
         return 0 if self.space is None else self.space.level
 
 
-@_hashconsed
-@dataclass(frozen=True, eq=False)
-class NormalCell:
-    """A cell in canonical form, produced by the normalizer.
-
-    Two cells represent the same cell up to the canonical identifications
-    (re-association of gluing, deletion of constant pieces, collapse of
-    repeated stationary passage) exactly when their normal forms are
-    equal.
-    """
-
-    cell: Cell
-
-    def __new__(cls, cell):
-        return _intern(cls, (cell,))
-
-    @property
-    def top(self) -> "Point":
-        return self.cell.top
-
-    @property
-    def space(self) -> ModuliAddress | None:
-        return self.cell.space
-
-    @property
-    def level(self) -> int:
-        return self.cell.level
-
-
 def flatten_point(p: Point) -> tuple[Primitive, ...]:
     """Erase nested grouping of a broken point.
 
@@ -360,11 +330,9 @@ def address_key(a: ModuliAddress) -> str:
 
 
 @memo_on_node
-def cell_key(c: Cell | NormalCell) -> str:
+def cell_key(c: Cell) -> str:
     """Deterministic canonical string for a cell."""
 
-    if isinstance(c, NormalCell):
-        return cell_key(c.cell)
     if c.space is None:
         return point_key(c.top)
     return f"{point_key(c.top)} @ {address_key(c.space)}"
@@ -399,7 +367,7 @@ def breaking_key(p: Primitive) -> tuple:
     return (levels, point_key(p))
 
 
-def is_stationary(obj: Cell | NormalCell | ModuliAddress | Point) -> bool:
+def is_stationary(obj: Cell | ModuliAddress | Point) -> bool:
     """Whether the object sits over a constant flow line.
 
     Addresses are stationary when source equals target; cells when their
@@ -407,8 +375,6 @@ def is_stationary(obj: Cell | NormalCell | ModuliAddress | Point) -> bool:
     broken points are never stationary.
     """
 
-    if isinstance(obj, NormalCell):
-        obj = obj.cell
     if isinstance(obj, Cell):
         return obj.space is not None and is_stationary(obj.space)
     if isinstance(obj, ModuliAddress):

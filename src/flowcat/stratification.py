@@ -230,12 +230,6 @@ class FlowSystem:
     def components(self, source: str, target: str) -> tuple[Component, ...]:
         return self._components_of.get((source, target), ())
 
-    def connected(self, source: str, target: str) -> bool:
-        return bool(self.components(source, target))
-
-    def successors(self, source: str) -> tuple[str, ...]:
-        return tuple(t for s, t, comps in self.pairs if s == source and comps)
-
     def address(self, source: str, target: str) -> ModuliAddress:
         return ModuliAddress(
             Primitive(self.point(source)), Primitive(self.point(target))
@@ -258,24 +252,28 @@ class FlowSystem:
 
 
 def _base_ranks(
-    ids: tuple[str, ...], edges: dict[str, set[str]]
+    ids: list[str] | tuple[str, ...], edges: set[tuple[str, str]]
 ) -> dict[str, int]:
-    """Longest-path rank against flow direction; sinks get rank 1.
+    """Longest-path rank against the ``(hi, lo)`` edges; sinks get rank 1.
 
-    Tolerates cycles (invalid input the validator will report): nodes on
-    a cycle get one more than the largest acyclic rank.
+    Ranks the base points along the flow, and the spaces of one build
+    round along their chain constraints.  Tolerates cycles (invalid input
+    the validator will report): nodes on a cycle get one more than the
+    largest acyclic rank.
     """
 
+    succs: dict[str, set[str]] = {}
+    for hi, lo in edges:
+        succs.setdefault(hi, set()).add(lo)
     ranks: dict[str, int] = {}
     remaining = set(ids)
     changed = True
     while changed:
         changed = False
         for v in sorted(remaining):
-            succs = edges.get(v, set()) & remaining
-            if not succs:
+            if remaining.isdisjoint(succs.get(v, ())):
                 ranks[v] = 1 + max(
-                    (ranks[w] for w in edges.get(v, set()) if w in ranks), default=0
+                    (ranks[w] for w in succs.get(v, ()) if w in ranks), default=0
                 )
                 remaining.discard(v)
                 changed = True
@@ -308,11 +306,7 @@ def flow_system(
 
         raise InvalidFlowSystemError(unknown)
     ids = tuple(pid for pid, _ in points)
-    edges: dict[str, set[str]] = {}
-    for (s, t), comps in moduli.items():
-        if comps:
-            edges.setdefault(s, set()).add(t)
-    ranks = _base_ranks(ids, edges)
+    ranks = _base_ranks(ids, {pair for pair, comps in moduli.items() if comps})
     order = sorted(ids, key=lambda i: (ranks.get(i, 0), i))
     ordinal = {pid: n for n, pid in enumerate(order)}
     crit = tuple(
@@ -365,7 +359,7 @@ def moduli_dimension(fs: FlowSystem, source: str, target: str) -> int:
     directly connected.
     """
 
-    if not fs.connected(source, target):
+    if not fs.components(source, target):
         raise ValueError(f"no flow lines from {source!r} to {target!r}")
     return fs.point(source).index - fs.point(target).index - 1
 
@@ -513,7 +507,7 @@ def boundary_strata(fs: FlowSystem, source: str, target: str) -> Stratification:
     chain of intermediates per choice of factor components.
     """
 
-    if not fs.connected(source, target):
+    if not fs.components(source, target):
         raise ValueError(f"no flow lines from {source!r} to {target!r}")
     return _stratify(_pair_table(fs.table), source, target)
 

@@ -48,6 +48,7 @@ from .stratification import (
     Stratification,
     Stratum,
     _PairTable,
+    _base_ranks,
     _pair_table,
     _stratify,
     sphere_like,
@@ -60,7 +61,6 @@ __all__ = [
     "ComponentDecl",
     "Declarations",
     "MorseEntry",
-    "MorseData",
     "SpaceData",
     "Tower",
     "LevelValues",
@@ -162,19 +162,6 @@ class MorseEntry:
 
 
 @dataclass(frozen=True)
-class MorseData:
-    """All critical points of one space, highest first."""
-
-    entries: tuple[MorseEntry, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class SpaceData:
     """One built space: its components, strata, Morse data, and the
     components derived for every ordered pair of its critical points."""
@@ -182,7 +169,8 @@ class SpaceData:
     address: ModuliAddress
     components: tuple[Component, ...]
     stratification: Stratification
-    morse: MorseData
+    # All critical points of the space, highest first.
+    morse: tuple[MorseEntry, ...]
     derived: tuple[tuple[str, str, tuple[Component, ...]], ...] = ()
 
     @property
@@ -231,38 +219,14 @@ class Tower:
 class LevelValues:
     """Heights assigned across one round of spaces.
 
-    ``slots`` orders the nonstationary spaces (chains force a space's
-    slot above its successors'); ``comp_values`` holds the height of each
-    0-dimensional component's point; ``point_values`` the heights of
-    declared interior points.  Every value carries a distinct dyadic tag,
-    making sums over distinct sets of values pairwise distinct.
+    ``comp_values`` holds the height of each 0-dimensional component's
+    point; ``point_values`` the heights of declared interior points.  Every
+    value carries a distinct dyadic tag, making sums over distinct sets of
+    values pairwise distinct.
     """
 
-    slots: dict[str, int]
     comp_values: dict[tuple[str, str], Fraction]
     point_values: dict[tuple[str, str, str], Fraction]
-
-
-def _space_ranks(keys: list[str], edges: set[tuple[str, str]]) -> dict[str, int]:
-    """Longest-chain rank: a space outranks every space it must exceed."""
-
-    succs: dict[str, set[str]] = {k: set() for k in keys}
-    for hi, lo in edges:
-        succs[hi].add(lo)
-    ranks: dict[str, int] = {}
-
-    def rank(k: str, seen: tuple[str, ...] = ()) -> int:
-        if k in ranks:
-            return ranks[k]
-        if k in seen:
-            raise BuildError(f"cyclic chain constraints through {k}")
-        r = 1 + max((rank(s, seen + (k,)) for s in succs[k]), default=0)
-        ranks[k] = r
-        return r
-
-    for k in sorted(keys):
-        rank(k)
-    return ranks
 
 
 def assign_values(
@@ -284,7 +248,7 @@ def assign_values(
     """
 
     keys = [k for k, _, _ in spaces]
-    ranks = _space_ranks(keys, edges)
+    ranks = _base_ranks(keys, edges)
     order = sorted(keys, key=lambda k: (ranks[k], k))
     slots = {k: n + 1 for n, k in enumerate(order)}
 
@@ -307,7 +271,7 @@ def assign_values(
             for m, name in enumerate(declared_map.get(comp.id, [])):
                 count = len(declared_map[comp.id])
                 point_values[(k, comp.id, name)] = slots[k] + (count - m) + tag()
-    return LevelValues(slots=slots, comp_values=comp_values, point_values=point_values)
+    return LevelValues(comp_values=comp_values, point_values=point_values)
 
 
 def product_critical(factors: list[MorseEntry]) -> MorseEntry:
@@ -533,7 +497,7 @@ def _stationary_space(at: Point, ambient: ModuliAddress | None) -> SpaceData:
         address=addr,
         components=(comp,),
         stratification=Stratification((stratum,), ()),
-        morse=MorseData((entry,)),
+        morse=(entry,),
         derived=(),
     )
 
@@ -666,7 +630,7 @@ def build_tower(
                     address=seed.address,
                     components=seed.components,
                     stratification=_stratify(seed.table, src, tgt),
-                    morse=MorseData(entries),
+                    morse=entries,
                 )
             )
         built += tails

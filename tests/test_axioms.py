@@ -66,6 +66,8 @@ class TestGreenCorpus:
     def test_unknown_tag_rejected(self, deformed_tower):
         with pytest.raises(ValueError):
             fc.check_axiom("z", deformed_tower)
+        with pytest.raises(ValueError, match="unknown axiom tag 'globular'"):
+            fc.check_axiom("globular", deformed_tower)
 
 
 def _mutants(tower, view):
@@ -119,6 +121,13 @@ class TestMutationSensitivity:
     ):
         _mutants(deformed_tower, deformed_view)
         assert fc.check_all(deformed_view).ok
+
+    def test_check_all_is_globular_then_each_tag(self, deformed_tower):
+        clean = fc.GlobularSet(deformed_tower)
+        for X in (clean, *_mutants(deformed_tower, clean).values()):
+            assert fc.check_all(X).tags == (fc.check_globular(X),) + tuple(
+                fc.check_axiom(tag, X) for tag in fc.AXIOM_TAGS
+            )
 
     def test_failure_reports_carry_context(self, deformed_tower, deformed_view):
         mutated = _mutants(deformed_tower, deformed_view)["b"]

@@ -208,22 +208,17 @@ class TestNormalize:
                     again = fc.normalize(once)
                     assert again == once
 
-    def test_normal_cell_wraps_the_raw_cell(self, deformed_tower):
+    def test_normal_form_of_a_tower_cell_is_the_cell(self, deformed_tower):
         c = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
         nc = fc.normalize(c)
-        assert isinstance(nc, fc.NormalCell)
-        assert nc.level == c.level
-        assert nc.cell == c
+        assert isinstance(nc, fc.Cell)
+        assert nc is c
 
     def test_unsorted_pieces_normalize_to_flow_order(self, deformed_tower):
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
         up, down = end.top.pieces
         scrambled = fc.Cell(top=fc.Broken((down, up)), space=end.space)
         assert _nkey(scrambled) == fc.cell_key(end)
-
-    def test_view_normalize_delegates(self, deformed_tower, deformed_view):
-        c = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
-        assert deformed_view.normalize(c) == fc.normalize(c)
 
 
 class TestMutatedViews:
@@ -260,3 +255,38 @@ class TestMutatedViews:
         assert fc.cell_key(deformed_view.compose(0, after, first)) == (
             "(x/y:c0,y/w:a) @ M(x>w)"
         )
+
+    def test_chained_overrides_all_answer(self, deformed_tower, deformed_view):
+        end_a = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        end_b = find_cell(deformed_tower, 1, "(x/y:c0,y/w:b) @ M(x>w)")
+        first = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
+        after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
+        z = find_cell(deformed_tower, 0, "z")
+        tail = find_cell(deformed_tower, 2, "1(y/w:b) @ M(y/w:b>y/w:b|y>w)")
+        chained = (
+            deformed_view.with_source(end_a, z)
+            .with_identity(after, tail)
+            .with_compose(0, after, first, end_b)
+        )
+        assert chained.s(end_a) is z
+        assert chained.identity(after) is tail
+        assert chained.compose(0, after, first) is end_b
+        # The target map has no override, so it never computes a key.
+        keyed = []
+        chained._key = lambda c: keyed.append(c) or _nkey(c)
+        assert chained.t(end_a) is fc.target(end_a) and keyed == []
+        del chained._key
+        # Every other entry of every map, the target map included, is the
+        # clean view's.
+        for lv in range(1, chained.n + 1):
+            for c in chained.cells(lv):
+                assert chained.t(c) is deformed_view.t(c)
+                if c is not end_a:
+                    assert chained.s(c) is deformed_view.s(c)
+        for lv in range(chained.n):
+            for c in chained.cells(lv):
+                if c is not after:
+                    assert chained.identity(c) is deformed_view.identity(c)
+        for C, A in deformed_view.composable_pairs(1, 0):
+            if (C, A) != (after, first):
+                assert chained.compose(0, C, A) is deformed_view.compose(0, C, A)

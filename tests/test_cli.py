@@ -252,16 +252,47 @@ class TestSubcommands:
         assert err.value.code == 2
 
 
-class TestDeterminism:
-    SRC = str(Path(__file__).resolve().parent.parent / "src")
+def _run_cli(*args: str, hash_seed: str = "0", **kwargs) -> subprocess.CompletedProcess:
+    """``flowcat <args>`` in a child process over this checkout's sources."""
 
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from flowcat.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *args],
+        env=env, timeout=120, **kwargs,
+    )
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["cells", "check"])
+    def test_closed_stdout_exits_141_without_a_traceback(self, command, deformed_file):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _run_cli(command, deformed_file, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
+
+# Generated systems: spheres, the deformed sphere and small random draws.
+_systems = st.one_of(
+    st.integers(min_value=1, max_value=3).map(fc.sphere_system),
+    st.just((fc.deformed_sphere_system(), fc.Declarations())),
+    st.builds(
+        lambda seed, points, index: (fc.random_system(seed, points, index), fc.Declarations()),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=3),
+    ),
+)
+
+
+class TestDeterminism:
     def _check(self, path: str, hash_seed: str) -> bytes:
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": self.SRC}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from flowcat.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "check", path],
-            capture_output=True, env=env, timeout=120,
-        )
+        proc = _run_cli("check", path, hash_seed=hash_seed, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
@@ -277,18 +308,12 @@ class TestDeterminism:
         assert b"PASS" in first
         assert self._check(path, "1") == first
 
+    @settings(max_examples=4, deadline=None)
+    @given(system=_systems)
+    def test_drawn_systems_check_alike_under_two_hash_seeds(self, tmp_path_factory, system):
+        path = _write(tmp_path_factory.mktemp("drawn"), "drawn.ft", fc.render_tower_file(*system))
+        assert self._check(path, "0") == self._check(path, "1")
 
-# Generated systems: spheres, the deformed sphere and small random draws.
-_systems = st.one_of(
-    st.integers(min_value=1, max_value=3).map(fc.sphere_system),
-    st.just((fc.deformed_sphere_system(), fc.Declarations())),
-    st.builds(
-        lambda seed, points, index: (fc.random_system(seed, points, index), fc.Declarations()),
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=2, max_value=6),
-        st.integers(min_value=1, max_value=3),
-    ),
-)
 
 # Words of the file format, spliced into lines by the mutations below.
 _WORDS = (

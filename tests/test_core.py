@@ -161,7 +161,6 @@ NODE_CLASSES = (
     fc.Primitive,
     fc.Broken,
     fc.Cell,
-    fc.NormalCell,
 )
 
 
@@ -208,7 +207,7 @@ class TestInterning:
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
         unit = fc.identity(find_cell(deformed_tower, 0, "y"))
         padded = fc.compose(0, after, unit)
-        assert fc.normalize(padded).cell is after
+        assert fc.normalize(padded) is after
         for cell in (*fc.extended_cells(deformed_tower, 2), padded):
             assert fc.normalize(cell) is fc.normalize(cell)
             assert fc.normalize(fc.normalize(cell)) is fc.normalize(cell)

@@ -67,7 +67,7 @@ class TestFlowSystem:
         assert deformed_fs.has_point("y")
         assert not deformed_fs.has_point("nope")
         assert deformed_fs.point("x").index == 2
-        assert deformed_fs.successors("x") == ("w", "y")
+        assert [t for s, t in deformed_fs.table if s == "x"] == ["w", "y"]
         assert deformed_fs.max_index == 2
         assert [c.id for c in deformed_fs.components("y", "w")] == ["a", "b"]
         assert deformed_fs.components("w", "x") == ()
