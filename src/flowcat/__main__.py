@@ -1,0 +1,8 @@
+"""``python -m flowcat``: the ``flowcat`` command line tool."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,11 +25,17 @@ with each other or with base point ids.
 Exit codes: 0 success, 1 failed law check or failed composition,
 2 unreadable/invalid input, 3 missing declaration, 141 (128 + SIGPIPE)
 stdout closed by its reader before the output was written.
+
+``main(argv)`` may be called many times in one process.  It builds its
+parser on the first call and reuses it, so each call parses only its own
+arguments; a ``_cmd_*`` function patched after that call is not the one
+dispatched to.  ``python -m flowcat`` runs ``main`` too.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -303,7 +309,7 @@ def render_tower_file(fs: FlowSystem, decls: Declarations | None = None) -> str:
 
 def _read(path: str) -> tuple[FlowSystem, Declarations] | int:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
@@ -463,7 +469,10 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``flowcat`` parser, built on the first call and reused after it."""
+
     parser = argparse.ArgumentParser(
         prog="flowcat",
         description="Build flow-line towers and verify their composition laws.",
@@ -508,8 +517,11 @@ def main(argv: list[str] | None = None) -> int:
     d.add_argument("file")
     d.add_argument("--level", type=int, default=1)
     d.set_defaults(func=_cmd_export_dot)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -164,6 +167,14 @@ class TestExitCodes:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, deformed_file, capsys):
+        bom = tmp_path / "bom.ft"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(deformed_file).read_bytes())
+        assert main(["check", deformed_file]) == 0
+        plain = capsys.readouterr()
+        assert main(["check", str(bom)]) == 0
+        assert capsys.readouterr() == plain
+
 
 class TestSubcommands:
     def test_cells_one_level(self, deformed_file, capsys):
@@ -253,15 +264,98 @@ class TestSubcommands:
 
 
 def _run_cli(*args: str, hash_seed: str = "0", **kwargs) -> subprocess.CompletedProcess:
-    """``flowcat <args>`` in a child process over this checkout's sources."""
+    """``python -m flowcat <args>`` in a child process over this checkout's sources."""
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from flowcat.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *args],
-        env=env, timeout=120, **kwargs,
+        [sys.executable, "-m", "flowcat", *args], env=env, timeout=120, **kwargs
     )
+
+
+class TestInProcess:
+    """``main`` called again and again in one process, as the benchmark does."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        # Help and usage text wrap at the terminal width; pin it for the
+        # child processes the in-process text is compared with.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def _alone(self, *args: str) -> subprocess.CompletedProcess:
+        return _run_cli(*args, capture_output=True, text=True)
+
+    def test_later_calls_build_no_parser(self, deformed_file, monkeypatch, capsys):
+        assert main(["check", deformed_file]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (
+            ["check", deformed_file],
+            ["build", deformed_file, "--max-level", "1"],
+            ["cells", deformed_file, "--level", "1"],
+            ["generate", "sphere", "--n", "2"],
+        ):
+            assert main(argv) == 0
+        assert built == []
+
+    def test_options_do_not_carry_over(self, deformed_file, capsys):
+        assert main(["build", deformed_file, "--max-level", "1"]) == 0
+        assert "truncated at level 1" in capsys.readouterr().out
+        assert main(["build", deformed_file]) == 0
+        alone = self._alone("build", deformed_file)
+        assert alone.returncode == 0
+        assert capsys.readouterr().out == alone.stdout
+
+    def test_alternating_files_each_get_their_own_report(self, tmp_path, deformed_file, capsys):
+        sphere = _write(tmp_path, "s2.ft", fc.render_tower_file(*fc.sphere_system(2)))
+        expected = {path: self._alone("check", path).stdout for path in (deformed_file, sphere)}
+        assert expected[deformed_file] != expected[sphere]
+        for path in (deformed_file, sphere, deformed_file, sphere):
+            assert main(["check", path]) == 0
+            assert capsys.readouterr().out == expected[path]
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["check"], ["build", "{file}", "--max-level", "x"]],
+        ids=["no-command", "no-file", "bad-int"],
+    )
+    def test_usage_errors_after_reuse(self, argv, deformed_file, capsys):
+        argv = [a.format(file=deformed_file) for a in argv]
+        alone = self._alone(*argv)
+        assert alone.returncode == 2
+        assert alone.stderr.startswith("usage: flowcat")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert capsys.readouterr() == ("", alone.stderr)
+        # The text goes to the stream that is sys.stderr at the time of the call.
+        late = io.StringIO()
+        with contextlib.redirect_stderr(late), pytest.raises(SystemExit):
+            main(argv)
+        assert late.getvalue() == alone.stderr
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_is_the_same_every_time(self, capsys):
+        alone = self._alone("--help")
+        assert alone.returncode == 0
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["--help"])
+            assert err.value.code == 0
+            assert capsys.readouterr() == (alone.stdout, "")
+
+
+def test_python_dash_m_flowcat_checks_a_file(deformed_file):
+    proc = _run_cli("check", deformed_file, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "all laws hold (250 instances)"
 
 
 class TestClosedStdout:
