@@ -191,10 +191,6 @@ def _glue(p: int, after: Cell, first: Cell) -> Cell:
     return Cell(top, space)
 
 
-def _is_stationary_prim(q: Primitive) -> bool:
-    return q.crit.home is not None and is_stationary(q.crit.home)
-
-
 def _stationary_over(base: Point) -> Primitive:
     """The canonical constant point over an (already canonical) point.
 
@@ -227,13 +223,13 @@ def normalize_point(pt: Point) -> Point:
     """
 
     if isinstance(pt, Primitive):
-        if not _is_stationary_prim(pt):
+        if not is_stationary(pt):
             return pt
         return _stationary_over(normalize_point(pt.crit.home.source))
     flat: list[Primitive] = []
     for piece in pt.pieces:
         flat.extend(flatten_point(normalize_point(piece)))
-    live = [q for q in flat if not _is_stationary_prim(q)]
+    live = [q for q in flat if not is_stationary(q)]
     if live:
         ordered = sorted(live, key=breaking_key)
         return ordered[0] if len(ordered) == 1 else Broken(tuple(ordered))

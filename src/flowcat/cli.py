@@ -23,8 +23,9 @@ depth).  ``#`` starts a comment; declared point names must not collide
 with each other or with base point ids.
 
 Exit codes: 0 success, 1 failed law check or failed composition,
-2 unreadable/invalid input, 3 missing declaration, 141 (128 + SIGPIPE)
-stdout closed by its reader before the output was written.
+2 unreadable/invalid input or an unwritable ``-o`` file, 3 missing
+declaration, 141 (128 + SIGPIPE) stdout closed by its reader before the
+output was written.
 
 ``main(argv)`` may be called many times in one process.  It builds its
 parser on the first call and reuses it, so each call parses only its own
@@ -356,8 +357,12 @@ def _cmd_generate(args) -> int:
         return 2
     text = render_tower_file(fs, decls)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         print(text, end="")
     return 0
@@ -531,7 +536,3 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at the null device, so that the flush at exit cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

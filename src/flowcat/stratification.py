@@ -364,25 +364,14 @@ def moduli_dimension(fs: FlowSystem, source: str, target: str) -> int:
     return fs.point(source).index - fs.point(target).index - 1
 
 
-def _successors(
-    table: dict[tuple[str, str], tuple[Component, ...]]
-) -> dict[str, list[str]]:
-    """Per point, the other points it has components to, in table order."""
-
-    succ: dict[str, list[str]] = {}
-    for (a, b), comps in table.items():
-        if comps and a != b:
-            succ.setdefault(a, []).append(b)
-    return succ
-
-
 class _PairTable(NamedTuple):
     """A pair table with the maps that stratifying its spaces reads.
 
     ``pairs`` maps ordered pairs of points to the components between
-    them, ``succ`` is its successor map and ``comp_of`` maps
-    ``(source, target, component id)`` to the component.  Built once per
-    table by :func:`_pair_table` and shared by every space over it.
+    them, ``succ`` maps each point to the other points it has components
+    to, in table order, and ``comp_of`` maps ``(source, target, component
+    id)`` to the component.  Built once per table by :func:`_pair_table`
+    and shared by every space over it.
     """
 
     pairs: dict[tuple[str, str], tuple[Component, ...]]
@@ -391,8 +380,12 @@ class _PairTable(NamedTuple):
 
 
 def _pair_table(table: dict[tuple[str, str], tuple[Component, ...]]) -> _PairTable:
+    succ: dict[str, list[str]] = {}
+    for (a, b), comps in table.items():
+        if comps and a != b:
+            succ.setdefault(a, []).append(b)
     comp_of = {(s, t, c.id): c for (s, t), cs in table.items() for c in cs}
-    return _PairTable(table, _successors(table), comp_of)
+    return _PairTable(table, succ, comp_of)
 
 
 def _chains(pt: _PairTable, source: str, target: str) -> list[tuple[str, ...]]:

@@ -63,13 +63,10 @@ __all__ = [
     "MorseEntry",
     "SpaceData",
     "Tower",
-    "LevelValues",
     "InvalidFlowSystemError",
     "MissingDeclarationError",
     "BuildError",
-    "assign_values",
     "product_critical",
-    "critical_points",
     "derive_moduli",
     "build_tower",
 ]
@@ -215,65 +212,6 @@ class Tower:
             raise KeyError(f"no space {addr_key} at level {level}") from None
 
 
-@dataclass(frozen=True)
-class LevelValues:
-    """Heights assigned across one round of spaces.
-
-    ``comp_values`` holds the height of each 0-dimensional component's
-    point; ``point_values`` the heights of declared interior points.  Every
-    value carries a distinct dyadic tag, making sums over distinct sets of
-    values pairwise distinct.
-    """
-
-    comp_values: dict[tuple[str, str], Fraction]
-    point_values: dict[tuple[str, str, str], Fraction]
-
-
-def assign_values(
-    spaces: list[tuple[str, tuple[Component, ...], list[tuple[str, list[str]]]]],
-    edges: set[tuple[str, str]],
-) -> LevelValues:
-    """Assign exact heights to one round of nonstationary spaces.
-
-    ``spaces`` lists ``(addr_key, components, declared)`` where
-    ``declared`` gives, per component, the interior point names in
-    height order (highest first).  ``edges`` holds ``(hi, lo)`` address
-    pairs from chains: every height on ``hi`` must exceed every height
-    on ``lo``.
-
-    Each space gets an integer slot respecting the edges; the point of a
-    0-dimensional component gets ``slot + tag``, declared points get
-    ``slot + position + tag``, where the tags are distinct dyadic
-    fractions below 1/2 allocated in deterministic order.
-    """
-
-    keys = [k for k, _, _ in spaces]
-    ranks = _base_ranks(keys, edges)
-    order = sorted(keys, key=lambda k: (ranks[k], k))
-    slots = {k: n + 1 for n, k in enumerate(order)}
-
-    comp_values: dict[tuple[str, str], Fraction] = {}
-    point_values: dict[tuple[str, str, str], Fraction] = {}
-    counter = 0
-
-    def tag() -> Fraction:
-        nonlocal counter
-        counter += 1
-        return Fraction(1, 2 ** (counter + 1))
-
-    by_key = {k: (comps, declared) for k, comps, declared in spaces}
-    for k in order:
-        comps, declared = by_key[k]
-        declared_map = dict(declared)
-        for comp in sorted(comps, key=lambda c: c.id):
-            if comp.dim == 0:
-                comp_values[(k, comp.id)] = slots[k] + tag()
-            for m, name in enumerate(declared_map.get(comp.id, [])):
-                count = len(declared_map[comp.id])
-                point_values[(k, comp.id, name)] = slots[k] + (count - m) + tag()
-    return LevelValues(comp_values=comp_values, point_values=point_values)
-
-
 def product_critical(factors: list[MorseEntry]) -> MorseEntry:
     """Combine critical points of the factors of a product stratum.
 
@@ -341,65 +279,6 @@ def _declared_points(
                 f"index {p.index} outside 0..{comp.dim}"
             )
     return tuple(sorted(pts, key=lambda p: (-p.index, p.name)))
-
-
-def critical_points(
-    address: ModuliAddress,
-    components: tuple[Component, ...],
-    values: LevelValues,
-    registry: dict[tuple[str, str, str], MorseEntry],
-    decls: Declarations,
-) -> tuple[MorseEntry, ...]:
-    """All critical points of the height function on one space.
-
-    0-dimensional components contribute their point; intervals contribute
-    their two endpoints (broken points, height the sum over pieces, index
-    1 at the higher endpoint); closed or declared components contribute
-    their declared interior points.  ``registry`` holds the points of
-    every 0-dimensional component of the round, keyed by ``(source key,
-    target key, component id)``: this space's own, and those of sibling
-    spaces that interval endpoints reference.
-    """
-
-    akey = address_key(address)
-    if is_stationary(address):
-        raise ValueError("critical_points expects a nonstationary space")
-    src, tgt = point_key(address.source), point_key(address.target)
-    entries: list[MorseEntry] = []
-    for comp in sorted(components, key=lambda c: c.id):
-        if comp.dim == 0:
-            entries.append(registry[(src, tgt, comp.id)])
-            continue
-        for dp in _declared_points(decls, akey, comp):
-            val = values.point_values[(akey, comp.id, dp.name)]
-            pt = Primitive(CritPoint(id=dp.name, index=dp.index, value=val, home=address))
-            entries.append(MorseEntry(pt, dp.index, val, comp.id, "declared"))
-        if comp.boundary:
-            ends: list[MorseEntry] = []
-            for end in comp.boundary:
-                pieces = []
-                for ref in end:
-                    piece = registry.get((ref.source, ref.target, ref.component))
-                    if piece is None:
-                        raise BuildError(
-                            f"endpoint of {comp.id!r} of {akey} references "
-                            f"{ref.component!r} of ({ref.source},{ref.target}), "
-                            "which has no point"
-                        )
-                    pieces.append(piece)
-                combined = product_critical(pieces)
-                ends.append(
-                    MorseEntry(combined.point, 0, combined.value, comp.id, "corner")
-                )
-            if comp.shape == INTERVAL:
-                hi, lo = sorted(ends, key=lambda e: -e.value)
-                ends = [
-                    MorseEntry(hi.point, 1, hi.value, comp.id, "end_max"),
-                    MorseEntry(lo.point, 0, lo.value, comp.id, "end_min"),
-                ]
-            entries.extend(ends)
-    entries.sort(key=lambda e: (-e.value, point_key(e.point)))
-    return tuple(entries)
 
 
 def derive_moduli(
@@ -508,6 +387,9 @@ class _Seed:
 
     address: ModuliAddress
     key: str
+    # the point keys of the address's source and target
+    source: str
+    target: str
     components: tuple[Component, ...]
     # the pair table of the space one level down, for stratifying this space
     table: _PairTable
@@ -535,7 +417,7 @@ def _schedule(
     for (a, b), comps in table.items():
         addr = next_address(point_of[a], point_of[b], ambient)
         key_of[a, b] = address_key(addr)
-        seeds.append(_Seed(addr, key_of[a, b], comps, pt))
+        seeds.append(_Seed(addr, key_of[a, b], a, b, comps, pt))
     used = {k for pair in table for k in pair}
     tails = [_stationary_space(p, ambient) for p in points if point_key(p) not in used]
     edges = {
@@ -545,6 +427,100 @@ def _schedule(
         if len({a, b, c}) == 3
     }
     return seeds, tails, edges
+
+
+def _mint(
+    seeds: list[_Seed], edges: set[tuple[str, str]], decls: Declarations
+) -> dict[tuple[str, str, str], tuple[MorseEntry, ...]]:
+    """The points of one round's components, with their heights.
+
+    ``seeds`` come in address-key order, the order declarations are read
+    in, so a missing one names the first such space by key.  ``edges``
+    holds ``(hi, lo)`` address-key pairs from chains: every height on
+    ``hi`` must exceed every height on ``lo``.  Each space gets an integer
+    slot respecting the edges; the point of a 0-dimensional component gets
+    ``slot + tag``, declared interior points (highest first) get ``slot +
+    position + tag``, where the tags are distinct dyadic fractions below
+    1/2 handed out in slot order.  The result is keyed ``(source key,
+    target key, component id)``, so interval endpoints can be resolved
+    across sibling spaces.
+    """
+
+    # Per space, per component in id order: the name, index, height above
+    # the slot and role of each point to mint.
+    made: dict[str, list[tuple[str, list[tuple[str, int, int, str]]]]] = {}
+    for seed in seeds:
+        made[seed.key] = []
+        for comp in sorted(seed.components, key=lambda c: c.id):
+            if comp.dim == 0:
+                names = [(f"{seed.source}/{seed.target}:{comp.id}", 0, 0, "point")]
+            else:
+                dps = _declared_points(decls, seed.key, comp)
+                # _critical_points refuses a stationary space; minting its
+                # declared points would fail in CritPoint before that.
+                names = [
+                    (dp.name, dp.index, len(dps) - m, "declared")
+                    for m, dp in enumerate(dps)
+                    if not is_stationary(seed.address)
+                ]
+            made[seed.key].append((comp.id, names))
+    ranks = _base_ranks(list(made), edges)
+    minted: dict[tuple[str, str, str], tuple[MorseEntry, ...]] = {}
+    tag = Fraction(1, 2)
+    order = sorted(seeds, key=lambda sd: (ranks[sd.key], sd.key))
+    for slot, seed in enumerate(order, 1):
+        for cid, names in made[seed.key]:
+            entries = []
+            for name, index, height, role in names:
+                tag /= 2
+                pt = Primitive(CritPoint(name, index, slot + height + tag, seed.address))
+                entries.append(MorseEntry(pt, index, pt.crit.value, cid, role))
+            minted[seed.source, seed.target, cid] = tuple(entries)
+    return minted
+
+
+def _critical_points(
+    seed: _Seed, minted: dict[tuple[str, str, str], tuple[MorseEntry, ...]]
+) -> tuple[MorseEntry, ...]:
+    """All critical points of the height function on one space.
+
+    Each component contributes its points from ``minted``; an interval
+    also contributes its two endpoints (broken points whose pieces are
+    points of sibling spaces, height the sum over pieces, index 1 at the
+    higher endpoint).
+    """
+
+    if is_stationary(seed.address):
+        raise ValueError("critical_points expects a nonstationary space")
+    entries: list[MorseEntry] = []
+    for comp in sorted(seed.components, key=lambda c: c.id):
+        entries.extend(minted[seed.source, seed.target, comp.id])
+        if comp.boundary:
+            ends: list[MorseEntry] = []
+            for end in comp.boundary:
+                pieces = []
+                for ref in end:
+                    piece = minted.get((ref.source, ref.target, ref.component), ())
+                    if [e.role for e in piece] != ["point"]:
+                        raise BuildError(
+                            f"endpoint of {comp.id!r} of {seed.key} references "
+                            f"{ref.component!r} of ({ref.source},{ref.target}), "
+                            "which has no point"
+                        )
+                    pieces.append(piece[0])
+                combined = product_critical(pieces)
+                ends.append(
+                    MorseEntry(combined.point, 0, combined.value, comp.id, "corner")
+                )
+            if comp.shape == INTERVAL:
+                hi, lo = sorted(ends, key=lambda e: -e.value)
+                ends = [
+                    MorseEntry(hi.point, 1, hi.value, comp.id, "end_max"),
+                    MorseEntry(lo.point, 0, lo.value, comp.id, "end_min"),
+                ]
+            entries.extend(ends)
+    entries.sort(key=lambda e: (-e.value, point_key(e.point)))
+    return tuple(entries)
 
 
 def build_tower(
@@ -588,50 +564,13 @@ def build_tower(
             chain_edges |= edges
         seeds.sort(key=lambda sd: sd.key)
 
-        # Heights for the round: slots from chain constraints, then one
-        # dyadic tag per primitive height in deterministic order.
-        value_spec = []
-        for seed in seeds:
-            declared = []
-            for comp in sorted(seed.components, key=lambda c: c.id):
-                if comp.dim >= 1:
-                    names = [dp.name for dp in _declared_points(decls, seed.key, comp)]
-                    declared.append((comp.id, names))
-            value_spec.append((seed.key, seed.components, declared))
-        values = assign_values(value_spec, chain_edges)
-
-        # Register the points of 0-dimensional components first, so that
-        # interval endpoints can be resolved across sibling spaces.
-        registry: dict[tuple[str, str, str], MorseEntry] = {}
-        for seed in seeds:
-            src, tgt = point_key(seed.address.source), point_key(seed.address.target)
-            for comp in sorted(seed.components, key=lambda c: c.id):
-                if comp.dim == 0:
-                    pt = Primitive(
-                        CritPoint(
-                            id=f"{src}/{tgt}:{comp.id}",
-                            index=0,
-                            value=values.comp_values[(seed.key, comp.id)],
-                            home=seed.address,
-                        )
-                    )
-                    registry[(src, tgt, comp.id)] = MorseEntry(
-                        pt, 0, pt.crit.value, comp.id, "point"
-                    )
-
+        minted = _mint(seeds, chain_edges, decls)
         built: list[SpaceData] = []
         for seed in seeds:
-            src, tgt = point_key(seed.address.source), point_key(seed.address.target)
-            entries = critical_points(
-                seed.address, seed.components, values, registry, decls
-            )
+            entries = _critical_points(seed, minted)
+            stratification = _stratify(seed.table, seed.source, seed.target)
             built.append(
-                SpaceData(
-                    address=seed.address,
-                    components=seed.components,
-                    stratification=_stratify(seed.table, src, tgt),
-                    morse=entries,
-                )
+                SpaceData(seed.address, seed.components, stratification, entries)
             )
         built += tails
 

@@ -116,6 +116,14 @@ class TestExitCodes:
         assert main(["generate", "random", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_generate_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.fct")
+        assert main(["generate", "deformed", "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_generate_bad_sphere_dimension_exits_2(self, n, capsys):
         assert main(["generate", "sphere", "--n", n]) == 2

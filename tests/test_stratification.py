@@ -235,6 +235,37 @@ class TestValidatorViolations:
         twin = dataclasses.replace(c, id="c1")
         assert "reused-breaking" in _codes(_swap_xw(deformed_fs, c, twin))
 
+    def test_face_of_face(self):
+        # (x,b) is closed, so neither stratum of (x,w) broken at a and b (one
+        # per point of (a,b)) lies in the closure of the one broken at b
+        # alone; both do lie in the closure of the one broken at a.
+        R = fc.PieceRef
+        bad = fc.flow_system(
+            [("x", 4), ("a", 2), ("b", 1), ("w", 0)],
+            {
+                ("x", "a"): [("c0", fc.CIRCLE, ())],
+                ("a", "b"): [("c0", fc.POINT, ()), ("c1", fc.POINT, ())],
+                ("b", "w"): [("c0", fc.POINT, ())],
+                ("a", "w"): [
+                    (
+                        "c0",
+                        fc.INTERVAL,
+                        (
+                            (R("a", "b", "c0"), R("b", "w", "c0")),
+                            (R("a", "b", "c1"), R("b", "w", "c0")),
+                        ),
+                    )
+                ],
+                ("x", "b"): [("c0", fc.parse_shape("SphereLike 2"), ())],
+                ("x", "w"): [("c0", fc.parse_shape("SphereLike 3"), ())],
+            },
+        )
+        message = (
+            "[face-of-face] stratum of (x,w) broken at ('a', 'b') does not "
+            "lie in the closure of a stratum broken at ('b',)"
+        )
+        assert [str(v) for v in fc.validate_flow_system(bad)] == [message] * 2
+
     def test_violation_messages_name_subjects(self, deformed_fs):
         points = tuple(p for p in deformed_fs.points if p.id != "z")
         got = fc.validate_flow_system(dataclasses.replace(deformed_fs, points=points))

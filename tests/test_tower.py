@@ -202,6 +202,20 @@ class TestBuildControls:
         with pytest.raises(fc.MissingDeclarationError):
             fc.build_tower(fs)
 
+    def test_missing_declaration_names_first_space_by_key(self):
+        # M(q>t) ranks below M(p>q) in the height order, but declarations are
+        # read in address-key order.
+        fs = fc.flow_system(
+            [("p", 4), ("q", 2), ("t", 0)],
+            {
+                ("p", "q"): [("c0", fc.CIRCLE, ())],
+                ("q", "t"): [("c0", fc.CIRCLE, ())],
+            },
+        )
+        with pytest.raises(fc.MissingDeclarationError) as err:
+            fc.build_tower(fs)
+        assert (err.value.address, err.value.component) == ("M(p>q)", "c0")
+
     def test_declared_component_requires_declaration(self):
         fs = fc.flow_system(
             [("N", 2), ("S", 0)], {("N", "S"): [("c0", fc.parse_shape("Declared 1"), ())]}
