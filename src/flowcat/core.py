@@ -25,7 +25,7 @@ import weakref
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import wraps
-from typing import Iterator, Union
+from typing import Union
 
 __all__ = [
     "CritPoint",
@@ -159,9 +159,6 @@ class History:
 
     def __len__(self) -> int:
         return len(self.sources)
-
-    def __iter__(self) -> Iterator[tuple["Point", "Point"]]:
-        return iter(self.pairs)
 
 
 EMPTY_HISTORY = History((), ())

@@ -18,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     CritPoint,
     ModuliAddress,
-    Point,
     Primitive,
-    flatten_point,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "Violation",
     "moduli_dimension",
     "boundary_strata",
-    "depth",
     "validate_flow_system",
 ]
 
@@ -209,14 +206,17 @@ class FlowSystem:
     points: tuple[CritPoint, ...]
     pairs: tuple[tuple[str, str, tuple[Component, ...]], ...]
 
-    # Built from the end, so that the first entry listed per key wins.
+    # The first entry listed per key wins; pairs keep their listing order.
     @cached_property
     def _point_of(self) -> dict[str, CritPoint]:
         return {p.id: p for p in reversed(self.points)}
 
     @cached_property
     def _components_of(self) -> dict[tuple[str, str], tuple[Component, ...]]:
-        return {(s, t): comps for s, t, comps in reversed(self.pairs)}
+        out: dict[tuple[str, str], tuple[Component, ...]] = {}
+        for s, t, comps in self.pairs:
+            out.setdefault((s, t), comps)
+        return out
 
     def point(self, pt_id: str) -> CritPoint:
         try:
@@ -230,11 +230,6 @@ class FlowSystem:
     def components(self, source: str, target: str) -> tuple[Component, ...]:
         return self._components_of.get((source, target), ())
 
-    def address(self, source: str, target: str) -> ModuliAddress:
-        return ModuliAddress(
-            Primitive(self.point(source)), Primitive(self.point(target))
-        )
-
     @property
     def table(self) -> dict[tuple[str, str], tuple[Component, ...]]:
         """The nonempty pairs as a ``{(source, target): components}`` table.
@@ -244,7 +239,7 @@ class FlowSystem:
         as later rounds read the tables derived on built spaces.
         """
 
-        return {(s, t): comps for s, t, comps in self.pairs if comps}
+        return {pair: comps for pair, comps in self._components_of.items() if comps}
 
     @property
     def max_index(self) -> int:
@@ -297,7 +292,7 @@ def flow_system(
     every pair naming a point not in ``points``.
     """
 
-    index_of = dict(points)
+    index_of = dict(reversed(points))  # the first listing of an id wins
     unknown = [
         _unknown_point(s, t, e) for s, t in sorted(moduli) for e in (s, t) if e not in index_of
     ]
@@ -370,8 +365,8 @@ class _PairTable(NamedTuple):
     ``pairs`` maps ordered pairs of points to the components between
     them, ``succ`` maps each point to the other points it has components
     to, in table order, and ``comp_of`` maps ``(source, target, component
-    id)`` to the component.  Built once per table by :func:`_pair_table`
-    and shared by every space over it.
+    id)`` to the first component listed with that id.  Built once per table
+    by :func:`_pair_table` and shared by every space over it.
     """
 
     pairs: dict[tuple[str, str], tuple[Component, ...]]
@@ -384,7 +379,7 @@ def _pair_table(table: dict[tuple[str, str], tuple[Component, ...]]) -> _PairTab
     for (a, b), comps in table.items():
         if comps and a != b:
             succ.setdefault(a, []).append(b)
-    comp_of = {(s, t, c.id): c for (s, t), cs in table.items() for c in cs}
+    comp_of = {(s, t, c.id): c for (s, t), cs in table.items() for c in reversed(cs)}
     return _PairTable(table, succ, comp_of)
 
 
@@ -505,16 +500,6 @@ def boundary_strata(fs: FlowSystem, source: str, target: str) -> Stratification:
     return _stratify(_pair_table(fs.table), source, target)
 
 
-def depth(p: Point) -> int:
-    """How deep in the boundary a point sits: its number of breaks.
-
-    A point glued from d+1 pieces lies on exactly d+1 closed faces and in
-    the depth-d part of the stratification.
-    """
-
-    return len(flatten_point(p)) - 1
-
-
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-")
 
 
@@ -525,231 +510,193 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
     (hence acyclicity), the dimension formula per component, interval
     endpoints being well-formed broken configurations, the exact matching
     of broken configurations to interval endpoints, and the face-of-face
-    condition on the resulting strata.
+    condition on the resulting strata.  The first listing of a pair wins,
+    as it does for every reader of the system; each violation is reported
+    once.
     """
 
-    out: list[Violation] = []
+    pt = _pair_table(fs.table)
+    out = [*_point_rules(fs), *_pair_rules(fs, pt)]
+    # The last two families walk chains, which need known, distinct, index-dropping ends.
+    if not any(v.code in ("index-order", "unknown-point", "self-pair") for v in out):
+        out += [*_breaking_rules(fs, pt), *_face_rules(pt)]
+    return tuple(out)
+
+
+def _point_rules(fs: FlowSystem) -> Iterator[Violation]:
+    """Unique, well-formed point ids; ``CritPoint`` refuses negative indices."""
+
     seen: set[str] = set()
     for p in fs.points:
         if p.id in seen:
-            out.append(Violation("dup-point", f"duplicate critical point id {p.id!r}", (p.id,)))
+            yield Violation("dup-point", f"duplicate critical point id {p.id!r}", (p.id,))
         seen.add(p.id)
         if not p.id or not set(p.id) <= _ID_OK:
-            out.append(
-                Violation(
-                    "bad-id",
-                    f"critical point id {p.id!r} has characters outside [A-Za-z0-9_.+-]",
-                    (p.id,),
-                )
+            yield Violation(
+                "bad-id",
+                f"critical point id {p.id!r} has characters outside [A-Za-z0-9_.+-]",
+                (p.id,),
             )
-        if p.index < 0:
-            out.append(Violation("bad-index", f"{p.id!r} has negative index", (p.id,)))
 
-    # The first point per id and the first components per pair.
-    point_of = fs._point_of
-    comps_of = fs._components_of
 
-    pair_seen: set[tuple[str, str]] = set()
+def _pair_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
+    """Known, distinct, index-dropping ends per pair, then its components;
+    a pair listed again is reported and otherwise ignored."""
+
+    seen: set[tuple[str, str]] = set()
     for s, t, comps in fs.pairs:
         subj = (s, t)
-        if (s, t) in pair_seen:
-            out.append(Violation("dup-pair", f"pair ({s},{t}) listed twice", subj))
-        pair_seen.add((s, t))
-        unknown = [_unknown_point(s, t, e) for e in (s, t) if e not in point_of]
+        if subj in seen:
+            yield Violation("dup-pair", f"pair ({s},{t}) listed twice", subj)
+            continue
+        seen.add(subj)
+        unknown = [_unknown_point(s, t, e) for e in (s, t) if not fs.has_point(e)]
         if unknown:
-            out += unknown
+            yield from unknown
             continue
         if s == t:
-            out.append(Violation("self-pair", f"pair ({s},{t}): stationary spaces are implicit, not input", subj))
+            yield Violation("self-pair", f"pair ({s},{t}): stationary spaces are implicit, not input", subj)
             continue
         if not comps:
             continue
-        si, ti = point_of[s].index, point_of[t].index
+        si, ti = fs.point(s).index, fs.point(t).index
         if si <= ti:
-            out.append(
-                Violation(
-                    "index-order",
-                    f"flow from {s!r} (index {si}) to {t!r} (index {ti}) must strictly drop index",
-                    subj,
-                )
+            yield Violation(
+                "index-order",
+                f"flow from {s!r} (index {si}) to {t!r} (index {ti}) must strictly drop index",
+                subj,
             )
             continue
         dim = si - ti - 1
         cids: set[str] = set()
         for c in comps:
             if c.id in cids:
-                out.append(Violation("dup-component", f"pair ({s},{t}): duplicate component id {c.id!r}", subj + (c.id,)))
+                yield Violation("dup-component", f"pair ({s},{t}): duplicate component id {c.id!r}", subj + (c.id,))
             cids.add(c.id)
             if c.dim != dim:
-                out.append(
-                    Violation(
-                        "dimension",
-                        f"component {c.id!r} of ({s},{t}) has dimension {c.dim}, "
-                        f"but index difference gives {dim}",
-                        subj + (c.id,),
-                    )
+                yield Violation(
+                    "dimension",
+                    f"component {c.id!r} of ({s},{t}) has dimension {c.dim}, "
+                    f"but index difference gives {dim}",
+                    subj + (c.id,),
                 )
             if c.shape.closed and c.boundary:
-                out.append(
-                    Violation(
-                        "closed-boundary",
-                        f"component {c.id!r} of ({s},{t}) is closed but lists boundary",
-                        subj + (c.id,),
-                    )
+                yield Violation(
+                    "closed-boundary",
+                    f"component {c.id!r} of ({s},{t}) is closed but lists boundary",
+                    subj + (c.id,),
                 )
             if c.shape == INTERVAL and len(c.boundary) != 2:
-                out.append(
-                    Violation(
-                        "interval-ends",
-                        f"interval {c.id!r} of ({s},{t}) needs exactly 2 endpoints, has {len(c.boundary)}",
-                        subj + (c.id,),
-                    )
+                yield Violation(
+                    "interval-ends",
+                    f"interval {c.id!r} of ({s},{t}) needs exactly 2 endpoints, has {len(c.boundary)}",
+                    subj + (c.id,),
                 )
             if c.shape == INTERVAL and len(c.boundary) == 2 and c.boundary[0] == c.boundary[1]:
-                out.append(
-                    Violation(
-                        "interval-ends",
-                        f"interval {c.id!r} of ({s},{t}) has two equal endpoints",
-                        subj + (c.id,),
-                    )
+                yield Violation(
+                    "interval-ends",
+                    f"interval {c.id!r} of ({s},{t}) has two equal endpoints",
+                    subj + (c.id,),
                 )
             for end in c.boundary:
                 if len(end) < 2:
-                    out.append(
-                        Violation(
-                            "endpoint-shape",
-                            f"endpoint of {c.id!r} of ({s},{t}) must break into >= 2 pieces",
-                            subj + (c.id,),
-                        )
+                    yield Violation(
+                        "endpoint-shape",
+                        f"endpoint of {c.id!r} of ({s},{t}) must break into >= 2 pieces",
+                        subj + (c.id,),
                     )
-                    continue
-                ok = end[0].source == s and end[-1].target == t and all(
-                    a.target == b.source for a, b in zip(end, end[1:])
-                )
-                if not ok:
-                    out.append(
-                        Violation(
-                            "endpoint-chain",
-                            f"endpoint of {c.id!r} of ({s},{t}) is not a chain from {s!r} to {t!r}",
-                            subj + (c.id,),
-                        )
+                elif end[0].source != s or end[-1].target != t or any(
+                    a.target != b.source for a, b in zip(end, end[1:])
+                ):
+                    yield Violation(
+                        "endpoint-chain",
+                        f"endpoint of {c.id!r} of ({s},{t}) is not a chain from {s!r} to {t!r}",
+                        subj + (c.id,),
                     )
-                    continue
-                for r in end:
-                    rc = next(
-                        (cc for cc in comps_of.get((r.source, r.target), ()) if cc.id == r.component),
-                        None,
-                    )
-                    if rc is None:
-                        out.append(
-                            Violation(
+                else:
+                    for r in end:
+                        rc = pt.comp_of.get((r.source, r.target, r.component))
+                        if rc is None:
+                            yield Violation(
                                 "endpoint-ref",
                                 f"endpoint of {c.id!r} of ({s},{t}) references missing "
                                 f"component {r.component!r} of ({r.source},{r.target})",
                                 subj + (c.id,),
                             )
-                        )
-                    elif rc.dim != 0:
-                        out.append(
-                            Violation(
+                        elif rc.dim != 0:
+                            yield Violation(
                                 "endpoint-dim",
                                 f"endpoint piece {r.component!r} of ({r.source},{r.target}) "
                                 "must be 0-dimensional",
                                 subj + (c.id,),
                             )
-                        )
 
-    # Broken configurations must match interval endpoints exactly.
-    if not any(v.code in ("index-order", "unknown-point", "self-pair") for v in out):
-        pt = _pair_table(fs.table)
-        table, succ = pt.pairs, pt.succ
-        ids = sorted(p.id for p in fs.points)
-        for x in ids:
-            for z in ids:
-                if x == z:
-                    continue
-                # The chains from x to z through exactly one point m.
-                mids = [m for m in succ.get(x, ()) if m != z and table.get((m, z))]
-                configs: set[Endpoint] = set()
-                for m in mids:
-                    for c1 in comps_of.get((x, m), ()):
-                        if c1.dim != 0:
-                            continue
-                        for c2 in comps_of.get((m, z), ()):
-                            if c2.dim != 0:
-                                continue
-                            configs.add((PieceRef(x, m, c1.id), PieceRef(m, z, c2.id)))
-                used: list[Endpoint] = []
-                for c in comps_of.get((x, z), ()):
-                    for end in c.boundary:
-                        if len(end) == 2:
-                            used.append(end)
-                if configs and not comps_of.get((x, z)):
-                    out.append(
-                        Violation(
-                            "missing-space",
-                            f"flow lines break from {x!r} to {z!r} but no space ({x},{z}) is given",
-                            (x, z),
-                        )
+
+def _breaking_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
+    """Broken configurations x > m > z of 0-dimensional pieces need a space
+    (x,z); on a 1-dimensional one they are its interval endpoints, once each."""
+
+    zero = {pair: [c.id for c in comps if c.dim == 0] for pair, comps in pt.pairs.items()}
+    configs: dict[tuple[str, str], set[Endpoint]] = {pair: set() for pair in pt.pairs}
+    for x, m in pt.pairs:
+        for z in pt.succ.get(m, ()):
+            configs.setdefault((x, z), set()).update(
+                (PieceRef(x, m, a), PieceRef(m, z, b)) for a in zero[x, m] for b in zero[m, z]
+            )
+    for x, z in sorted(configs):
+        broken, comps = configs[x, z], pt.pairs.get((x, z))
+        if broken and not comps:
+            yield Violation(
+                "missing-space",
+                f"flow lines break from {x!r} to {z!r} but no space ({x},{z}) is given",
+                (x, z),
+            )
+        if not comps or fs.point(x).index - fs.point(z).index - 1 != 1:
+            continue
+        used = [end for c in comps for end in c.boundary if len(end) == 2]
+        for cfg in sorted(broken - set(used)):
+            yield Violation(
+                "uncovered-breaking",
+                f"broken configuration {_end_str(cfg)} of ({x},{z}) "
+                "is no interval endpoint",
+                (x, z),
+            )
+        for cfg in sorted(set(used) - broken):
+            yield Violation(
+                "phantom-endpoint",
+                f"interval endpoint {_end_str(cfg)} of ({x},{z}) "
+                "matches no broken configuration",
+                (x, z),
+            )
+        for cfg in sorted(cfg for cfg in broken if used.count(cfg) > 1):
+            yield Violation(
+                "reused-breaking",
+                f"broken configuration {_end_str(cfg)} of ({x},{z}) "
+                "is an endpoint of more than one interval",
+                (x, z),
+            )
+
+
+def _face_rules(pt: _PairTable) -> Iterator[Violation]:
+    """Face-of-face: every double break refines through a single break."""
+
+    for x, z in sorted(pt.pairs):
+        strat = _stratify(pt, x, z)
+        faces: dict[int, set[tuple[str, ...]]] = {}
+        for i, j in strat.closure:
+            faces.setdefault(i, set()).add(strat.strata[j].intermediates)
+        for i, sub in enumerate(strat.strata):
+            if sub.depth < 2:
+                continue
+            for drop in range(sub.depth):
+                mids = sub.intermediates[:drop] + sub.intermediates[drop + 1 :]
+                if mids not in faces.get(i, ()):
+                    yield Violation(
+                        "face-of-face",
+                        f"stratum of ({x},{z}) broken at {sub.intermediates} does not "
+                        f"lie in the closure of a stratum broken at {mids}",
+                        (x, z),
                     )
-                    continue
-                if comps_of.get((x, z)) and point_of[x].index - point_of[z].index - 1 == 1:
-                    for cfg in sorted(configs - set(used)):
-                        out.append(
-                            Violation(
-                                "uncovered-breaking",
-                                f"broken configuration {_end_str(cfg)} of ({x},{z}) "
-                                "is no interval endpoint",
-                                (x, z),
-                            )
-                        )
-                    for cfg in sorted(set(used) - configs):
-                        out.append(
-                            Violation(
-                                "phantom-endpoint",
-                                f"interval endpoint {_end_str(cfg)} of ({x},{z}) "
-                                "matches no broken configuration",
-                                (x, z),
-                            )
-                        )
-                    for cfg in sorted(configs):
-                        if used.count(cfg) > 1:
-                            out.append(
-                                Violation(
-                                    "reused-breaking",
-                                    f"broken configuration {_end_str(cfg)} of ({x},{z}) "
-                                    "is an endpoint of more than one interval",
-                                    (x, z),
-                                )
-                            )
-
-        # Face-of-face: every double break refines through a single break.
-        comp_of = {(s, t, c.id): c for s, t, cs in fs.pairs for c in cs}
-        for x in ids:
-            for z in ids:
-                if x == z or not comps_of.get((x, z)):
-                    continue
-                strat = _stratify(pt, x, z)
-                for sub in strat.strata:
-                    if sub.depth < 2:
-                        continue
-                    for drop in range(sub.depth):
-                        mids = sub.intermediates[:drop] + sub.intermediates[drop + 1 :]
-                        found = any(
-                            sup.intermediates == mids
-                            and _refines(sub, sup, comp_of)
-                            for sup in strat.strata
-                        )
-                        if not found:
-                            out.append(
-                                Violation(
-                                    "face-of-face",
-                                    f"stratum of ({x},{z}) broken at {sub.intermediates} does not "
-                                    f"lie in the closure of a stratum broken at {mids}",
-                                    (x, z),
-                                )
-                            )
-    return tuple(out)
 
 
 def _end_str(end: Endpoint) -> str:

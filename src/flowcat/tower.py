@@ -26,6 +26,7 @@ from functools import cached_property
 
 from .core import (
     CritPoint,
+    History,
     ModuliAddress,
     Point,
     Primitive,
@@ -431,7 +432,7 @@ def _schedule(
 
 def _mint(
     seeds: list[_Seed], edges: set[tuple[str, str]], decls: Declarations
-) -> dict[tuple[str, str, str], tuple[MorseEntry, ...]]:
+) -> dict[tuple[History, str, str, str], tuple[MorseEntry, ...]]:
     """The points of one round's components, with their heights.
 
     ``seeds`` come in address-key order, the order declarations are read
@@ -441,9 +442,10 @@ def _mint(
     slot respecting the edges; the point of a 0-dimensional component gets
     ``slot + tag``, declared interior points (highest first) get ``slot +
     position + tag``, where the tags are distinct dyadic fractions below
-    1/2 handed out in slot order.  The result is keyed ``(source key,
-    target key, component id)``, so interval endpoints can be resolved
-    across sibling spaces.
+    1/2 handed out in slot order.  The result is keyed ``(history, source
+    key, target key, component id)``: sibling spaces over one ambient space
+    share the history, so interval endpoints can be resolved across them,
+    and spaces over different ambient spaces never share a point.
     """
 
     # Per space, per component in id order: the name, index, height above
@@ -465,7 +467,7 @@ def _mint(
                 ]
             made[seed.key].append((comp.id, names))
     ranks = _base_ranks(list(made), edges)
-    minted: dict[tuple[str, str, str], tuple[MorseEntry, ...]] = {}
+    minted: dict[tuple[History, str, str, str], tuple[MorseEntry, ...]] = {}
     tag = Fraction(1, 2)
     order = sorted(seeds, key=lambda sd: (ranks[sd.key], sd.key))
     for slot, seed in enumerate(order, 1):
@@ -475,12 +477,12 @@ def _mint(
                 tag /= 2
                 pt = Primitive(CritPoint(name, index, slot + height + tag, seed.address))
                 entries.append(MorseEntry(pt, index, pt.crit.value, cid, role))
-            minted[seed.source, seed.target, cid] = tuple(entries)
+            minted[seed.address.history, seed.source, seed.target, cid] = tuple(entries)
     return minted
 
 
 def _critical_points(
-    seed: _Seed, minted: dict[tuple[str, str, str], tuple[MorseEntry, ...]]
+    seed: _Seed, minted: dict[tuple[History, str, str, str], tuple[MorseEntry, ...]]
 ) -> tuple[MorseEntry, ...]:
     """All critical points of the height function on one space.
 
@@ -493,14 +495,15 @@ def _critical_points(
     if is_stationary(seed.address):
         raise ValueError("critical_points expects a nonstationary space")
     entries: list[MorseEntry] = []
+    history = seed.address.history
     for comp in sorted(seed.components, key=lambda c: c.id):
-        entries.extend(minted[seed.source, seed.target, comp.id])
+        entries.extend(minted[history, seed.source, seed.target, comp.id])
         if comp.boundary:
             ends: list[MorseEntry] = []
             for end in comp.boundary:
                 pieces = []
                 for ref in end:
-                    piece = minted.get((ref.source, ref.target, ref.component), ())
+                    piece = minted.get((history, ref.source, ref.target, ref.component), ())
                     if [e.role for e in piece] != ["point"]:
                         raise BuildError(
                             f"endpoint of {comp.id!r} of {seed.key} references "

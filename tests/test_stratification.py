@@ -100,7 +100,9 @@ class TestValidatorAcceptsCorpus:
 
 class TestValidatorViolations:
     def test_dup_point(self):
-        assert "dup-point" in _codes(fc.flow_system([("a", 1), ("a", 0)], {}))
+        fs = fc.flow_system([("a", 1), ("a", 0)], {})
+        assert "dup-point" in _codes(fs)
+        assert [p.index for p in fs.points] == [1, 1]
 
     def test_bad_id(self):
         assert _codes(fc.flow_system([("a b", 1), ("w", 0)], {})) == {"bad-id"}
@@ -114,6 +116,15 @@ class TestValidatorViolations:
     def test_dup_pair(self, deformed_fs):
         pairs = deformed_fs.pairs + (deformed_fs.pairs[1],)
         assert "dup-pair" in _codes(dataclasses.replace(deformed_fs, pairs=pairs))
+        # The first listing wins everywhere: a second (x,w) listing, whose
+        # point component would break the dimension formula, is only a repeat.
+        first = deformed_fs.components("x", "w")
+        k9 = dataclasses.replace(first[0], id="k9", shape=fc.POINT, boundary=())
+        fs = dataclasses.replace(deformed_fs, pairs=deformed_fs.pairs + (("x", "w", (k9,)),))
+        assert fs.components("x", "w") is first
+        assert fs.table["x", "w"] is first
+        assert fc.boundary_strata(fs, "x", "w") == fc.boundary_strata(deformed_fs, "x", "w")
+        assert [str(v) for v in fc.validate_flow_system(fs)] == ["[dup-pair] pair (x,w) listed twice"]
 
     def test_unknown_point(self, deformed_fs):
         points = tuple(p for p in deformed_fs.points if p.id != "z")
@@ -200,35 +211,39 @@ class TestValidatorViolations:
         assert "endpoint-dim" in codes
 
     def test_missing_space(self):
-        bad = fc.flow_system(
-            [("x", 2), ("m", 1), ("y", 0)],
-            {("x", "m"): [("c0", fc.POINT, ())], ("m", "y"): [("c0", fc.POINT, ())]},
-        )
+        moduli = {("x", "m"): [("c0", fc.POINT, ())], ("m", "y"): [("c0", fc.POINT, ())]}
+        bad = fc.flow_system([("x", 2), ("m", 1), ("y", 0)], moduli)
         assert _codes(bad) == {"missing-space"}
+        # A repeated point id is reported, and the breaking still only once.
+        twice = fc.flow_system([("x", 2), ("m", 1), ("y", 0), ("x", 2)], moduli)
+        assert [v.code for v in fc.validate_flow_system(twice)] == ["dup-point", "missing-space"]
 
     def test_uncovered_breaking(self):
-        bad = fc.flow_system(
-            [("x", 2), ("m", 1), ("y", 0)],
-            {
-                ("x", "m"): [("c0", fc.POINT, ())],
-                ("m", "y"): [
-                    ("a", fc.POINT, ()),
-                    ("b", fc.POINT, ()),
-                    ("c", fc.POINT, ()),
-                ],
-                ("x", "y"): [
-                    (
-                        "j",
-                        fc.INTERVAL,
+        # Also with a repeated point id, which reports the breaking only once.
+        for twice in [(), (("y", 0),)]:
+            bad = fc.flow_system(
+                [("x", 2), ("m", 1), ("y", 0), *twice],
+                {
+                    ("x", "m"): [("c0", fc.POINT, ())],
+                    ("m", "y"): [
+                        ("a", fc.POINT, ()),
+                        ("b", fc.POINT, ()),
+                        ("c", fc.POINT, ()),
+                    ],
+                    ("x", "y"): [
                         (
-                            (fc.PieceRef("x", "m", "c0"), fc.PieceRef("m", "y", "a")),
-                            (fc.PieceRef("x", "m", "c0"), fc.PieceRef("m", "y", "b")),
-                        ),
-                    )
-                ],
-            },
-        )
-        assert _codes(bad) == {"uncovered-breaking"}
+                            "j",
+                            fc.INTERVAL,
+                            (
+                                (fc.PieceRef("x", "m", "c0"), fc.PieceRef("m", "y", "a")),
+                                (fc.PieceRef("x", "m", "c0"), fc.PieceRef("m", "y", "b")),
+                            ),
+                        )
+                    ],
+                },
+            )
+            codes = [v.code for v in fc.validate_flow_system(bad)]
+            assert codes == ["dup-point"] * len(twice) + ["uncovered-breaking"]
 
     def test_reused_breaking(self, deformed_fs):
         c = deformed_fs.components("x", "w")[0]
@@ -238,33 +253,36 @@ class TestValidatorViolations:
     def test_face_of_face(self):
         # (x,b) is closed, so neither stratum of (x,w) broken at a and b (one
         # per point of (a,b)) lies in the closure of the one broken at b
-        # alone; both do lie in the closure of the one broken at a.
+        # alone; both do lie in the closure of the one broken at a.  A
+        # repeated point id still reports each stratum once.
         R = fc.PieceRef
-        bad = fc.flow_system(
-            [("x", 4), ("a", 2), ("b", 1), ("w", 0)],
-            {
-                ("x", "a"): [("c0", fc.CIRCLE, ())],
-                ("a", "b"): [("c0", fc.POINT, ()), ("c1", fc.POINT, ())],
-                ("b", "w"): [("c0", fc.POINT, ())],
-                ("a", "w"): [
-                    (
-                        "c0",
-                        fc.INTERVAL,
-                        (
-                            (R("a", "b", "c0"), R("b", "w", "c0")),
-                            (R("a", "b", "c1"), R("b", "w", "c0")),
-                        ),
-                    )
-                ],
-                ("x", "b"): [("c0", fc.parse_shape("SphereLike 2"), ())],
-                ("x", "w"): [("c0", fc.parse_shape("SphereLike 3"), ())],
-            },
-        )
         message = (
             "[face-of-face] stratum of (x,w) broken at ('a', 'b') does not "
             "lie in the closure of a stratum broken at ('b',)"
         )
-        assert [str(v) for v in fc.validate_flow_system(bad)] == [message] * 2
+        for twice in [(), (("x", 4),)]:
+            bad = fc.flow_system(
+                [("x", 4), ("a", 2), ("b", 1), ("w", 0), *twice],
+                {
+                    ("x", "a"): [("c0", fc.CIRCLE, ())],
+                    ("a", "b"): [("c0", fc.POINT, ()), ("c1", fc.POINT, ())],
+                    ("b", "w"): [("c0", fc.POINT, ())],
+                    ("a", "w"): [
+                        (
+                            "c0",
+                            fc.INTERVAL,
+                            (
+                                (R("a", "b", "c0"), R("b", "w", "c0")),
+                                (R("a", "b", "c1"), R("b", "w", "c0")),
+                            ),
+                        )
+                    ],
+                    ("x", "b"): [("c0", fc.parse_shape("SphereLike 2"), ())],
+                    ("x", "w"): [("c0", fc.parse_shape("SphereLike 3"), ())],
+                },
+            )
+            dup = ["[dup-point] duplicate critical point id 'x'"] * len(twice)
+            assert [str(v) for v in fc.validate_flow_system(bad)] == dup + [message] * 2
 
     def test_violation_messages_name_subjects(self, deformed_fs):
         points = tuple(p for p in deformed_fs.points if p.id != "z")

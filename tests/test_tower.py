@@ -170,6 +170,24 @@ class TestSphereTowers:
         base_dim = max(fc.moduli_dimension(t.base, s, x) for s, x, _ in t.base.pairs)
         assert len(nontrivial) <= base_dim + 1
 
+    def test_sibling_ambients_keep_their_own_points(self):
+        # Both circles declare points named n and s, so the level-2 spaces
+        # M(n>s|N>S) and M(n>s|M>S) have ends with the same point keys.
+        fs = fc.flow_system(
+            [("N", 2), ("M", 2), ("S", 0)],
+            {("N", "S"): [("c0", fc.CIRCLE, ())], ("M", "S"): [("c0", fc.CIRCLE, ())]},
+        )
+        poles = fc.ComponentDecl(points=(fc.DeclaredPoint("n", 1), fc.DeclaredPoint("s", 0)))
+        decls = fc.Declarations.build({("M(N>S)", "c0"): poles, ("M(M>S)", "c0"): poles})
+        t = fc.build_tower(fs, decls)
+        values = []
+        for key in ("M(n>s|M>S)", "M(n>s|N>S)"):
+            morse = t.space(2, key).morse
+            assert [fc.point_key(e.point) for e in morse] == ["n/s:0", "n/s:1"]
+            assert {fc.address_key(e.point.crit.home) for e in morse} == {key}
+            values += [e.value for e in morse]
+        assert len(set(values)) == 4
+
 
 class TestBuildControls:
     def test_max_level_truncation(self, deformed_fs):
