@@ -173,20 +173,15 @@ def _glue(p: int, after: Cell, first: Cell) -> Cell:
     if p == after.level - 1:
         space = ModuliAddress(asp.source, csp.target, asp.history)
         return Cell(top, space)
-    pairs: list[tuple[Point, Point]] = []
-    for j in range(len(asp.history)):
-        a_s, a_t = asp.history.pair(j)
-        c_s, c_t = csp.history.pair(j)
-        if j < p:
-            pairs.append((a_s, a_t))
-        elif j == p:
-            pairs.append((a_s, c_t))
-        else:
-            pairs.append((Broken((a_s, c_s)), Broken((a_t, c_t))))
+    # History entries below p are shared, entry p joins, and entries above
+    # p pair up entrywise.
+    h, k, q = asp.history, csp.history, p + 1
+    sources = h.sources[:q] + tuple(map(Broken, zip(h.sources[q:], k.sources[q:])))
+    targets = h.targets[:p] + k.targets[p:q] + tuple(map(Broken, zip(h.targets[q:], k.targets[q:])))
     space = ModuliAddress(
         Broken((asp.source, csp.source)),
         Broken((asp.target, csp.target)),
-        History.from_pairs(tuple(pairs)),
+        History(sources, targets),
     )
     return Cell(top, space)
 
@@ -244,13 +239,11 @@ def normalize_point(pt: Point) -> Point:
 
 @memo_on_node
 def _normalize_address(addr: ModuliAddress) -> ModuliAddress:
-    pairs = tuple(
-        (normalize_point(s), normalize_point(t)) for s, t in addr.history.pairs
-    )
+    h = addr.history
     return ModuliAddress(
         normalize_point(addr.source),
         normalize_point(addr.target),
-        History.from_pairs(pairs),
+        History(tuple(map(normalize_point, h.sources)), tuple(map(normalize_point, h.targets))),
     )
 
 
@@ -276,7 +269,8 @@ class GlobularSet:
     law the checker verifies can be broken by a single targeted mutation.
     For the life of the view it keeps the raw source and target of its own
     cells and of the identity cells memoized on them, and the composites of
-    two of its own cells; both tables are read after the overrides.
+    two of its own cells; both tables are read after the overrides, and a
+    view derived by a ``with_*`` call shares them.
     """
 
     def __init__(self, tower: Tower) -> None:
@@ -383,11 +377,17 @@ class GlobularSet:
         return glued
 
     def _with(self, key: tuple, new: Cell) -> "GlobularSet":
-        """A fresh view over the same tower with one more override."""
+        """A view over the same tower with one more override.
 
-        view = GlobularSet(self.tower)
+        It shares the cell lists and the raw boundary and composite tables,
+        which ignore the overrides, and gets its own pair memo.
+        """
+
+        view = object.__new__(GlobularSet)
+        view.__dict__.update(self.__dict__)
         view._over = {**self._over, key: new}
         view._maps = frozenset(k[0] for k in view._over)
+        view._pairs_memo = {}
         return view
 
     def with_source(self, cell: Cell, new: Cell) -> "GlobularSet":

@@ -433,8 +433,15 @@ def _cmd_compose(args) -> int:
         for k in missing:
             print(f"error: no cell {k!r}", file=sys.stderr)
         return 2
-    X = GlobularSet(tower)
     after, first = index[args.after], index[args.first]
+    level = min(after.level, first.level)
+    if not 0 <= args.p < level:
+        print(
+            f"error: --p {args.p} out of range 0..{level - 1} for level-{level} cells",
+            file=sys.stderr,
+        )
+        return 2
+    X = GlobularSet(tower)
     try:
         glued = X.compose(args.p, after, first)
     except ValueError as e:

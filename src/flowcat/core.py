@@ -57,7 +57,7 @@ def _hashconsed(cls):
     else holds is freed and its entry leaves the table.
     """
 
-    names = tuple(f.name for f in fields(cls))
+    names = cls._names = tuple(f.name for f in fields(cls))
     table = cls._table = {}
 
     def drop(ref: weakref.KeyedRef) -> None:
@@ -67,9 +67,9 @@ def _hashconsed(cls):
             del table[ref.key]
 
     cls._drop = staticmethod(drop)
-    cls._init = cls.__init__
-    # ``__new__`` has already run the dataclass ``__init__`` on a new node;
-    # ``object.__init__`` ignores the arguments when ``__new__`` is custom.
+    cls._check = getattr(cls, "__post_init__", None)
+    # ``_intern`` sets the fields of a new node itself; ``object.__init__``
+    # ignores the arguments when ``__new__`` is custom.
     cls.__init__ = object.__init__
     cls.__reduce__ = lambda node: (cls, tuple(getattr(node, n) for n in names))
     return cls
@@ -80,8 +80,10 @@ def _intern(cls, values: tuple, kinds: tuple = ()):
 
     ``kinds`` joins the key with the types of scalar fields, so values that
     compare equal but print differently (``1``, ``True``, ``Fraction(1)``)
-    stay different nodes.  A node that fails its ``__post_init__`` checks
-    is never stored, so building it raises every time.
+    stay different nodes.  A new node gets its fields set in its
+    ``__dict__`` in declaration order, then runs its ``__post_init__``
+    checks; a node that fails them is never stored, so building it raises
+    every time.  ``weakref.ref.__new__`` skips ``KeyedRef``'s Python frames.
     """
 
     key = values + kinds
@@ -90,8 +92,12 @@ def _intern(cls, values: tuple, kinds: tuple = ()):
     node = None if ref is None else ref()
     if node is None:
         node = object.__new__(cls)
-        cls._init(node, *values)
-        table[key] = weakref.KeyedRef(node, cls._drop, key)
+        node.__dict__.update(zip(cls._names, values))
+        if cls._check is not None:
+            cls._check(node)
+        ref = weakref.ref.__new__(weakref.KeyedRef, node, cls._drop)
+        ref.key = key
+        table[key] = ref
     return node
 
 
@@ -153,9 +159,6 @@ class History:
     @property
     def pairs(self) -> tuple[tuple["Point", "Point"], ...]:
         return tuple(zip(self.sources, self.targets))
-
-    def pair(self, j: int) -> tuple["Point", "Point"]:
-        return (self.sources[j], self.targets[j])
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -372,15 +375,17 @@ def is_stationary(obj: Cell | ModuliAddress | Point) -> bool:
     broken points are never stationary.
     """
 
-    if isinstance(obj, Cell):
-        return obj.space is not None and is_stationary(obj.space)
-    if isinstance(obj, ModuliAddress):
-        return obj.source == obj.target
-    if isinstance(obj, Primitive):
-        return obj.crit.home is not None and is_stationary(obj.crit.home)
-    if isinstance(obj, Broken):
+    kind = type(obj)
+    if kind is Primitive:
+        obj = obj.crit.home
+    elif kind is Cell:
+        obj = obj.space
+    elif kind is Broken:
         return False
-    raise ValueError(f"cannot decide stationarity of {obj!r}")
+    elif kind is not ModuliAddress:
+        raise ValueError(f"cannot decide stationarity of {obj!r}")
+    # Endpoints are interned, so equal endpoints are one object.
+    return obj is not None and obj.source is obj.target
 
 
 def ambient_of_point(p: Point) -> ModuliAddress | None:
@@ -422,10 +427,11 @@ def next_address(source: Point, target: Point, ambient: ModuliAddress | None) ->
     return ModuliAddress(source, target, hist)
 
 
+_ZERO = Fraction(0)
+
+
 def stationary_point(at: Point, ambient: ModuliAddress | None) -> Primitive:
     """The canonical point of the stationary space at ``at``."""
 
     home = next_address(at, at, ambient)
-    return Primitive(
-        CritPoint(id=f"1({point_key(at)})", index=0, value=Fraction(0), home=home)
-    )
+    return Primitive(CritPoint(f"1({point_key(at)})", 0, _ZERO, home))

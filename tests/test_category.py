@@ -290,3 +290,32 @@ class TestMutatedViews:
         for C, A in deformed_view.composable_pairs(1, 0):
             if (C, A) != (after, first):
                 assert chained.compose(0, C, A) is deformed_view.compose(0, C, A)
+
+    def test_mutant_of_a_used_view_reports_as_one_of_a_fresh_view(self, deformed_tower):
+        p_cell = find_cell(
+            deformed_tower, 2,
+            "(x/y:c0,y/w:a)/(x/y:c0,y/w:b):0 @ M((x/y:c0,y/w:a)>(x/y:c0,y/w:b)|x>w)",
+        )
+        a_cell = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
+        c0x = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
+        end_a = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        s_a = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
+        s_b = find_cell(deformed_tower, 2, "1(y/w:b) @ M(y/w:b>y/w:b|y>w)")
+        z = find_cell(deformed_tower, 0, "z")
+
+        def mutants(view):
+            return [
+                view.with_target(p_cell, c0x),
+                view.with_source(end_a, z),
+                view.with_identity(a_cell, s_b),
+                view.with_compose(1, s_a, s_a, p_cell),
+            ]
+
+        used = fc.GlobularSet(deformed_tower)
+        assert fc.check_all(used).ok
+        assert used._composites
+        for old, new in zip(mutants(used), mutants(fc.GlobularSet(deformed_tower))):
+            assert old._composites is used._composites
+            text = fc.check_all(old).to_text()
+            assert "FAIL" in text
+            assert text == fc.check_all(new).to_text()

@@ -253,6 +253,15 @@ class TestSubcommands:
         )
         assert "no cell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["-1", "5"])
+    def test_compose_p_out_of_range_exits_2(self, deformed_file, capsys, p):
+        argv = ["compose", deformed_file, "--p", p]
+        argv += ["--after", "y/w:a @ M(y>w)", "--first", "x/y:c0 @ M(x>y)"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --p {p} out of range 0..0 for level-1 cells\n"
+
     def test_export_dot(self, deformed_file, capsys):
         assert main(["export-dot", deformed_file, "--level", "1"]) == 0
         out = capsys.readouterr().out

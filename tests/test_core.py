@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 import inspect
 import pickle
@@ -273,3 +274,88 @@ class TestInterning:
         # Reference counting alone frees the node and fires the callback.
         assert key not in table
         assert "partial" not in inspect.getsource(flowcat.core)
+
+
+class TestInternFastPath:
+    def test_failed_construction_leaves_the_tables_alone(self):
+        x = _prim("x", 2, 3)
+        flat = fc.ModuliAddress(x, x)
+        gc.collect()
+        before = _table_sizes()
+        for build in (
+            lambda: fc.CritPoint("p", -1, Fraction(1)),
+            lambda: History((x,), ()),
+            lambda: fc.Broken((x,)),
+            lambda: fc.CritPoint("s", 0, Fraction(1), flat),
+        ):
+            with pytest.raises(ValueError):
+                build()
+            assert _table_sizes() == before
+
+    def test_fields_lead_the_node_dict_and_stay_frozen(self, deformed_tower):
+        deep = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
+        end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        piece = end.top.pieces[0]
+        nodes = (deep.space.history, end.space, piece.crit, piece, end.top, end)
+        assert [type(n) for n in nodes] == list(NODE_CLASSES)
+        for node in nodes:
+            names = [f.name for f in dataclasses.fields(node)]
+            assert list(vars(node))[: len(names)] == names
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, name, None)
+
+    def test_stationarity_of_every_kind(self, deformed_tower):
+        end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        assert not fc.is_stationary(end.top)
+        assert not fc.is_stationary(find_cell(deformed_tower, 0, "w"))
+        for other in (end.space.history, "x"):
+            with pytest.raises(ValueError):
+                fc.is_stationary(other)
+
+    def test_glued_raw_keys_below_the_top_boundary(self, deformed_tower):
+        # Pinned strings: the raw history of a composite glued below its top
+        # boundary shares, joins and pairs entries by position.
+        sphere = fc.build_tower(*fc.sphere_system(3))
+        units = []
+        for a in fc.cells(sphere, 3):
+            for p in (0, 1):
+                unit = a
+                for _ in range(3 - p):
+                    unit = fc.target(unit)
+                for _ in range(3 - p):
+                    unit = fc.identity(unit)
+                units.append(fc.cell_key(fc.compose(p, unit, a)))
+        assert units == [
+            "(hi2/lo2:0,1(1(1(S)))) @ M((hi2,1(1(S)))>(lo2,1(1(S)))|(hi1,1(S))>(lo1,1(S));N>S)",
+            "(hi2/lo2:0,1(1(lo1))) @ M((hi2,1(lo1))>(lo2,1(lo1))|hi1>lo1;N>S)",
+            "(hi2/lo2:1,1(1(1(S)))) @ M((hi2,1(1(S)))>(lo2,1(1(S)))|(hi1,1(S))>(lo1,1(S));N>S)",
+            "(hi2/lo2:1,1(1(lo1))) @ M((hi2,1(lo1))>(lo2,1(lo1))|hi1>lo1;N>S)",
+        ]
+        view = fc.GlobularSet(deformed_tower)
+        glued = {
+            p: [fc.cell_key(fc.compose(p, c, a)) for c, a in view.composable_pairs(3, p)]
+            for p in (0, 1)
+        }
+        assert glued == {
+            0: [
+                "(1(1(x/y:c0)),1(1(y/w:a))) @ M((1(x/y:c0),1(y/w:a))>(1(x/y:c0),1(y/w:a))"
+                "|(x/y:c0,y/w:a)>(x/y:c0,y/w:a);x>w)",
+                "(1(1(z/y:c0)),1(1(y/w:a))) @ M((1(z/y:c0),1(y/w:a))>(1(z/y:c0),1(y/w:a))"
+                "|(z/y:c0,y/w:a)>(z/y:c0,y/w:a);z>w)",
+                "(1(1(x/y:c0)),1(1(y/w:b))) @ M((1(x/y:c0),1(y/w:b))>(1(x/y:c0),1(y/w:b))"
+                "|(x/y:c0,y/w:b)>(x/y:c0,y/w:b);x>w)",
+                "(1(1(z/y:c0)),1(1(y/w:b))) @ M((1(z/y:c0),1(y/w:b))>(1(z/y:c0),1(y/w:b))"
+                "|(z/y:c0,y/w:b)>(z/y:c0,y/w:b);z>w)",
+            ],
+            1: [
+                "(1(1(x/y:c0)),1(1(x/y:c0))) @ M((1(x/y:c0),1(x/y:c0))>(1(x/y:c0),1(x/y:c0))"
+                "|x/y:c0>x/y:c0;x>y)",
+                "(1(1(y/w:a)),1(1(y/w:a))) @ M((1(y/w:a),1(y/w:a))>(1(y/w:a),1(y/w:a))"
+                "|y/w:a>y/w:a;y>w)",
+                "(1(1(y/w:b)),1(1(y/w:b))) @ M((1(y/w:b),1(y/w:b))>(1(y/w:b),1(y/w:b))"
+                "|y/w:b>y/w:b;y>w)",
+                "(1(1(z/y:c0)),1(1(z/y:c0))) @ M((1(z/y:c0),1(z/y:c0))>(1(z/y:c0),1(z/y:c0))"
+                "|z/y:c0>z/y:c0;z>y)",
+            ],
+        }
