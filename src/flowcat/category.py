@@ -121,16 +121,25 @@ def identity(cell: Cell) -> Cell:
     return Cell(pt, pt.crit.home)
 
 
-def _glues(p: int, after: Cell, first: Cell, s=source, t=target) -> bool:
-    """Whether the pair glues, walking the boundary maps ``s`` and ``t``."""
+def _gluing_error(p: int, after: Cell, first: Cell, s=source, t=target) -> str | None:
+    """Why the pair does not glue, walking the boundary maps ``s`` and ``t``; None if it does."""
 
     level = after.level
-    if first.level != level or not 0 <= p < level:
-        return False
-    lhs, rhs = after, first
-    for _ in range(level - p):
-        lhs, rhs = s(lhs), t(rhs)
-    return normalize(lhs) is normalize(rhs)
+    if first.level != level:
+        return (
+            f"cells of different levels do not glue: {cell_key(after)} is a "
+            f"level-{level} cell and {cell_key(first)} a level-{first.level} cell"
+        )
+    if 0 <= p < level:
+        lhs, rhs = after, first
+        for _ in range(level - p):
+            lhs, rhs = s(lhs), t(rhs)
+        if normalize(lhs) is normalize(rhs):
+            return None
+    return (
+        f"cells do not glue along level {p}: the level-{p} source of "
+        f"{cell_key(after)} differs from the level-{p} target of {cell_key(first)}"
+    )
 
 
 def composable(p: int, after: Cell, first: Cell) -> bool:
@@ -140,14 +149,7 @@ def composable(p: int, after: Cell, first: Cell) -> bool:
     iterated source of ``after``, up to normal form.
     """
 
-    return _glues(p, after, first)
-
-
-def _not_gluing(p: int, after: Cell, first: Cell) -> ValueError:
-    return ValueError(
-        f"cells do not glue along level {p}: the level-{p} source of "
-        f"{cell_key(after)} differs from the level-{p} target of {cell_key(first)}"
-    )
+    return _gluing_error(p, after, first) is None
 
 
 def compose(p: int, after: Cell, first: Cell) -> Cell:
@@ -159,15 +161,39 @@ def compose(p: int, after: Cell, first: Cell) -> Cell:
     does not glue.
     """
 
-    if not composable(p, after, first):
-        raise _not_gluing(p, after, first)
-    return _glue(p, after, first)
+    error = _gluing_error(p, after, first)
+    if error:
+        raise ValueError(error)
+    return _glue(p, after, first, _join)
 
 
-def _glue(p: int, after: Cell, first: Cell) -> Cell:
-    """The composite of a pair already known to glue along level p."""
+def _join(x: Point, y: Point) -> Point:
+    """The raw join of two pieces: the broken point that runs x, then y."""
 
-    top = Broken((first.top, after.top))
+    return Broken((x, y))
+
+
+def _merge(x: Point, y: Point) -> Point:
+    """``normalize_point(_join(x, y))`` for normal x and y.
+
+    A normal point is constant only as a constant primitive; a moving one
+    has only moving pieces, in flow order.
+    """
+
+    if is_stationary(x):
+        return normalize_point(Broken((x, y))) if is_stationary(y) else y
+    if is_stationary(y):
+        return x
+    return Broken(tuple(sorted(flatten_point(x) + flatten_point(y), key=breaking_key)))
+
+
+def _glue(p: int, after: Cell, first: Cell, join) -> Cell:
+    """The composite of a pair known to glue along level p, joining pieces by ``join``.
+
+    ``_join`` gives the raw composite; ``_merge`` on normal cells, its normal form.
+    """
+
+    top = join(first.top, after.top)
     asp, csp = first.space, after.space
     assert asp is not None and csp is not None
     if p == after.level - 1:
@@ -176,11 +202,11 @@ def _glue(p: int, after: Cell, first: Cell) -> Cell:
     # History entries below p are shared, entry p joins, and entries above
     # p pair up entrywise.
     h, k, q = asp.history, csp.history, p + 1
-    sources = h.sources[:q] + tuple(map(Broken, zip(h.sources[q:], k.sources[q:])))
-    targets = h.targets[:p] + k.targets[p:q] + tuple(map(Broken, zip(h.targets[q:], k.targets[q:])))
+    sources = h.sources[:q] + tuple(map(join, h.sources[q:], k.sources[q:]))
+    targets = h.targets[:p] + k.targets[p:q] + tuple(map(join, h.targets[q:], k.targets[q:]))
     space = ModuliAddress(
-        Broken((asp.source, csp.source)),
-        Broken((asp.target, csp.target)),
+        join(asp.source, csp.source),
+        join(asp.target, csp.target),
         History(sources, targets),
     )
     return Cell(top, space)
@@ -360,21 +386,41 @@ class GlobularSet:
             )
         return self._pairs_memo[memo_key]
 
-    def compose(self, p: int, after: Cell, first: Cell) -> Cell:
-        new = "compose" in self._maps and self._over.get(
+    def _compose_override(self, p: int, after: Cell, first: Cell):
+        """The overridden composite of the pair, or a false value."""
+
+        return "compose" in self._maps and self._over.get(
             ("compose", p, self._key(after), self._key(first))
         )
+
+    def compose(self, p: int, after: Cell, first: Cell) -> Cell:
+        new = self._compose_override(p, after, first)
         if new:
             return new
         key = (p, after, first)
         glued = self._composites.get(key)
         if glued is None:
-            if not _glues(p, after, first, self._source, self._target):
-                raise _not_gluing(p, after, first)
-            glued = _glue(p, after, first)
+            error = _gluing_error(p, after, first, self._source, self._target)
+            if error:
+                raise ValueError(error)
+            glued = _glue(p, after, first, _join)
             if after in self._own_cells and first in self._own_cells:
                 self._composites[key] = glued
         return glued
+
+    def normal_compose(self, p: int, after: Cell, first: Cell) -> Cell:
+        """The normal form of ``compose(p, after, first)``.
+
+        Unless an override applies, it glues the normal forms of the two cells.
+        """
+
+        new = self._compose_override(p, after, first)
+        if new:
+            return normalize(new)
+        error = _gluing_error(p, after, first, self._source, self._target)
+        if error:
+            raise ValueError(error)
+        return _glue(p, normalize(after), normalize(first), _merge)
 
     def _with(self, key: tuple, new: Cell) -> "GlobularSet":
         """A view over the same tower with one more override.

@@ -434,19 +434,20 @@ def _cmd_compose(args) -> int:
             print(f"error: no cell {k!r}", file=sys.stderr)
         return 2
     after, first = index[args.after], index[args.first]
-    level = min(after.level, first.level)
-    if not 0 <= args.p < level:
-        print(
-            f"error: --p {args.p} out of range 0..{level - 1} for level-{level} cells",
-            file=sys.stderr,
-        )
-        return 2
     X = GlobularSet(tower)
     try:
         glued = X.compose(args.p, after, first)
     except ValueError as e:
-        print(f"not composable: {e}", file=sys.stderr)
-        return 1
+        level = after.level
+        if first.level != level:
+            message = str(e)
+        elif not 0 <= args.p < level:
+            message = f"--p {args.p} out of range 0..{level - 1} for level-{level} cells"
+        else:
+            print(f"not composable: {e}", file=sys.stderr)
+            return 1
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     print(f"after:  {cell_key(after)}")
     print(f"first:  {cell_key(first)}")
     print(f"raw:    {cell_key(glued)}")

@@ -95,3 +95,51 @@ def independent_tag_counts(tower: fc.Tower) -> dict[str, int]:
 
 def report_counts(report: fc.AxiomReport) -> dict[str, int]:
     return {tr.tag: tr.instances for tr in report.tags}
+
+
+def units(X: fc.GlobularSet):
+    """Law ``d``'s instances in check order: (level, p, A, left unit, right unit).
+
+    The units are the iterated identities on the level-p target and source
+    of ``A``, walked through the view's maps.
+    """
+    for level in range(1, X.n + 1):
+        for A in X.cells(level):
+            for p in range(level):
+                tt, ss = A, A
+                for _ in range(level - p):
+                    tt, ss = X.t(tt), X.s(ss)
+                for _ in range(level - p):
+                    tt, ss = X.identity(tt), X.identity(ss)
+                yield level, p, A, tt, ss
+
+
+def reference_check_d(X: fc.GlobularSet) -> fc.TagReport:
+    """Law ``d`` by raw composites: glue with ``X.compose``, compare raw, then normal.
+
+    It builds every unit composite, so it is the reference that the
+    checker's normal-form gluing must reproduce, strict counts and failure
+    texts included.
+    """
+    instances = strict = 0
+    failures: list[fc.Failure] = []
+
+    def nkey(cell: fc.Cell) -> str:
+        return fc.cell_key(fc.normalize(cell))
+
+    for level, p, A, tt, ss in units(X):
+        at = dict(tag="d", level=level, p=p, q=None, cells=(fc.cell_key(A),))
+        try:
+            for what, after, first in (("left unit", tt, A), ("right unit", A, ss)):
+                glued = X.compose(p, after, first)
+                instances += 1
+                if glued == A:
+                    strict += 1
+                elif fc.normalize(glued) is not fc.normalize(A):
+                    failures.append(
+                        fc.Failure(detail=f"{what}: {nkey(glued)}  !=  {nkey(A)}", **at)
+                    )
+        except ValueError as e:
+            instances += 1
+            failures.append(fc.Failure(detail=str(e), **at))
+    return fc.TagReport("d", instances, strict, tuple(failures))

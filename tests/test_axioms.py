@@ -6,7 +6,7 @@ import pytest
 
 import flowcat as fc
 
-from _helpers import find_cell, independent_tag_counts, report_counts
+from _helpers import find_cell, independent_tag_counts, reference_check_d, report_counts
 
 DEFORMED_EXPECT = {
     "globular": (44, 24),
@@ -175,3 +175,69 @@ class TestMutationSensitivity:
             )
         ]
         assert fc.check_all(parent).ok
+
+
+class TestUnitLawReference:
+    """Law d on normal forms against the raw-composite reference checker."""
+
+    def test_matches_the_reference_on_clean_towers(
+        self, deformed_tower, sphere_towers, random_towers
+    ):
+        spheres = [*sphere_towers.values(), fc.build_tower(*fc.sphere_system(4))]
+        for t in (deformed_tower, *spheres, *random_towers.values()):
+            rep = fc.check_axiom("d", fc.GlobularSet(t))
+            assert rep.ok and rep.strict == 0
+            assert rep == reference_check_d(fc.GlobularSet(t))
+
+    def test_matches_the_reference_on_the_mutants(self, deformed_tower):
+        mutants = _mutants(deformed_tower, fc.GlobularSet(deformed_tower))
+        assert len(mutants) == 7
+        for tag, mutated in mutants.items():
+            assert fc.check_axiom("d", mutated) == reference_check_d(mutated), tag
+        assert not fc.check_axiom("d", mutants["d"]).ok
+
+    def _left_unit_of_c0(self, tower):
+        view = fc.GlobularSet(tower)
+        c0x = find_cell(tower, 1, "x/y:c0 @ M(x>y)")
+        return view, c0x, view.identity(view.t(c0x))
+
+    def test_unit_override_by_the_cell_itself_is_one_strict_instance(
+        self, deformed_tower
+    ):
+        view, c0x, unit = self._left_unit_of_c0(deformed_tower)
+        mutated = view.with_compose(0, unit, c0x, c0x)
+        rep = fc.check_axiom("d", mutated)
+        assert rep.ok
+        assert (rep.instances, rep.strict) == (76, 1)
+        assert rep == reference_check_d(mutated)
+
+    def test_unit_override_by_a_wrong_cell_is_one_left_unit_failure(
+        self, deformed_tower
+    ):
+        view, c0x, unit = self._left_unit_of_c0(deformed_tower)
+        end_a = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        mutated = view.with_compose(0, unit, c0x, end_a)
+        rep = fc.check_axiom("d", mutated)
+        assert [f.detail for f in rep.failures] == [
+            "left unit: (x/y:c0,y/w:a) @ M(x>w)  !=  x/y:c0 @ M(x>y)"
+        ]
+        assert (rep.instances, rep.strict) == (76, 0)
+        assert rep == reference_check_d(mutated)
+
+    def test_builds_no_raw_composite_without_an_override(
+        self, deformed_tower, monkeypatch
+    ):
+        import flowcat.category as category
+
+        joins = []
+        raw_join = category._join
+        monkeypatch.setattr(
+            category, "_join", lambda x, y: joins.append((x, y)) or raw_join(x, y)
+        )
+        rep = fc.check_axiom("d", fc.GlobularSet(deformed_tower))
+        assert rep.ok and rep.instances == 76
+        assert joins == []
+        # The patched join is the one that raw composites go through.
+        c0x = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
+        fc.compose(0, c0x, fc.identity(fc.source(c0x)))
+        assert joins

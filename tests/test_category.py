@@ -6,7 +6,7 @@ import pytest
 
 import flowcat as fc
 
-from _helpers import boundary_key_raw, cell_map, find_cell
+from _helpers import boundary_key_raw, cell_map, find_cell, units
 
 
 def _nkey(cell) -> str:
@@ -174,14 +174,17 @@ class TestComposition:
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
         two = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
         view = fc.GlobularSet(deformed_tower)
-        # The view checks gluing through its boundary table, with the same text.
+        # The view checks gluing through its boundary table, with the same
+        # text, and so does its normal-form composite.
         for p, c, a in ((0, first, after), (1, first, after), (0, two, first)):
             with pytest.raises(ValueError) as raw:
                 fc.compose(p, after=c, first=a)
-            with pytest.raises(ValueError) as viewed:
-                view.compose(p, c, a)
-            assert str(viewed.value) == str(raw.value)
-        assert "do not glue along level 0" in str(raw.value)
+            for glue in (view.compose, view.normal_compose):
+                with pytest.raises(ValueError) as viewed:
+                    glue(p, c, a)
+                assert str(viewed.value) == str(raw.value)
+            if c is first:
+                assert f"do not glue along level {p}" in str(raw.value)
 
     def test_level_mismatch_raises(self, deformed_tower):
         one = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
@@ -190,6 +193,26 @@ class TestComposition:
             fc.compose(0, after=one, first=base)
         with pytest.raises(ValueError):
             fc.compose(1, after=one, first=one)
+
+    def test_cells_of_different_levels_raise_one_message(self, deformed_tower):
+        one = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
+        two = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
+        view = fc.GlobularSet(deformed_tower)
+        for after, first, message in (
+            (two, one, "1(y/w:a) @ M(y/w:a>y/w:a|y>w) is a level-2 cell and "
+             "x/y:c0 @ M(x>y) a level-1 cell"),
+            (one, two, "x/y:c0 @ M(x>y) is a level-1 cell and "
+             "1(y/w:a) @ M(y/w:a>y/w:a|y>w) a level-2 cell"),
+        ):
+            for p in (0, 1, 5):
+                assert not fc.composable(p, after, first)
+                assert not view.composable(p, after, first)
+                for glue in (fc.compose, view.compose, view.normal_compose):
+                    with pytest.raises(ValueError) as err:
+                        glue(p, after, first)
+                    assert str(err.value) == (
+                        f"cells of different levels do not glue: {message}"
+                    )
 
     def test_unit_composite_normalizes_to_the_cell(self, deformed_tower):
         c = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
@@ -219,6 +242,49 @@ class TestNormalize:
         up, down = end.top.pieces
         scrambled = fc.Cell(top=fc.Broken((down, up)), space=end.space)
         assert _nkey(scrambled) == fc.cell_key(end)
+
+
+class TestNormalGlue:
+    """The normal form is compositional: gluing normal forms gives the
+    normal form of the raw composite."""
+
+    def test_glue_of_normal_forms_is_the_normal_raw_composite(
+        self, deformed_tower, sphere_towers, random_towers
+    ):
+        # Built here, not in a session fixture, so that they are freed: the
+        # intern-table tests expect a new sphere_system(5) to grow the tables.
+        deeper = [fc.build_tower(*fc.sphere_system(n)) for n in (4, 5)]
+        constant = 0
+        for t in (deformed_tower, *sphere_towers.values(), *deeper, *random_towers.values()):
+            X = fc.GlobularSet(t)
+            glued = [
+                (p, C, A)
+                for level in range(1, X.n + 1)
+                for p in range(level)
+                for C, A in X.composable_pairs(level, p)
+            ]
+            for _, p, A, tt, ss in units(X):
+                glued += [(p, tt, A), (p, A, ss)]
+            # Identities of a glued pair: every piece is constant.
+            for level in range(1, X.n):
+                for p in range(level):
+                    for C, A in X.composable_pairs(level, p):
+                        glued.append((p, X.identity(C), X.identity(A)))
+            for p, after, first in glued:
+                normal = X.normal_compose(p, after, first)
+                assert normal is fc.normalize(X.compose(p, after, first))
+                tops = (fc.normalize(after).top, fc.normalize(first).top)
+                constant += all(map(fc.is_stationary, tops))
+        assert constant > 0
+
+    def test_glue_of_two_identities_is_constant(self, deformed_tower):
+        view = fc.GlobularSet(deformed_tower)
+        one = fc.identity(find_cell(deformed_tower, 0, "y"))
+        two = fc.identity(one)
+        for p, c in ((0, one), (1, two), (0, two)):
+            normal = view.normal_compose(p, c, c)
+            assert fc.is_stationary(normal.top)
+            assert normal is fc.normalize(view.compose(p, c, c))
 
 
 class TestMutatedViews:

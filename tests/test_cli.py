@@ -262,6 +262,17 @@ class TestSubcommands:
         assert out.out == ""
         assert out.err == f"error: --p {p} out of range 0..0 for level-1 cells\n"
 
+    def test_compose_cells_of_different_levels_exits_2(self, deformed_file, capsys):
+        after = "1(y/w:a) @ M(y/w:a>y/w:a|y>w)"
+        argv = ["compose", deformed_file, "--p", "0", "--after", after]
+        assert main(argv + ["--first", "x/y:c0 @ M(x>y)"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: cells of different levels do not glue: {after} is a "
+            "level-2 cell and x/y:c0 @ M(x>y) a level-1 cell\n"
+        )
+
     def test_export_dot(self, deformed_file, capsys):
         assert main(["export-dot", deformed_file, "--level", "1"]) == 0
         out = capsys.readouterr().out
