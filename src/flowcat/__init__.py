@@ -12,7 +12,6 @@ from .core import (
     Broken,
     Cell,
     CritPoint,
-    History,
     ModuliAddress,
     Point,
     Primitive,
@@ -85,8 +84,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     # core
-    "Broken", "Cell", "CritPoint", "History", "ModuliAddress", "Point",
-    "Primitive", "address_key", "cell_key", "flatten_point",
+    "Broken", "Cell", "CritPoint", "ModuliAddress", "Point", "Primitive",
+    "address_key", "cell_key", "flatten_point",
     "is_stationary", "point_key", "point_value",
     # stratification
     "CIRCLE", "Component", "Endpoint", "FlowSystem", "INTERVAL", "POINT",

@@ -304,10 +304,14 @@ def _check_d(X: GlobularSet) -> TagReport:
     rec = _Recorder("d")
     for level in range(1, X.n + 1):
         for A in X.cells(level):
+            # The iterated targets and sources of A, from A down to level 0:
+            # entry level - p is the level-p boundary.
+            targets, sources = [A], [A]
+            for _ in range(level):
+                targets.append(X.t(targets[-1]))
+                sources.append(X.s(sources[-1]))
             for p in range(level):
-                tt, ss = A, A
-                for _ in range(level - p):
-                    tt, ss = X.t(tt), X.s(ss)
+                tt, ss = targets[level - p], sources[level - p]
                 for _ in range(level - p):
                     tt, ss = X.identity(tt), X.identity(ss)
                 try:

@@ -19,7 +19,6 @@ import weakref
 from .core import (
     Broken,
     Cell,
-    History,
     ModuliAddress,
     Point,
     Primitive,
@@ -82,23 +81,12 @@ def extended_cells(tower: Tower, level: int) -> tuple[Cell, ...]:
     return tuple(sorted(out, key=cell_key))
 
 
-@memo_on_node
-def _down(sp: ModuliAddress) -> ModuliAddress:
-    """The address one level below a space of level >= 2."""
-
-    h = sp.history
-    return ModuliAddress(
-        h.sources[-1], h.targets[-1], History(h.sources[:-1], h.targets[:-1])
-    )
-
-
 def source(cell: Cell) -> Cell:
     """The cell one level down at the source side."""
 
     if cell.space is None:
         raise ValueError("a level-0 cell has no source")
-    sp = cell.space
-    return Cell(sp.source, None if sp.level == 1 else _down(sp))
+    return Cell(cell.space.source, cell.space.ambient)
 
 
 def target(cell: Cell) -> Cell:
@@ -106,8 +94,7 @@ def target(cell: Cell) -> Cell:
 
     if cell.space is None:
         raise ValueError("a level-0 cell has no target")
-    sp = cell.space
-    return Cell(sp.target, None if sp.level == 1 else _down(sp))
+    return Cell(cell.space.target, cell.space.ambient)
 
 
 @memo_on_node
@@ -193,23 +180,24 @@ def _glue(p: int, after: Cell, first: Cell, join) -> Cell:
     ``_join`` gives the raw composite; ``_merge`` on normal cells, its normal form.
     """
 
-    top = join(first.top, after.top)
-    asp, csp = first.space, after.space
-    assert asp is not None and csp is not None
-    if p == after.level - 1:
-        space = ModuliAddress(asp.source, csp.target, asp.history)
-        return Cell(top, space)
-    # History entries below p are shared, entry p joins, and entries above
-    # p pair up entrywise.
-    h, k, q = asp.history, csp.history, p + 1
-    sources = h.sources[:q] + tuple(map(join, h.sources[q:], k.sources[q:]))
-    targets = h.targets[:p] + k.targets[p:q] + tuple(map(join, h.targets[q:], k.targets[q:]))
-    space = ModuliAddress(
-        join(asp.source, csp.source),
-        join(asp.target, csp.target),
-        History(sources, targets),
+    return Cell(join(first.top, after.top), _glue_address(p, after.space, first.space, join))
+
+
+def _glue_address(p: int, after: ModuliAddress, first: ModuliAddress, join) -> ModuliAddress:
+    """The address of two glued spaces of the same level above p.
+
+    At level p + 1 the space runs from ``first``'s source to ``after``'s
+    target over ``first``'s ambient; above it the endpoints join and the
+    ambients glue in turn.
+    """
+
+    if after.level == p + 1:
+        return ModuliAddress(first.source, after.target, first.ambient)
+    return ModuliAddress(
+        join(first.source, after.source),
+        join(first.target, after.target),
+        _glue_address(p, after.ambient, first.ambient, join),
     )
-    return Cell(top, space)
 
 
 def _stationary_over(base: Point) -> Primitive:
@@ -265,11 +253,11 @@ def normalize_point(pt: Point) -> Point:
 
 @memo_on_node
 def _normalize_address(addr: ModuliAddress) -> ModuliAddress:
-    h = addr.history
+    ambient = addr.ambient
     return ModuliAddress(
         normalize_point(addr.source),
         normalize_point(addr.target),
-        History(tuple(map(normalize_point, h.sources)), tuple(map(normalize_point, h.targets))),
+        None if ambient is None else _normalize_address(ambient),
     )
 
 

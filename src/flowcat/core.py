@@ -3,8 +3,8 @@
 A *flow system* describes finitely many critical points joined by flow
 lines.  The space of flow lines between two critical points, compactified
 by broken flow lines, is identified combinatorially by a
-:class:`ModuliAddress`: the pair of endpoints plus the chain of
-endpoint pairs of every space it was recursively built over.
+:class:`ModuliAddress`: the pair of endpoints plus the address of the
+ambient space that holds them, one level down.
 
 Points of such a space are either :class:`Primitive` (a single critical
 point) or :class:`Broken` (an ordered tuple of pieces, one per factor of
@@ -12,7 +12,7 @@ a product stratum on the boundary).  Broken points are glued along
 matching endpoints; flattening erases the grouping and yields the
 primitive pieces in gluing order.
 
-The six node classes are hash-consed (Filliâtre & Conchon, "Type-Safe
+The five node classes are hash-consed (Filliâtre & Conchon, "Type-Safe
 Modular Hash-Consing", 2006): building a node whose fields are those of a
 live node returns that node.  Equal nodes are therefore one object, and
 ``==`` and ``hash`` are identity, O(1) however deep the node.  Derived
@@ -29,7 +29,6 @@ from typing import Union
 
 __all__ = [
     "CritPoint",
-    "History",
     "ModuliAddress",
     "Point",
     "Primitive",
@@ -42,7 +41,6 @@ __all__ = [
     "point_key",
     "address_key",
     "cell_key",
-    "next_address",
     "stationary_point",
     "ambient_of_point",
 ]
@@ -129,67 +127,27 @@ def memo_on_node(fn):
 
 @_hashconsed
 @dataclass(frozen=True, eq=False)
-class History:
-    """Aligned source/target chains recorded below a space.
-
-    Entry ``j`` holds the endpoint pair of the level-``j`` ancestor space;
-    entries are stored bottom-up (index 0 is the base-most pair).
-    """
-
-    sources: tuple["Point", ...]
-    targets: tuple["Point", ...]
-
-    def __new__(cls, sources, targets):
-        return _intern(cls, (sources, targets))
-
-    def __post_init__(self) -> None:
-        if len(self.sources) != len(self.targets):
-            raise ValueError(
-                "history sources/targets must align: "
-                f"{len(self.sources)} != {len(self.targets)}"
-            )
-
-    @staticmethod
-    def from_pairs(pairs: tuple[tuple["Point", "Point"], ...]) -> "History":
-        return History(
-            tuple(p[0] for p in pairs),
-            tuple(p[1] for p in pairs),
-        )
-
-    @property
-    def pairs(self) -> tuple[tuple["Point", "Point"], ...]:
-        return tuple(zip(self.sources, self.targets))
-
-    def __len__(self) -> int:
-        return len(self.sources)
-
-
-EMPTY_HISTORY = History((), ())
-
-
-@_hashconsed
-@dataclass(frozen=True, eq=False)
 class ModuliAddress:
     """Identity of one compactified space of flow lines.
 
     ``source``/``target`` are the endpoints of the flow lines the space
-    parametrizes; ``history`` records the endpoint pairs of every space
-    below it.  The level is one more than the history length: level-1
-    spaces sit over the base flow system, level-2 spaces over level-1
-    spaces, and so on.  A space with ``source == target`` is *stationary*:
-    it consists of a single constant flow line.
+    parametrizes; ``ambient`` is the address of the space that holds
+    them, or ``None`` when they are base critical points.  Level-1 spaces
+    sit over the base flow system, level-2 spaces over level-1 spaces,
+    and so on; the level is stored on the node when it is built.  A space
+    with ``source == target`` is *stationary*: it consists of a single
+    constant flow line.
     """
 
     source: "Point"
     target: "Point"
-    history: History = EMPTY_HISTORY
+    ambient: ModuliAddress | None = None
 
-    def __new__(cls, source, target, history=EMPTY_HISTORY):
-        return _intern(cls, (source, target, history))
+    def __new__(cls, source, target, ambient=None):
+        return _intern(cls, (source, target, ambient))
 
-    @property
-    def level(self) -> int:
-        return 1 + len(self.history.sources)
+    def __post_init__(self) -> None:
+        self.__dict__["level"] = 1 if self.ambient is None else self.ambient.level + 1
 
 
 @_hashconsed
@@ -317,16 +275,12 @@ def point_key(p: Point) -> str:
 def address_key(a: ModuliAddress) -> str:
     """Deterministic canonical string for a space address.
 
-    History entries are shown top-down (deepest ancestor pair last).
+    The endpoint pairs of the ambient chain follow the bar, top-down
+    (the level-1 ancestor's pair last).
     """
 
-    core = f"{point_key(a.source)}>{point_key(a.target)}"
-    if len(a.history) == 0:
-        return f"M({core})"
-    hist = ";".join(
-        f"{point_key(s)}>{point_key(t)}" for (s, t) in reversed(a.history.pairs)
-    )
-    return f"M({core}|{hist})"
+    core, *below = (f"{point_key(b.source)}>{point_key(b.target)}" for b in _chain(a))
+    return f"M({core}|{';'.join(below)})" if below else f"M({core})"
 
 
 @memo_on_node
@@ -338,13 +292,12 @@ def cell_key(c: Cell) -> str:
     return f"{point_key(c.top)} @ {address_key(c.space)}"
 
 
-def _spans(p: Primitive) -> tuple[tuple["Point", "Point"], ...]:
-    """Endpoint pairs of the piece's home chain, bottom-up, top pair last."""
+def _chain(a: ModuliAddress | None):
+    """The address and its ambient spaces, from the top down."""
 
-    home = p.crit.home
-    if home is None:
-        return ()
-    return home.history.pairs + ((home.source, home.target),)
+    while a is not None:
+        yield a
+        a = a.ambient
 
 
 @memo_on_node
@@ -361,8 +314,9 @@ def breaking_key(p: Primitive) -> tuple:
     if not isinstance(p, Primitive):
         raise ValueError(f"breaking_key is defined on primitive pieces, got {p!r}")
     levels = tuple(
-        (j, -point_value(s), -point_value(t), point_key(s), point_key(t))
-        for j, (s, t) in enumerate(_spans(p))
+        (j, -point_value(b.source), -point_value(b.target),
+         point_key(b.source), point_key(b.target))
+        for j, b in enumerate(reversed([*_chain(p.crit.home)]))
     )
     return (levels, point_key(p))
 
@@ -393,7 +347,7 @@ def ambient_of_point(p: Point) -> ModuliAddress | None:
 
     For a primitive point this is its home.  For a broken point it is the
     space the glued configuration bounds: endpoints from the outermost
-    pieces, history shared by the pieces.  Returns ``None`` for base
+    pieces, ambient shared by the pieces.  Returns ``None`` for base
     points (no home).
     """
 
@@ -406,25 +360,7 @@ def ambient_of_point(p: Point) -> ModuliAddress | None:
         raise ValueError(
             f"broken point {point_key(p)} has base pieces and no ambient space"
         )
-    return ModuliAddress(first.source, last.target, first.history)
-
-
-def next_address(source: Point, target: Point, ambient: ModuliAddress | None) -> ModuliAddress:
-    """Address of the space of flow lines between two points of a space.
-
-    The new space sits one level above ``ambient``: its history is the
-    ambient's history with the ambient's own endpoint pair appended.
-    ``ambient`` is ``None`` for the base flow system, whose spaces have
-    no history.
-    """
-
-    if ambient is None:
-        return ModuliAddress(source, target)
-    hist = History(
-        ambient.history.sources + (ambient.source,),
-        ambient.history.targets + (ambient.target,),
-    )
-    return ModuliAddress(source, target, hist)
+    return ModuliAddress(first.source, last.target, first.ambient)
 
 
 _ZERO = Fraction(0)
@@ -433,5 +369,5 @@ _ZERO = Fraction(0)
 def stationary_point(at: Point, ambient: ModuliAddress | None) -> Primitive:
     """The canonical point of the stationary space at ``at``."""
 
-    home = next_address(at, at, ambient)
+    home = ModuliAddress(at, at, ambient)
     return Primitive(CritPoint(f"1({point_key(at)})", 0, _ZERO, home))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import CritPoint, ModuliAddress, Primitive, address_key, next_address
+from .core import CritPoint, ModuliAddress, Primitive, address_key
 from .stratification import (
     CIRCLE,
     Endpoint,
@@ -64,7 +64,7 @@ def sphere_system(n: int) -> tuple[FlowSystem, Declarations]:
         hi = DeclaredPoint(f"hi{level}", n - level)
         lo = DeclaredPoint(f"lo{level}", 0)
         items[(address_key(addr), comp_id)] = ComponentDecl(points=(hi, lo))
-        addr = next_address(
+        addr = ModuliAddress(
             Primitive(CritPoint(hi.name, hi.index, Fraction(2), addr)),
             Primitive(CritPoint(lo.name, lo.index, Fraction(1), addr)),
             addr,

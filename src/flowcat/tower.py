@@ -26,7 +26,6 @@ from functools import cached_property
 
 from .core import (
     CritPoint,
-    History,
     ModuliAddress,
     Point,
     Primitive,
@@ -34,7 +33,6 @@ from .core import (
     address_key,
     flatten_point,
     is_stationary,
-    next_address,
     point_key,
     stationary_point,
 )
@@ -301,16 +299,15 @@ def derive_moduli(
 
     akey = space.key
     pk, qk = point_key(p.point), point_key(q.point)
-    new_addr = next_address(p.point, q.point, space.address)
 
     if pk == qk:
-        return (
-            Component(id="0", ambient=new_addr, shape=POINT, boundary=()),
-        )
+        new_addr = ModuliAddress(p.point, q.point, space.address)
+        return (Component(id="0", ambient=new_addr, shape=POINT, boundary=()),)
     if p.component != q.component or p.role == "stationary":
         return ()
     if p.value <= q.value or p.index <= q.index:
         return ()
+    new_addr = ModuliAddress(p.point, q.point, space.address)
 
     comp = next(c for c in space.components if c.id == p.component)
     decl = decls.get(akey, comp.id)
@@ -416,7 +413,7 @@ def _schedule(
     seeds = []
     key_of: dict[tuple[str, str], str] = {}
     for (a, b), comps in table.items():
-        addr = next_address(point_of[a], point_of[b], ambient)
+        addr = ModuliAddress(point_of[a], point_of[b], ambient)
         key_of[a, b] = address_key(addr)
         seeds.append(_Seed(addr, key_of[a, b], a, b, comps, pt))
     used = {k for pair in table for k in pair}
@@ -430,9 +427,12 @@ def _schedule(
     return seeds, tails, edges
 
 
+_Minted = dict[tuple[ModuliAddress | None, str, str, str], tuple[MorseEntry, ...]]
+
+
 def _mint(
     seeds: list[_Seed], edges: set[tuple[str, str]], decls: Declarations
-) -> dict[tuple[History, str, str, str], tuple[MorseEntry, ...]]:
+) -> _Minted:
     """The points of one round's components, with their heights.
 
     ``seeds`` come in address-key order, the order declarations are read
@@ -442,10 +442,10 @@ def _mint(
     slot respecting the edges; the point of a 0-dimensional component gets
     ``slot + tag``, declared interior points (highest first) get ``slot +
     position + tag``, where the tags are distinct dyadic fractions below
-    1/2 handed out in slot order.  The result is keyed ``(history, source
+    1/2 handed out in slot order.  The result is keyed ``(ambient, source
     key, target key, component id)``: sibling spaces over one ambient space
-    share the history, so interval endpoints can be resolved across them,
-    and spaces over different ambient spaces never share a point.
+    share it, so interval endpoints can be resolved across them, and spaces
+    over different ambient spaces never share a point.
     """
 
     # Per space, per component in id order: the name, index, height above
@@ -467,7 +467,7 @@ def _mint(
                 ]
             made[seed.key].append((comp.id, names))
     ranks = _base_ranks(list(made), edges)
-    minted: dict[tuple[History, str, str, str], tuple[MorseEntry, ...]] = {}
+    minted: _Minted = {}
     tag = Fraction(1, 2)
     order = sorted(seeds, key=lambda sd: (ranks[sd.key], sd.key))
     for slot, seed in enumerate(order, 1):
@@ -477,13 +477,11 @@ def _mint(
                 tag /= 2
                 pt = Primitive(CritPoint(name, index, slot + height + tag, seed.address))
                 entries.append(MorseEntry(pt, index, pt.crit.value, cid, role))
-            minted[seed.address.history, seed.source, seed.target, cid] = tuple(entries)
+            minted[seed.address.ambient, seed.source, seed.target, cid] = tuple(entries)
     return minted
 
 
-def _critical_points(
-    seed: _Seed, minted: dict[tuple[History, str, str, str], tuple[MorseEntry, ...]]
-) -> tuple[MorseEntry, ...]:
+def _critical_points(seed: _Seed, minted: _Minted) -> tuple[MorseEntry, ...]:
     """All critical points of the height function on one space.
 
     Each component contributes its points from ``minted``; an interval
@@ -495,15 +493,15 @@ def _critical_points(
     if is_stationary(seed.address):
         raise ValueError("critical_points expects a nonstationary space")
     entries: list[MorseEntry] = []
-    history = seed.address.history
+    ambient = seed.address.ambient
     for comp in sorted(seed.components, key=lambda c: c.id):
-        entries.extend(minted[history, seed.source, seed.target, comp.id])
+        entries.extend(minted[ambient, seed.source, seed.target, comp.id])
         if comp.boundary:
             ends: list[MorseEntry] = []
             for end in comp.boundary:
                 pieces = []
                 for ref in end:
-                    piece = minted.get((history, ref.source, ref.target, ref.component), ())
+                    piece = minted.get((ambient, ref.source, ref.target, ref.component), ())
                     if [e.role for e in piece] != ["point"]:
                         raise BuildError(
                             f"endpoint of {comp.id!r} of {seed.key} references "

@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 import flowcat as fc
-from flowcat.core import EMPTY_HISTORY
 
 from _helpers import find_cell, independent_tag_counts, report_counts
 from test_axioms import _mutants
@@ -126,12 +125,7 @@ def test_criterion_4_mutation_sensitivity(emit, deformed_tower, deformed_view):
 
 
 def _parent_space(tower: fc.Tower, level: int, sp) -> fc.SpaceData:
-    pairs = sp.address.history.pairs
-    src, tgt = pairs[-1]
-    history = fc.History(
-        tuple(p for p, _ in pairs[:-1]), tuple(q for _, q in pairs[:-1])
-    )
-    return tower.space(level - 1, fc.address_key(fc.ModuliAddress(src, tgt, history)))
+    return tower.space(level - 1, fc.address_key(sp.address.ambient))
 
 
 def test_criterion_5_stratification_laws(emit):
@@ -275,7 +269,7 @@ def test_criterion_6_flow_value_laws(emit):
         towers = _corpus()
         for name, tower in towers.items():
             for level in range(1, tower.max_level + 1):
-                groups: dict[tuple, list] = {}
+                groups: dict[fc.ModuliAddress | None, list] = {}
                 for sp in tower.spaces(level):
                     for entry in sp.morse:
                         if entry.role == "stationary":
@@ -302,11 +296,7 @@ def test_criterion_6_flow_value_laws(emit):
                                     _point_index(q) for q in pieces
                                 ), (name, sp.key)
                     if not sp.stationary:
-                        history = tuple(
-                            (fc.point_key(a), fc.point_key(b))
-                            for a, b in sp.address.history.pairs
-                        )
-                        groups.setdefault(history, []).append(sp)
+                        groups.setdefault(sp.address.ambient, []).append(sp)
                 # Chain order: whenever two sibling spaces share an endpoint,
                 # everything upstream of it is strictly slower than anything
                 # downstream, and both stay strictly positive.
@@ -346,7 +336,7 @@ def _association_chain(length: int) -> list[fc.Cell]:
         address = fc.ModuliAddress(
             source=fc.Primitive(base[i]),
             target=fc.Primitive(base[i - 1]),
-            history=EMPTY_HISTORY,
+            ambient=None,
         )
         crit = fc.CritPoint(f"c{i}", index=0, value=Fraction(1, i + 1), home=address)
         cells.append(fc.Cell(top=fc.Primitive(crit), space=address))

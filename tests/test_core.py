@@ -14,39 +14,13 @@ import pytest
 
 import flowcat as fc
 import flowcat.core
-from flowcat.core import (
-    EMPTY_HISTORY,
-    History,
-    ambient_of_point,
-    breaking_key,
-    next_address,
-    stationary_point,
-)
+from flowcat.core import ambient_of_point, breaking_key, stationary_point
 
 from _helpers import cell_map, find_cell
 
 
 def _prim(id: str, index: int, value, home=None) -> fc.Primitive:
     return fc.Primitive(fc.CritPoint(id, index, Fraction(value), home))
-
-
-class TestHistory:
-    def test_empty_history_has_no_pairs(self):
-        assert EMPTY_HISTORY.pairs == ()
-
-    def test_from_pairs_round_trip(self):
-        x = _prim("x", 2, 3)
-        w = _prim("w", 0, 1)
-        h = History.from_pairs(((x, w),))
-        assert h.pairs == ((x, w),)
-        assert h.sources == (x,)
-        assert h.targets == (w,)
-
-    def test_histories_are_hashable_values(self):
-        x = _prim("x", 2, 3)
-        w = _prim("w", 0, 1)
-        assert History.from_pairs(((x, w),)) == History.from_pairs(((x, w),))
-        assert hash(EMPTY_HISTORY) == hash(History.from_pairs(()))
 
 
 class TestAddressKeys:
@@ -116,9 +90,9 @@ class TestStationaryHelpers:
 
     def test_stationary_address_without_ambient(self, deformed_tower):
         w = find_cell(deformed_tower, 0, "w").top
-        addr = next_address(w, w, None)
+        addr = fc.ModuliAddress(w, w)
         assert addr.source == w and addr.target == w
-        assert addr.history == EMPTY_HISTORY
+        assert addr.ambient is None
         assert fc.is_stationary(addr)
 
     def test_live_objects_are_not_stationary(self, deformed_tower):
@@ -156,7 +130,6 @@ class TestCritPointValidation:
 
 
 NODE_CLASSES = (
-    fc.History,
     fc.ModuliAddress,
     fc.CritPoint,
     fc.Primitive,
@@ -174,7 +147,7 @@ class TestInterning:
         x, w = _prim("x", 2, 3), _prim("w", 0, 1)
         addr = fc.ModuliAddress(x, w)
         again = fc.ModuliAddress(
-            source=_prim("x", 2, 3), target=_prim("w", 0, 1), history=EMPTY_HISTORY
+            source=_prim("x", 2, 3), target=_prim("w", 0, 1), ambient=None
         )
         assert again is addr
         top = _prim("x/w:0", 0, Fraction(1, 2), addr)
@@ -199,8 +172,6 @@ class TestInterning:
         for _ in range(2):
             with pytest.raises(ValueError):
                 fc.CritPoint("p", -1, Fraction(1))
-            with pytest.raises(ValueError):
-                History((_prim("x", 2, 3),), ())
             with pytest.raises(ValueError):
                 fc.Broken((_prim("x", 2, 3),))
 
@@ -284,7 +255,6 @@ class TestInternFastPath:
         before = _table_sizes()
         for build in (
             lambda: fc.CritPoint("p", -1, Fraction(1)),
-            lambda: History((x,), ()),
             lambda: fc.Broken((x,)),
             lambda: fc.CritPoint("s", 0, Fraction(1), flat),
         ):
@@ -296,7 +266,7 @@ class TestInternFastPath:
         deep = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
         piece = end.top.pieces[0]
-        nodes = (deep.space.history, end.space, piece.crit, piece, end.top, end)
+        nodes = (deep.space, piece.crit, piece, end.top, end)
         assert [type(n) for n in nodes] == list(NODE_CLASSES)
         for node in nodes:
             names = [f.name for f in dataclasses.fields(node)]
@@ -309,9 +279,8 @@ class TestInternFastPath:
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
         assert not fc.is_stationary(end.top)
         assert not fc.is_stationary(find_cell(deformed_tower, 0, "w"))
-        for other in (end.space.history, "x"):
-            with pytest.raises(ValueError):
-                fc.is_stationary(other)
+        with pytest.raises(ValueError):
+            fc.is_stationary("x")
 
     def test_glued_raw_keys_below_the_top_boundary(self, deformed_tower):
         # Pinned strings: the raw history of a composite glued below its top

@@ -189,6 +189,49 @@ class TestSphereTowers:
         assert len(set(values)) == 4
 
 
+def _at_level(addr: fc.ModuliAddress | None, level: int) -> fc.ModuliAddress | None:
+    """The address of ``addr``'s ambient chain at ``level``; None at level 0."""
+
+    while addr is not None and addr.level > level:
+        addr = addr.ambient
+    return addr
+
+
+class TestAmbientChain:
+    """Every space names the space that holds its endpoints, one level down."""
+
+    def test_ambients_are_spaces_one_level_down(self, deformed_tower, random_towers):
+        # Built here, not in a session fixture, so that it is freed: the
+        # intern-table tests expect a new sphere_system(5) to grow the tables.
+        sphere = fc.build_tower(*fc.sphere_system(4))
+        for t in (deformed_tower, sphere, *random_towers.values()):
+            below: set[fc.ModuliAddress] = set()
+            for level in range(1, t.max_level + 1):
+                here = {sp.address for sp in t.spaces(level)}
+                for addr in here:
+                    assert addr.level == level
+                    if level == 1:
+                        assert addr.ambient is None
+                    else:
+                        # Nodes are interned: membership is identity.
+                        assert addr.ambient in below
+                        assert addr.level == addr.ambient.level + 1
+                below = here
+            X = fc.GlobularSet(t)
+            for level in range(2, t.max_level + 1):
+                for c in fc.extended_cells(t, level):
+                    assert fc.source(c).space is c.space.ambient
+                    assert fc.target(c).space is c.space.ambient
+                for p in range(level - 1):
+                    for C, A in X.composable_pairs(level, p):
+                        glued = fc.compose(p, C, A).space
+                        assert glued.level == level
+                        assert _at_level(glued, p) is _at_level(A.space, p)
+                        joint = _at_level(glued, p + 1)
+                        assert joint.source is _at_level(A.space, p + 1).source
+                        assert joint.target is _at_level(C.space, p + 1).target
+
+
 class TestBuildControls:
     def test_max_level_truncation(self, deformed_fs):
         t = fc.build_tower(deformed_fs, max_level=1)
