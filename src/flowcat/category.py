@@ -161,14 +161,19 @@ def _join(x: Point, y: Point) -> Point:
 
 
 def _merge(x: Point, y: Point) -> Point:
-    """``normalize_point(_join(x, y))`` for normal x and y.
+    """``normalize_point(_join(x, y))`` for normal x and y, built from x and y.
 
     A normal point is constant only as a constant primitive; a moving one
-    has only moving pieces, in flow order.
+    has only moving pieces, in flow order.  Two constant points join as the
+    constant point over the join of their supports, one level down, and a
+    repeated support counts once.  Every node built is part of the result.
     """
 
     if is_stationary(x):
-        return normalize_point(Broken((x, y))) if is_stationary(y) else y
+        if not is_stationary(y):
+            return y
+        sx, sy = x.crit.home.source, y.crit.home.source
+        return x if sx is sy else _stationary_over(_merge(sx, sy))
     if is_stationary(y):
         return x
     return Broken(tuple(sorted(flatten_point(x) + flatten_point(y), key=breaking_key)))

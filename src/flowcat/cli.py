@@ -30,7 +30,8 @@ output was written.
 ``main(argv)`` may be called many times in one process.  It builds its
 parser on the first call and reuses it, so each call parses only its own
 arguments; a ``_cmd_*`` function patched after that call is not the one
-dispatched to.  ``python -m flowcat`` runs ``main`` too.
+dispatched to.  ``python -m flowcat`` runs ``main`` too; ``python -m
+flowcat.cli`` runs nothing and exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -544,3 +545,9 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at the null device, so that the flush at exit cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+
+
+if __name__ == "__main__":
+    # Run as ``python -m flowcat.cli``: say so instead of exiting 0 unchecked.
+    print("error: flowcat.cli is not a command; run python -m flowcat", file=sys.stderr)
+    raise SystemExit(2)

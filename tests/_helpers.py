@@ -143,3 +143,44 @@ def reference_check_d(X: fc.GlobularSet) -> fc.TagReport:
             instances += 1
             failures.append(fc.Failure(detail=str(e), **at))
     return fc.TagReport("d", instances, strict, tuple(failures))
+
+
+def triples(X: fc.GlobularSet):
+    """Law ``c``'s instances in check order: (level, p, E, C, A)."""
+    for level in range(1, X.n + 1):
+        for p in range(level):
+            pairs = X.composable_pairs(level, p)
+            for E, C in pairs:
+                for C2, A in pairs:
+                    if C2 == C:
+                        yield level, p, E, C, A
+
+
+def reference_check_c(X: fc.GlobularSet) -> fc.TagReport:
+    """Law ``c`` by raw composites: build both sides with ``X.compose``, compare raw, then normal.
+
+    It builds every outer composite, so it is the reference that the
+    checker's normal-form gluing must reproduce, strict counts and failure
+    texts included.
+    """
+    instances = strict = 0
+    failures: list[fc.Failure] = []
+
+    def nkey(cell: fc.Cell) -> str:
+        return fc.cell_key(fc.normalize(cell))
+
+    for level, p, E, C, A in triples(X):
+        at = dict(tag="c", level=level, p=p, q=None, cells=tuple(map(fc.cell_key, (E, C, A))))
+        instances += 1
+        try:
+            lhs = X.compose(p, X.compose(p, E, C), A)
+            rhs = X.compose(p, E, X.compose(p, C, A))
+        except ValueError as e:
+            failures.append(fc.Failure(detail=str(e), **at))
+            continue
+        if lhs == rhs:
+            strict += 1
+        elif fc.normalize(lhs) is not fc.normalize(rhs):
+            detail = f"re-associated composites: {nkey(lhs)}  !=  {nkey(rhs)}"
+            failures.append(fc.Failure(detail=detail, **at))
+    return fc.TagReport("c", instances, strict, tuple(failures))

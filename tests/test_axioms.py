@@ -6,7 +6,14 @@ import pytest
 
 import flowcat as fc
 
-from _helpers import find_cell, independent_tag_counts, reference_check_d, report_counts
+from _helpers import (
+    find_cell,
+    independent_tag_counts,
+    reference_check_c,
+    reference_check_d,
+    report_counts,
+    triples,
+)
 
 DEFORMED_EXPECT = {
     "globular": (44, 24),
@@ -177,6 +184,18 @@ class TestMutationSensitivity:
         assert fc.check_all(parent).ok
 
 
+def _count_joins(monkeypatch):
+    """Patch ``category._join`` to record its calls; returns the record."""
+    import flowcat.category as category
+
+    joins = []
+    raw_join = category._join
+    monkeypatch.setattr(
+        category, "_join", lambda x, y: joins.append((x, y)) or raw_join(x, y)
+    )
+    return joins
+
+
 class TestUnitLawReference:
     """Law d on normal forms against the raw-composite reference checker."""
 
@@ -227,13 +246,7 @@ class TestUnitLawReference:
     def test_builds_no_raw_composite_without_an_override(
         self, deformed_tower, monkeypatch
     ):
-        import flowcat.category as category
-
-        joins = []
-        raw_join = category._join
-        monkeypatch.setattr(
-            category, "_join", lambda x, y: joins.append((x, y)) or raw_join(x, y)
-        )
+        joins = _count_joins(monkeypatch)
         rep = fc.check_axiom("d", fc.GlobularSet(deformed_tower))
         assert rep.ok and rep.instances == 76
         assert joins == []
@@ -241,3 +254,84 @@ class TestUnitLawReference:
         c0x = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
         fc.compose(0, c0x, fc.identity(fc.source(c0x)))
         assert joins
+
+    @pytest.mark.parametrize("name", ["deformed", "sphere4"])
+    def test_unit_law_interns_nothing_the_second_time(
+        self, name, deformed_tower, monkeypatch
+    ):
+        import flowcat.core as core
+
+        tower = (
+            deformed_tower if name == "deformed" else fc.build_tower(*fc.sphere_system(4))
+        )
+        X = fc.GlobularSet(tower)
+        first = fc.check_axiom("d", X)
+        # Every node the unit law glues is part of a live normal form, so a
+        # second run finds each one in its intern table.
+        misses = []
+        intern = core._intern
+
+        def counting(cls, values, kinds=()):
+            ref = cls._table.get(values + kinds)
+            if ref is None or ref() is None:
+                misses.append((cls.__name__, values))
+            return intern(cls, values, kinds)
+
+        monkeypatch.setattr(core, "_intern", counting)
+        assert fc.check_axiom("d", X) == first
+        assert misses == []
+
+
+class TestAssociativityReference:
+    """Law c on normal forms against the raw-composite reference checker."""
+
+    def test_matches_the_reference_on_clean_towers(
+        self, deformed_tower, sphere_towers, random_towers
+    ):
+        spheres = [*sphere_towers.values(), fc.build_tower(*fc.sphere_system(4))]
+        for t in (deformed_tower, *spheres, *random_towers.values()):
+            rep = fc.check_axiom("c", fc.GlobularSet(t))
+            assert rep.ok and rep.strict == 0
+            assert rep == reference_check_c(fc.GlobularSet(t))
+
+    def test_matches_the_reference_on_the_mutants(self, deformed_tower):
+        mutants = _mutants(deformed_tower, fc.GlobularSet(deformed_tower))
+        assert len(mutants) == 7
+        for tag, mutated in mutants.items():
+            assert fc.check_axiom("c", mutated) == reference_check_c(mutated), tag
+        assert not fc.check_axiom("c", mutants["c"]).ok
+
+    def test_inner_overrides_make_an_instance_strict(self, deformed_tower):
+        view = fc.GlobularSet(deformed_tower)
+        _, p, E, C, A = next(triples(view))
+        # E∘C := E and C∘A := A make both sides the raw E∘A.  Every triple
+        # of these towers glues one cell to itself, so the two overrides
+        # are one entry.
+        mutated = view.with_compose(p, E, C, E).with_compose(p, C, A, A)
+        rep = fc.check_axiom("c", mutated)
+        assert rep.ok
+        assert (rep.instances, rep.strict) == (14, 1)
+        assert rep == reference_check_c(mutated)
+
+    def test_outer_override_by_the_other_side_is_strict(self, deformed_tower):
+        view = fc.GlobularSet(deformed_tower)
+        _, p, E, C, A = next(triples(view))
+        right = view.compose(p, E, view.compose(p, C, A))
+        mutated = view.with_compose(p, view.compose(p, E, C), A, right)
+        rep = fc.check_axiom("c", mutated)
+        assert rep.ok
+        assert (rep.instances, rep.strict) == (14, 1)
+        assert rep == reference_check_c(mutated)
+
+    def test_builds_no_raw_composite_without_an_override(
+        self, deformed_tower, sphere_towers, monkeypatch
+    ):
+        joins = _count_joins(monkeypatch)
+        for t in (deformed_tower, *sphere_towers.values()):
+            X = fc.GlobularSet(t)
+            # Law a fills the view's table with the inner composites.
+            fc.check_axiom("a", X)
+            joins.clear()
+            rep = fc.check_axiom("c", X)
+            assert rep.ok and rep.instances > 0
+            assert joins == []

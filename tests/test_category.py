@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import flowcat as fc
@@ -285,6 +287,66 @@ class TestNormalGlue:
             normal = view.normal_compose(p, c, c)
             assert fc.is_stationary(normal.top)
             assert normal is fc.normalize(view.compose(p, c, c))
+
+
+def _normal_points_by_level(tower: fc.Tower) -> dict[int, set]:
+    """The tops and address endpoints of normal cells, by point level.
+
+    The normal cells are the normal forms of the extended cells and of the
+    composites of every composable pair.
+    """
+    X = fc.GlobularSet(tower)
+    normal = [fc.normalize(c) for lv in range(X.n + 1) for c in fc.extended_cells(tower, lv)]
+    normal += [
+        X.normal_compose(p, C, A)
+        for lv in range(1, X.n + 1)
+        for p in range(lv)
+        for C, A in X.composable_pairs(lv, p)
+    ]
+    by_level: dict[int, set] = {}
+    for cell in normal:
+        points = [cell.top]
+        space = cell.space
+        while space is not None:
+            points += [space.source, space.target]
+            space = space.ambient
+        for x in points:
+            home = fc.flatten_point(x)[0].crit.home
+            by_level.setdefault(0 if home is None else home.level, set()).add(x)
+    return by_level
+
+
+class TestMergeContract:
+    def test_merge_is_the_normal_form_of_the_raw_join(
+        self, deformed_tower, sphere_towers, random_towers
+    ):
+        import flowcat.category as category
+        from flowcat.core import breaking_key
+
+        seen = dict.fromkeys(("same support", "different supports", "reordered"), 0)
+        towers = [deformed_tower, *sphere_towers.values()]
+        towers += [random_towers[seed] for seed in range(10)]
+        for t in towers:
+            for points in _normal_points_by_level(t).values():
+                for x in points:
+                    for y in points:
+                        try:
+                            want = fc.normalize_point(fc.Broken((x, y)))
+                        except ValueError as e:
+                            # Constant points that stay constant down to
+                            # two base points have no space to glue over.
+                            with pytest.raises(ValueError, match=re.escape(str(e))):
+                                category._merge(x, y)
+                            continue
+                        assert category._merge(x, y) is want
+                        if fc.is_stationary(x) and fc.is_stationary(y):
+                            same = x.crit.home.source is y.crit.home.source
+                            seen["same support" if same else "different supports"] += 1
+                        elif not (fc.is_stationary(x) or fc.is_stationary(y)):
+                            pieces = fc.flatten_point(x) + fc.flatten_point(y)
+                            keys = [breaking_key(q) for q in pieces]
+                            seen["reordered"] += keys != sorted(keys)
+        assert all(seen.values()), seen
 
 
 class TestMutatedViews:

@@ -175,6 +175,14 @@ class TestExitCodes:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
+    def test_cli_module_as_a_script_exits_2(self, tmp_path):
+        missing = str(tmp_path / "missing.fct")
+        proc = _run_cli("check", missing, module="flowcat.cli", capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: flowcat.cli is not a command; run python -m flowcat"]
+
     def test_byte_order_mark_is_skipped(self, tmp_path, deformed_file, capsys):
         bom = tmp_path / "bom.ft"
         bom.write_bytes(b"\xef\xbb\xbf" + Path(deformed_file).read_bytes())
@@ -291,13 +299,15 @@ class TestSubcommands:
         assert err.value.code == 2
 
 
-def _run_cli(*args: str, hash_seed: str = "0", **kwargs) -> subprocess.CompletedProcess:
-    """``python -m flowcat <args>`` in a child process over this checkout's sources."""
+def _run_cli(
+    *args: str, hash_seed: str = "0", module: str = "flowcat", **kwargs
+) -> subprocess.CompletedProcess:
+    """``python -m <module> <args>`` in a child process over this checkout's sources."""
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-m", "flowcat", *args], env=env, timeout=120, **kwargs
+        [sys.executable, "-m", module, *args], env=env, timeout=120, **kwargs
     )
 
 
