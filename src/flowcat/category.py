@@ -366,11 +366,14 @@ class GlobularSet:
         return self.boundary_key(p, after, "s") == self.boundary_key(p, first, "t")
 
     def composable_pairs(self, level: int, p: int) -> tuple[tuple[Cell, Cell], ...]:
-        """All ordered pairs of level cells gluing along level p, memoized."""
+        """All ordered pairs of level cells gluing along level p, memoized;
+        empty for p outside 0..level-1, where no pair is composable."""
 
         memo_key = (level, p)
         if memo_key not in self._pairs_memo:
-            cs = self.cells(level)
+            cs = self.cells(level)  # raises on a level out of range
+            if not 0 <= p < level:
+                cs = ()
             firsts: dict[str, list[Cell]] = {}
             for a in cs:
                 firsts.setdefault(self.boundary_key(p, a, "t"), []).append(a)

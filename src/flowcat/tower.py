@@ -20,7 +20,7 @@ over different broken configurations and therefore never tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -159,15 +159,24 @@ class MorseEntry:
 
 @dataclass(frozen=True)
 class SpaceData:
-    """One built space: its components, strata, Morse data, and the
-    components derived for every ordered pair of its critical points."""
+    """One built space: its components, Morse data, and the components
+    derived for every ordered pair of its critical points.  Its strata are
+    computed on first read from ``_table``, the pair table one level down."""
 
     address: ModuliAddress
     components: tuple[Component, ...]
-    stratification: Stratification
     # All critical points of the space, highest first.
     morse: tuple[MorseEntry, ...]
     derived: tuple[tuple[str, str, tuple[Component, ...]], ...] = ()
+    _table: _PairTable | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def stratification(self) -> Stratification:
+        source, target = point_key(self.address.source), point_key(self.address.target)
+        if self._table is not None:
+            return _stratify(self._table, source, target)
+        stratum = Stratum(source, target, (), (PieceRef(source, target, "0"),), 0)
+        return Stratification((stratum,), ())
 
     @property
     def key(self) -> str:
@@ -357,26 +366,14 @@ def derive_moduli(
 
 
 def _stationary_space(at: Point, ambient: ModuliAddress | None) -> SpaceData:
-    """The one-point space over a critical point, with its Morse datum."""
+    """The one-point space over a critical point, with its Morse datum and
+    no pair table: its one stratum is built when first read."""
 
     pt = stationary_point(at, ambient)
     addr = pt.crit.home
     comp = Component(id="0", ambient=addr, shape=POINT, boundary=())
-    stratum = Stratum(
-        source=point_key(addr.source),
-        target=point_key(addr.target),
-        intermediates=(),
-        factors=(PieceRef(point_key(addr.source), point_key(addr.target), "0"),),
-        dim=0,
-    )
     entry = MorseEntry(pt, 0, Fraction(0), "0", "stationary")
-    return SpaceData(
-        address=addr,
-        components=(comp,),
-        stratification=Stratification((stratum,), ()),
-        morse=(entry,),
-        derived=(),
-    )
+    return SpaceData(address=addr, components=(comp,), morse=(entry,))
 
 
 @dataclass(frozen=True)
@@ -389,7 +386,7 @@ class _Seed:
     source: str
     target: str
     components: tuple[Component, ...]
-    # the pair table of the space one level down, for stratifying this space
+    # the pair table one level down, shared by siblings and kept by the space
     table: _PairTable
 
 
@@ -531,10 +528,11 @@ def build_tower(
 ) -> Tower:
     """Run the iterated construction until only stationary spaces remain.
 
-    Raises :class:`InvalidFlowSystemError` on bad base data and
-    :class:`MissingDeclarationError` where interior data is needed but
-    not declared.  ``max_level`` optionally truncates the build; a
-    complete build needs at most ``max base index + 1`` rounds.  Raises
+    No space is stratified here; each does so when first read.  Raises
+    :class:`InvalidFlowSystemError` on bad base data and
+    :class:`MissingDeclarationError` where interior data is needed but not
+    declared.  ``max_level`` optionally truncates the build; a complete
+    build needs at most ``max base index + 1`` rounds.  Raises
     :class:`ValueError` if ``max_level`` is given and below 1.
     """
 
@@ -569,9 +567,8 @@ def build_tower(
         built: list[SpaceData] = []
         for seed in seeds:
             entries = _critical_points(seed, minted)
-            stratification = _stratify(seed.table, seed.source, seed.target)
             built.append(
-                SpaceData(seed.address, seed.components, stratification, entries)
+                SpaceData(seed.address, seed.components, entries, _table=seed.table)
             )
         built += tails
 

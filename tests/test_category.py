@@ -157,6 +157,14 @@ class TestComposition:
                     )
                     assert view.composable_pairs(level, p) == scan
 
+    def test_composable_pairs_are_empty_off_the_gluing_levels(self, deformed_view):
+        X = deformed_view
+        for level in range(X.n + 1):
+            cs = X.cells(level)
+            for p in range(-1, level + 2):
+                scan = tuple((c, a) for c in cs for a in cs if X.composable(p, c, a))
+                assert X.composable_pairs(level, p) == scan, (level, p)
+
     def test_view_keeps_only_composites_of_its_own_cells(self, deformed_tower):
         view = fc.GlobularSet(deformed_tower)
         fc.check_all(view)

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 import flowcat as fc
+from flowcat import tower as tower_module
+from flowcat.stratification import _pair_table, _stratify
 from flowcat.tower import product_critical
 
 
@@ -296,3 +298,68 @@ class TestBuildControls:
             {(a, c): d for a, c, d in decls.entries}
         )
         assert rebuilt == decls
+
+
+def _one_stratum(a: str, b: str) -> fc.Stratification:
+    return fc.Stratification((fc.Stratum(a, b, (), (fc.PieceRef(a, b, "0"),), 0),), ())
+
+
+class TestOnDemandStratification:
+    """Strata are computed from the parent's pair table when first read."""
+
+    @staticmethod
+    def _towers(deformed_tower, random_towers):
+        spheres = [fc.build_tower(*fc.sphere_system(n)) for n in (1, 2, 3, 4)]
+        return [deformed_tower, *spheres, *random_towers.values()]
+
+    def test_strata_come_from_the_parent_pair_table(self, deformed_tower, random_towers):
+        for t in self._towers(deformed_tower, random_towers):
+            for level in range(1, t.max_level + 1):
+                for sp in t.spaces(level):
+                    a, b = fc.point_key(sp.address.source), fc.point_key(sp.address.target)
+                    if level == 1:
+                        table = t.base.table
+                    else:
+                        parent = t.space(level - 1, fc.address_key(sp.address.ambient))
+                        table = {(x, y): cs for x, y, cs in parent.derived}
+                    if (a, b) in table:
+                        assert sp.stratification == _stratify(_pair_table(table), a, b)
+                    else:
+                        assert sp.stationary, sp.key
+                    if sp.stationary:
+                        assert sp.stratification == _one_stratum(a, b), sp.key
+
+    def test_level_one_strata_are_the_boundary_strata(self, deformed_tower, random_towers):
+        for t in self._towers(deformed_tower, random_towers):
+            for sp in t.spaces(1):
+                if not sp.stationary:
+                    a, b = fc.point_key(sp.address.source), fc.point_key(sp.address.target)
+                    assert sp.stratification == fc.boundary_strata(t.base, a, b)
+
+    def test_two_builds_compare_equal(self, deformed_fs):
+        first, second = fc.build_tower(deformed_fs), fc.build_tower(deformed_fs)
+        assert first == second
+        for level in range(1, first.max_level + 1):
+            for sp in first.spaces(level):
+                sp.stratification
+        assert first == second
+
+    def test_build_stratifies_nothing_and_a_read_stratifies_once(
+        self, deformed_fs, monkeypatch
+    ):
+        calls = []
+        stratify = tower_module._stratify
+
+        def counting(*args):
+            calls.append(args)
+            return stratify(*args)
+
+        monkeypatch.setattr(tower_module, "_stratify", counting)
+        t = fc.build_tower(deformed_fs)
+        assert calls == []
+        sp = t.space(1, "M(x>w)")
+        first = sp.stratification
+        assert len(calls) == 1
+        assert sp.stratification is first
+        assert len(calls) == 1
+        assert first.strata and first.closure
