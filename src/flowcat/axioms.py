@@ -106,10 +106,6 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _nkey(cell: Cell) -> str:
-    return cell_key(normalize(cell))
-
-
 class _Recorder:
     """Collects instances, strict matches, and failures for one tag."""
 
@@ -119,26 +115,19 @@ class _Recorder:
         self.strict = 0
         self.failures: list[Failure] = []
 
-    def compare(self, lhs: Cell, rhs: Cell, *, what: str, **at) -> None:
-        """Count one instance: strict, equal up to normal form, or failed."""
+    def compare(self, lhs: Cell, rhs: Cell, *, what: str, strict=None, **at) -> None:
+        """Count one instance: strict, equal up to normal form, or failed.
 
-        if lhs == rhs:
-            self.strict += 1
-        elif normalize(lhs) is not normalize(rhs):
-            self.error(f"{what}: {_nkey(lhs)}  !=  {_nkey(rhs)}", **at)
-            return
-        self.instances += 1
-
-    def compare_normal(self, lhs: Cell, rhs: Cell, *, strict: bool, what: str, **at) -> None:
-        """``compare`` for two sides given as their normal forms.
-
-        ``strict`` says whether the two raw sides are one node.
+        Two sides are equal when their normal forms are one node.  ``strict``
+        says whether the raw sides are one node, by default ``lhs is rhs``;
+        the laws that pass normal forms give it.  Sides that are one node are
+        never normalized.
         """
 
-        if strict:
+        if lhs is rhs if strict is None else strict:
             self.strict += 1
-        elif lhs is not rhs:
-            self.error(f"{what}: {cell_key(lhs)}  !=  {cell_key(rhs)}", **at)
+        elif lhs is not rhs and (nl := normalize(lhs)) is not (nr := normalize(rhs)):
+            self.error(f"{what}: {cell_key(nl)}  !=  {cell_key(nr)}", **at)
             return
         self.instances += 1
 
@@ -185,13 +174,13 @@ def check_globular(x: GlobularSet | Tower) -> TagReport:
     X = _as_view(x)
     rec = _Recorder("globular")
     for level in range(1, X.n + 1):
-        below = {_nkey(c) for c in X.cells(level - 1)}
+        below = {normalize(c) for c in X.cells(level - 1)}
         for c in X.cells(level):
             s, t = X.s(c), X.t(c)
             bad = [
                 side
                 for side, cell in (("source", s), ("target", t))
-                if cell.level != level - 1 or _nkey(cell) not in below
+                if cell.level != level - 1 or normalize(cell) not in below
             ]
             if bad:
                 rec.error(
@@ -295,7 +284,7 @@ def _check_c(X: GlobularSet) -> TagReport:
                         lhs = X.normal_compose(p, EC, A)
                         CA = X.compose(p, C, A)
                         rhs = X.normal_compose(p, E, CA)
-                        rec.compare_normal(
+                        rec.compare(
                             lhs, rhs,
                             strict=raw and X.compose(p, EC, A) == X.compose(p, E, CA),
                             level=level, p=p, cells=(E, C, A),
@@ -331,7 +320,7 @@ def _check_d(X: GlobularSet) -> TagReport:
                     ):
                         # A glued unit composite is never A itself: its top is
                         # broken.  Only an overridden one can be strict.
-                        rec.compare_normal(
+                        rec.compare(
                             X.normal_compose(p, after, first), normalize(A),
                             strict=X._compose_override(p, after, first) is A,
                             level=level, p=p, cells=(A,), what=what,
@@ -353,10 +342,10 @@ def _check_e(X: GlobularSet) -> TagReport:
         for p in range(1, level):
             pairs = X.composable_pairs(level, p)
             for q in range(p):
-                skey = {c: X.boundary_key(q, c, "s") for c in cs}
-                tkey = {c: X.boundary_key(q, c, "t") for c in cs}
+                skey = {c: X.boundary(q, c, "s") for c in cs}
+                tkey = {c: X.boundary(q, c, "t") for c in cs}
                 # The pairs (C, A) by their level-q targets, in pair order.
-                below: dict[tuple[str, str], list[tuple[Cell, Cell]]] = {}
+                below: dict[tuple[Cell, Cell], list[tuple[Cell, Cell]]] = {}
                 for C, A in pairs:
                     below.setdefault((tkey[C], tkey[A]), []).append((C, A))
                 for H, E in pairs:

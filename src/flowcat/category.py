@@ -28,7 +28,6 @@ from .core import (
     flatten_point,
     is_stationary,
     memo_on_node,
-    point_key,
     stationary_point,
 )
 from .tower import Tower
@@ -286,6 +285,9 @@ class GlobularSet:
     composites alike.  The boundary maps, the identity assignment, and the
     composition table can each be overridden entry by entry, so that every
     law the checker verifies can be broken by a single targeted mutation.
+    Sameness is one test throughout: two cells are the same exactly when
+    their normal forms are one node, so an override answers for every raw
+    cell with the normal form of the one it was given for.
     For the life of the view it keeps the raw source and target of its own
     cells and of the identity cells memoized on them, and the composites of
     two of its own cells; both tables are read after the overrides, and a
@@ -295,10 +297,10 @@ class GlobularSet:
     def __init__(self, tower: Tower) -> None:
         self.tower = tower
         self.n = tower.max_level
-        # The overrides, keyed (map, cell key) for the maps "s", "t" and
-        # "identity", and ("compose", p, after key, first key).  ``_maps``
-        # names the overridden maps: a map with no override never computes
-        # a key, and its lookup reads False.
+        # The overrides, keyed (map, normal form) for the maps "s", "t" and
+        # "identity", and ("compose", p, normal after, normal first).
+        # ``_maps`` names the overridden maps: a map with no override never
+        # normalizes, and its lookup reads False.
         self._over: dict[tuple, Cell] = {}
         self._maps: frozenset[str] = frozenset()
         self._cells = {l: cells(tower, l) for l in range(self.n + 1)}
@@ -316,20 +318,17 @@ class GlobularSet:
             for c in self._cells[l]
         }
 
-    def _key(self, cell: Cell) -> str:
-        return cell_key(normalize(cell))
-
     def cells(self, level: int) -> tuple[Cell, ...]:
         if not 0 <= level <= self.n:
             raise ValueError(f"level {level} out of range 0..{self.n}")
         return self._cells[level]
 
     def s(self, cell: Cell) -> Cell:
-        new = "s" in self._maps and self._over.get(("s", self._key(cell)))
+        new = "s" in self._maps and self._over.get(("s", normalize(cell)))
         return new or self._source(cell)
 
     def t(self, cell: Cell) -> Cell:
-        new = "t" in self._maps and self._over.get(("t", self._key(cell)))
+        new = "t" in self._maps and self._over.get(("t", normalize(cell)))
         return new or self._target(cell)
 
     def _source(self, cell: Cell) -> Cell:
@@ -341,7 +340,7 @@ class GlobularSet:
         return target(cell) if st is None else st[1]
 
     def identity(self, cell: Cell) -> Cell:
-        new = "identity" in self._maps and self._over.get(("identity", self._key(cell)))
+        new = "identity" in self._maps and self._over.get(("identity", normalize(cell)))
         if new:
             return new
         one = identity(cell)
@@ -350,20 +349,20 @@ class GlobularSet:
                 self._boundaries[one] = (source(one), target(one))
         return one
 
-    def boundary_key(self, q: int, cell: Cell, side: str) -> str:
-        """Canonical key of the iterated level-q source or target."""
+    def boundary(self, q: int, cell: Cell, side: str) -> Cell:
+        """The normal form of the iterated level-q source or target."""
 
         step = self.s if side == "s" else self.t
         x = cell
         for _ in range(cell.level - q):
             x = step(x)
-        return self._key(x)
+        return normalize(x)
 
     def composable(self, p: int, after: Cell, first: Cell) -> bool:
-        level = after.level
-        if first.level != level or not 0 <= p < level:
-            return False
-        return self.boundary_key(p, after, "s") == self.boundary_key(p, first, "t")
+        """Whether the pair glues along level p under the view's own boundary
+        maps, overrides included: the gluing rule of ``compose``."""
+
+        return _gluing_error(p, after, first, self.s, self.t) is None
 
     def composable_pairs(self, level: int, p: int) -> tuple[tuple[Cell, Cell], ...]:
         """All ordered pairs of level cells gluing along level p, memoized;
@@ -374,11 +373,11 @@ class GlobularSet:
             cs = self.cells(level)  # raises on a level out of range
             if not 0 <= p < level:
                 cs = ()
-            firsts: dict[str, list[Cell]] = {}
+            firsts: dict[Cell, list[Cell]] = {}
             for a in cs:
-                firsts.setdefault(self.boundary_key(p, a, "t"), []).append(a)
+                firsts.setdefault(self.boundary(p, a, "t"), []).append(a)
             self._pairs_memo[memo_key] = tuple(
-                (c, a) for c in cs for a in firsts.get(self.boundary_key(p, c, "s"), ())
+                (c, a) for c in cs for a in firsts.get(self.boundary(p, c, "s"), ())
             )
         return self._pairs_memo[memo_key]
 
@@ -386,7 +385,7 @@ class GlobularSet:
         """The overridden composite of the pair, or a false value."""
 
         return "compose" in self._maps and self._over.get(
-            ("compose", p, self._key(after), self._key(first))
+            ("compose", p, normalize(after), normalize(first))
         )
 
     def compose(self, p: int, after: Cell, first: Cell) -> Cell:
@@ -433,13 +432,13 @@ class GlobularSet:
         return view
 
     def with_source(self, cell: Cell, new: Cell) -> "GlobularSet":
-        return self._with(("s", self._key(cell)), new)
+        return self._with(("s", normalize(cell)), new)
 
     def with_target(self, cell: Cell, new: Cell) -> "GlobularSet":
-        return self._with(("t", self._key(cell)), new)
+        return self._with(("t", normalize(cell)), new)
 
     def with_identity(self, cell: Cell, new: Cell) -> "GlobularSet":
-        return self._with(("identity", self._key(cell)), new)
+        return self._with(("identity", normalize(cell)), new)
 
     def with_compose(self, p: int, after: Cell, first: Cell, new: Cell) -> "GlobularSet":
-        return self._with(("compose", p, self._key(after), self._key(first)), new)
+        return self._with(("compose", p, normalize(after), normalize(first)), new)

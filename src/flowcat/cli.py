@@ -12,7 +12,7 @@ declared interior data, in three kinds of section::
     [declare M(N>S)]            # interior data of one built space
     critical hi1 index 1 component c0
     critical lo1 index 0 component c0
-    moduli hi1 lo1 component 0 shape Circle
+    moduli hi1 lo1 component 0 shape Point
 
 Endpoints list one parenthesized group per boundary configuration, each
 a comma-separated chain of ``component@source>target`` pieces.  A
@@ -239,10 +239,11 @@ def parse_tower_file(text: str) -> tuple[FlowSystem, Declarations]:
                         "declared moduli cannot be Interval: endpoints are not "
                         "expressible at depth",
                     )
-                if p not in point_of_name:
-                    raise ParseError(
-                        lineno, f"{p!r} is not a declared point of this section"
-                    )
+                for name in (p, q):
+                    if name not in point_of_name:
+                        raise ParseError(
+                            lineno, f"{name!r} is not a declared point of this section"
+                        )
                 owner = point_of_name[p]
                 pts, dms = declared[addr].setdefault(owner, ([], []))
                 dms.append((p, q, cid, shape))
@@ -297,9 +298,11 @@ def render_tower_file(fs: FlowSystem, decls: Declarations | None = None) -> str:
     for addr, comps in by_addr.items():
         out.append("")
         out.append(f"[declare {addr}]")
+        # Every point first: a moduli line may name a point of a later component.
         for cid, decl in comps:
             for dp in decl.points:
                 out.append(f"critical {dp.name} index {dp.index} component {cid}")
+        for _, decl in comps:
             for dm in decl.moduli:
                 for mcid, shape in dm.components:
                     out.append(

@@ -323,6 +323,14 @@ def derive_moduli(
     if decl:
         for dm in decl.moduli:
             if (dm.source, dm.target) == (pk, qk):
+                want = p.index - q.index - 1
+                for cid, shape in dm.components:
+                    if shape.dim != want:
+                        raise BuildError(
+                            f"declared component {cid!r} of {address_key(new_addr)} has "
+                            f"dimension {shape.dim}, but {pk} (index {p.index}) and {qk} "
+                            f"(index {q.index}) in {akey} need dimension {want}"
+                        )
                 return tuple(
                     Component(id=cid, ambient=new_addr, shape=shape, boundary=())
                     for cid, shape in dm.components

@@ -387,15 +387,12 @@ def test_criterion_7_normal_form(emit):
                 for p in range(1, level):
                     pairs = view.composable_pairs(level, p)
                     for q in range(p):
+                        key = lambda c, side: fc.cell_key(view.boundary(q, c, side))
                         for high, high_first in pairs:
                             for low, low_first in pairs:
-                                if view.boundary_key(q, high, "s") != view.boundary_key(
-                                    q, low, "t"
-                                ):
+                                if key(high, "s") != key(low, "t"):
                                     continue
-                                if view.boundary_key(
-                                    q, high_first, "s"
-                                ) != view.boundary_key(q, low_first, "t"):
+                                if key(high_first, "s") != key(low_first, "t"):
                                     continue
                                 lhs = fc.compose(
                                     q,

@@ -184,6 +184,60 @@ class TestMutationSensitivity:
         assert fc.check_all(parent).ok
 
 
+class TestFailureBranches:
+    """Mutants that reach the checker's landing and identity-level failures."""
+
+    @pytest.fixture
+    def cells(self, deformed_tower):
+        view = fc.GlobularSet(deformed_tower)
+        c1 = lambda key: find_cell(deformed_tower, 1, key)
+        p_cell = find_cell(
+            deformed_tower,
+            2,
+            "(x/y:c0,y/w:a)/(x/y:c0,y/w:b):0 @ M((x/y:c0,y/w:a)>(x/y:c0,y/w:b)|x>w)",
+        )
+        one_x = view.identity(find_cell(deformed_tower, 0, "x"))
+        return (
+            view, p_cell, one_x, c1("(x/y:c0,y/w:a) @ M(x>w)"),
+            c1("y/w:a @ M(y>w)"), c1("x/y:c0 @ M(x>y)"),
+        )
+
+    @staticmethod
+    def _first_failure(view, tag):
+        rep = fc.check_all(view).by_tag(tag)
+        return rep.line(), rep.failures[0].detail
+
+    def test_target_at_the_wrong_level(self, cells):
+        view, _, _, end_a, _, c0x = cells
+        assert self._first_failure(view.with_target(end_a, c0x), "globular") == (
+            "globular: FAIL (2 instances) — 44 instances, 23 strictly equal",
+            "target not a level-0 cell",
+        )
+
+    def test_target_at_the_right_level_outside_the_view(self, cells):
+        # The identity of x is a level-1 cell that the view does not list.
+        view, p_cell, one_x, _, _, _ = cells
+        assert one_x.level == 1 and one_x not in view.cells(1)
+        assert self._first_failure(view.with_target(p_cell, one_x), "globular") == (
+            "globular: FAIL (1 instances) — 42 instances, 22 strictly equal",
+            "target not a level-1 cell",
+        )
+
+    def test_identity_at_the_wrong_level(self, cells):
+        view, _, _, _, a_cell, c0x = cells
+        assert self._first_failure(view.with_identity(a_cell, c0x), "b") == (
+            "b: FAIL (1 instances) — 35 instances, 34 strictly equal",
+            "identity lands at level 1, expected 2",
+        )
+
+    def test_identities_of_a_gluable_pair_that_do_not_glue(self, cells):
+        view, _, one_x, _, a_cell, _ = cells
+        assert self._first_failure(view.with_identity(a_cell, one_x), "f") == (
+            "f: FAIL (2 instances) — 12 instances, 0 strictly equal",
+            "identities of a gluable pair do not glue",
+        )
+
+
 def _count_joins(monkeypatch):
     """Patch ``category._join`` to record its calls; returns the record."""
     import flowcat.category as category

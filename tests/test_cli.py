@@ -192,7 +192,93 @@ class TestExitCodes:
         assert capsys.readouterr() == plain
 
 
+_CIRCLES = """\
+[critical]
+N 3
+S 0
+
+[moduli N S]
+component c0 shape SphereLike 2
+
+[declare M(N>S)]
+critical hi1 index 2 component c0
+critical lo1 index 0 component c0
+moduli hi1 lo1 component 0 shape Circle
+moduli hi1 lo1 component 1 shape Circle
+
+[declare M(hi1>lo1|N>S)]
+critical p0 index 1 component 0
+critical q0 index 0 component 0
+critical p1 index 1 component 1
+critical q1 index 0 component 1
+"""
+
+
+class TestDeclaredModuli:
+    """``moduli`` lines inside ``[declare]``: parsed, rendered, built, checked."""
+
+    def test_render_and_parse_round_trip(self):
+        fs, decls = fc.parse_tower_file(_CIRCLES)
+        (moduli,) = decls.get("M(N>S)", "c0").moduli
+        assert (moduli.source, moduli.target) == ("hi1", "lo1")
+        assert moduli.components == (("0", fc.CIRCLE), ("1", fc.CIRCLE))
+        assert fc.parse_tower_file(fc.render_tower_file(fs, decls)) == (fs, decls)
+
+    def test_round_trip_with_a_point_of_a_later_component(self):
+        # The moduli line of c0 names b, a point of c1.
+        text = (
+            "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Circle\n"
+            "component c1 shape Circle\n\n[declare M(N>S)]\n"
+            "critical a index 1 component c0\ncritical b index 0 component c1\n"
+            "moduli a b component 0 shape Point\n"
+        )
+        fs, decls = fc.parse_tower_file(text)
+        assert fc.parse_tower_file(fc.render_tower_file(fs, decls)) == (fs, decls)
+
+    def test_declared_circles_build_and_check(self, tmp_path, capsys):
+        tower = fc.build_tower(*fc.parse_tower_file(_CIRCLES))
+        (space,) = tower.spaces(1)
+        assert [(a, b, [(c.id, c.shape) for c in comps]) for a, b, comps in space.derived] == [
+            ("hi1", "lo1", [("0", fc.CIRCLE), ("1", fc.CIRCLE)]),
+        ]
+        assert main(["check", _write(tmp_path, "circles.ft", _CIRCLES)]) == 0
+        assert capsys.readouterr().out.endswith("all laws hold (150 instances)\n")
+
+    def test_wrong_dimension_exits_2(self, tmp_path, capsys):
+        # A circle between points of index 1 and 0, where the space has dimension 0.
+        text = (
+            "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Circle\n\n"
+            "[declare M(N>S)]\ncritical hi1 index 1 component c0\n"
+            "critical lo1 index 0 component c0\n"
+            "moduli hi1 lo1 component 0 shape Circle\n"
+        )
+        assert main(["check", _write(tmp_path, "bad.ft", text)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [
+            "error: declared component '0' of M(hi1>lo1|N>S) has dimension 1, but "
+            "hi1 (index 1) and lo1 (index 0) in M(N>S) need dimension 0"
+        ]
+
+    @pytest.mark.parametrize("ends", ["hi2 lo1", "hi1 lo2"])
+    def test_undeclared_point_is_a_parse_error(self, ends):
+        text = _CIRCLES.replace("moduli hi1 lo1 component 1", f"moduli {ends} component 1")
+        with pytest.raises(fc.ParseError) as err:
+            fc.parse_tower_file(text)
+        assert str(err.value).startswith("line 12:")
+        undeclared = next(name for name in ends.split() if name.endswith("2"))
+        assert f"{undeclared!r} is not a declared point" in str(err.value)
+
+
 class TestSubcommands:
+    @pytest.mark.parametrize(
+        "argv",
+        [["cells", "--level", "9"], ["export-dot", "--level", "0"]],
+    )
+    def test_level_out_of_range_exits_2(self, argv, deformed_file, capsys):
+        assert main([argv[0], deformed_file, *argv[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: level ")
+
     def test_cells_one_level(self, deformed_file, capsys):
         assert main(["cells", deformed_file, "--level", "1"]) == 0
         out = capsys.readouterr().out
