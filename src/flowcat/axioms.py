@@ -295,6 +295,18 @@ def _check_c(X: GlobularSet) -> TagReport:
     return rec.report()
 
 
+def _identities(X: GlobularSet, stacks: dict, x: Cell, k: int) -> Cell:
+    """``1^k(x)`` through ``X.identity``, built once per ``(x, k)`` in ``stacks``
+    from ``1^{k-1}(x)``."""
+
+    if k == 0:
+        return x
+    one = stacks.get((x, k))
+    if one is None:
+        one = stacks[x, k] = X.identity(_identities(X, stacks, x, k - 1))
+    return one
+
+
 def _check_d(X: GlobularSet) -> TagReport:
     """Units: iterated identities on either boundary absorb.
 
@@ -302,6 +314,7 @@ def _check_d(X: GlobularSet) -> TagReport:
     """
 
     rec = _Recorder("d")
+    stacks: dict[tuple[Cell, int], Cell] = {}
     for level in range(1, X.n + 1):
         for A in X.cells(level):
             # The iterated targets and sources of A, from A down to level 0:
@@ -311,9 +324,9 @@ def _check_d(X: GlobularSet) -> TagReport:
                 targets.append(X.t(targets[-1]))
                 sources.append(X.s(sources[-1]))
             for p in range(level):
-                tt, ss = targets[level - p], sources[level - p]
-                for _ in range(level - p):
-                    tt, ss = X.identity(tt), X.identity(ss)
+                k = level - p
+                tt = _identities(X, stacks, targets[k], k)
+                ss = _identities(X, stacks, sources[k], k)
                 try:
                     for what, after, first in (
                         ("left unit", tt, A), ("right unit", A, ss)
@@ -337,19 +350,19 @@ def _check_e(X: GlobularSet) -> TagReport:
     """
 
     rec = _Recorder("e")
+    bd = X.boundary
     for level in range(2, X.n + 1):
-        cs = X.cells(level)
         for p in range(1, level):
             pairs = X.composable_pairs(level, p)
+            if not pairs:
+                continue
             for q in range(p):
-                skey = {c: X.boundary(q, c, "s") for c in cs}
-                tkey = {c: X.boundary(q, c, "t") for c in cs}
                 # The pairs (C, A) by their level-q targets, in pair order.
                 below: dict[tuple[Cell, Cell], list[tuple[Cell, Cell]]] = {}
                 for C, A in pairs:
-                    below.setdefault((tkey[C], tkey[A]), []).append((C, A))
+                    below.setdefault((bd(q, C, "t"), bd(q, A, "t")), []).append((C, A))
                 for H, E in pairs:
-                    for C, A in below.get((skey[H], skey[E]), ()):
+                    for C, A in below.get((bd(q, H, "s"), bd(q, E, "s")), ()):
                         try:
                             lhs = X.compose(
                                 q, X.compose(p, H, E), X.compose(p, C, A)

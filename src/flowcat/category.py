@@ -15,6 +15,7 @@ and sorts glued pieces into flow order.
 from __future__ import annotations
 
 import weakref
+from fractions import Fraction
 
 from .core import (
     Broken,
@@ -28,6 +29,7 @@ from .core import (
     flatten_point,
     is_stationary,
     memo_on_node,
+    point_key,
     stationary_point,
 )
 from .tower import Tower
@@ -107,8 +109,8 @@ def identity(cell: Cell) -> Cell:
     return Cell(pt, pt.crit.home)
 
 
-def _gluing_error(p: int, after: Cell, first: Cell, s=source, t=target) -> str | None:
-    """Why the pair does not glue, walking the boundary maps ``s`` and ``t``; None if it does."""
+def _gluing_error(p: int, after: Cell, first: Cell) -> str:
+    """Why a pair that does not glue along level p does not."""
 
     level = after.level
     if first.level != level:
@@ -116,16 +118,32 @@ def _gluing_error(p: int, after: Cell, first: Cell, s=source, t=target) -> str |
             f"cells of different levels do not glue: {cell_key(after)} is a "
             f"level-{level} cell and {cell_key(first)} a level-{first.level} cell"
         )
-    if 0 <= p < level:
-        lhs, rhs = after, first
-        for _ in range(level - p):
-            lhs, rhs = s(lhs), t(rhs)
-        if normalize(lhs) is normalize(rhs):
-            return None
     return (
         f"cells do not glue along level {p}: the level-{p} source of "
         f"{cell_key(after)} differs from the level-{p} target of {cell_key(first)}"
     )
+
+
+def _glues(p: int, after: Cell, first: Cell, boundary) -> bool:
+    """Whether two cells of one level above p glue along level p: the level-p
+    source of ``after`` is the level-p target of ``first``, as the normal
+    forms that ``boundary(q, cell, side)`` gives."""
+
+    level = after.level
+    return (
+        first.level == level
+        and 0 <= p < level
+        and boundary(p, after, "s") is boundary(p, first, "t")
+    )
+
+
+def _boundary(q: int, cell: Cell, side: str) -> Cell:
+    """The normal form of the raw iterated level-q source or target."""
+
+    step = source if side == "s" else target
+    for _ in range(cell.level - q):
+        cell = step(cell)
+    return normalize(cell)
 
 
 def composable(p: int, after: Cell, first: Cell) -> bool:
@@ -135,7 +153,7 @@ def composable(p: int, after: Cell, first: Cell) -> bool:
     iterated source of ``after``, up to normal form.
     """
 
-    return _gluing_error(p, after, first) is None
+    return _glues(p, after, first, _boundary)
 
 
 def compose(p: int, after: Cell, first: Cell) -> Cell:
@@ -147,9 +165,8 @@ def compose(p: int, after: Cell, first: Cell) -> Cell:
     does not glue.
     """
 
-    error = _gluing_error(p, after, first)
-    if error:
-        raise ValueError(error)
+    if not _glues(p, after, first, _boundary):
+        raise ValueError(_gluing_error(p, after, first))
     return _glue(p, after, first, _join)
 
 
@@ -178,30 +195,40 @@ def _merge(x: Point, y: Point) -> Point:
     return Broken(tuple(sorted(flatten_point(x) + flatten_point(y), key=breaking_key)))
 
 
-def _glue(p: int, after: Cell, first: Cell, join) -> Cell:
+def _glue(p: int, after: Cell, first: Cell, join, memo: dict | None = None) -> Cell:
     """The composite of a pair known to glue along level p, joining pieces by ``join``.
 
     ``_join`` gives the raw composite; ``_merge`` on normal cells, its normal form.
     """
 
-    return Cell(join(first.top, after.top), _glue_address(p, after.space, first.space, join))
+    address = _glue_address(p, after.space, first.space, join, memo)
+    return Cell(join(first.top, after.top), address)
 
 
-def _glue_address(p: int, after: ModuliAddress, first: ModuliAddress, join) -> ModuliAddress:
+def _glue_address(
+    p: int, after: ModuliAddress, first: ModuliAddress, join, memo: dict | None = None
+) -> ModuliAddress:
     """The address of two glued spaces of the same level above p.
 
     At level p + 1 the space runs from ``first``'s source to ``after``'s
     target over ``first``'s ambient; above it the endpoints join and the
-    ambients glue in turn.
+    ambients glue in turn.  A ``memo`` keeps each address glued above
+    level p + 1, by ``(p, after, first)``.
     """
 
     if after.level == p + 1:
         return ModuliAddress(first.source, after.target, first.ambient)
-    return ModuliAddress(
-        join(first.source, after.source),
-        join(first.target, after.target),
-        _glue_address(p, after.ambient, first.ambient, join),
-    )
+    key = (p, after, first)
+    glued = memo and memo.get(key)
+    if not glued:
+        glued = ModuliAddress(
+            join(first.source, after.source),
+            join(first.target, after.target),
+            _glue_address(p, after.ambient, first.ambient, join, memo),
+        )
+        if memo is not None:
+            memo[key] = glued
+    return glued
 
 
 def _stationary_over(base: Point) -> Primitive:
@@ -238,7 +265,18 @@ def normalize_point(pt: Point) -> Point:
     if isinstance(pt, Primitive):
         if not is_stationary(pt):
             return pt
-        return _stationary_over(normalize_point(pt.crit.home.source))
+        crit = pt.crit
+        base = normalize_point(crit.home.source)
+        if (
+            base is crit.home.source
+            and crit.home.ambient is ambient_of_point(base)
+            and crit.id == f"1({point_key(base)})"
+            and (crit.index, type(crit.index), type(crit.value)) == (0, int, Fraction)
+        ):
+            # Already the canonical point (its value is 0 on a stationary home).
+            base.__dict__["_memo_stationary_over"] = weakref.ref(pt)
+            return pt
+        return _stationary_over(base)
     flat: list[Primitive] = []
     for piece in pt.pieces:
         flat.extend(flatten_point(normalize_point(piece)))
@@ -289,9 +327,13 @@ class GlobularSet:
     their normal forms are one node, so an override answers for every raw
     cell with the normal form of the one it was given for.
     For the life of the view it keeps the raw source and target of its own
-    cells and of the identity cells memoized on them, and the composites of
-    two of its own cells; both tables are read after the overrides, and a
-    view derived by a ``with_*`` call shares them.
+    cells and of the identity cells memoized on them, the composites of
+    two of its own cells, the normal forms of the raw iterated boundaries
+    of the cells it keeps, and the glued normal addresses of unit and
+    associativity composites; these tables are read after the overrides,
+    and a view derived by a ``with_*`` call shares them.  The iterated
+    boundaries through its own maps are the raw walks until an ``s`` or
+    ``t`` override gives a view a table of its own.
     """
 
     def __init__(self, tower: Tower) -> None:
@@ -317,6 +359,14 @@ class GlobularSet:
             for l in range(1, self.n + 1)
             for c in self._cells[l]
         }
+        # Normal forms of iterated boundaries keyed (k, cell, side), for the
+        # kept cells above and their boundaries: ``_walks`` through the raw
+        # maps, ``_bounds`` through the view's maps, one table until an s or
+        # t override sets them apart.
+        self._walks: dict[tuple[int, Cell, str], Cell] = {}
+        self._bounds = self._walks
+        # Glued normal addresses, keyed (p, after, first).
+        self._glued: dict[tuple[int, ModuliAddress, ModuliAddress], ModuliAddress] = {}
 
     def cells(self, level: int) -> tuple[Cell, ...]:
         if not 0 <= level <= self.n:
@@ -350,19 +400,50 @@ class GlobularSet:
         return one
 
     def boundary(self, q: int, cell: Cell, side: str) -> Cell:
-        """The normal form of the iterated level-q source or target."""
+        """The normal form of the iterated level-q source or target, memoized:
+        ``cell.level - q`` steps of the view's ``s`` or ``t``."""
 
         step = self.s if side == "s" else self.t
-        x = cell
-        for _ in range(cell.level - q):
-            x = step(x)
-        return normalize(x)
+        return self._walk(self._bounds, cell.level - q, cell, side, step)
+
+    def _raw_boundary(self, q: int, cell: Cell, side: str) -> Cell:
+        """``boundary`` through the raw maps, which ignore the overrides."""
+
+        step = self._source if side == "s" else self._target
+        return self._walk(self._walks, cell.level - q, cell, side, step)
+
+    def _walk(self, memo: dict, k: int, cell: Cell, side: str, step) -> Cell:
+        """The normal form of ``cell`` after k steps of ``step``, memoized.
+
+        An entry is keyed ``(k, cell, side)`` and filled from the ``k - 1``
+        entry of ``step(cell)``, so the walk takes exactly k steps whatever
+        level a step lands on.  Entries are made for k >= 2, where they save
+        more than a step, from the first cell the view keeps alive in
+        ``_boundaries`` on: a walk from a raw composite keys nothing until
+        it reaches one.
+        """
+
+        path = []
+        while k > 1:
+            key = (k, cell, side)
+            out = memo.get(key)
+            if out is not None:
+                break
+            if path or cell in self._boundaries:
+                path.append(key)
+            cell = step(cell)
+            k -= 1
+        else:
+            out = normalize(step(cell) if k == 1 else cell)
+        for key in path:
+            memo[key] = out
+        return out
 
     def composable(self, p: int, after: Cell, first: Cell) -> bool:
         """Whether the pair glues along level p under the view's own boundary
         maps, overrides included: the gluing rule of ``compose``."""
 
-        return _gluing_error(p, after, first, self.s, self.t) is None
+        return _glues(p, after, first, self.boundary)
 
     def composable_pairs(self, level: int, p: int) -> tuple[tuple[Cell, Cell], ...]:
         """All ordered pairs of level cells gluing along level p, memoized;
@@ -395,9 +476,8 @@ class GlobularSet:
         key = (p, after, first)
         glued = self._composites.get(key)
         if glued is None:
-            error = _gluing_error(p, after, first, self._source, self._target)
-            if error:
-                raise ValueError(error)
+            if not _glues(p, after, first, self._raw_boundary):
+                raise ValueError(_gluing_error(p, after, first))
             glued = _glue(p, after, first, _join)
             if after in self._own_cells and first in self._own_cells:
                 self._composites[key] = glued
@@ -412,16 +492,16 @@ class GlobularSet:
         new = self._compose_override(p, after, first)
         if new:
             return normalize(new)
-        error = _gluing_error(p, after, first, self._source, self._target)
-        if error:
-            raise ValueError(error)
-        return _glue(p, normalize(after), normalize(first), _merge)
+        if not _glues(p, after, first, self._raw_boundary):
+            raise ValueError(_gluing_error(p, after, first))
+        return _glue(p, normalize(after), normalize(first), _merge, self._glued)
 
     def _with(self, key: tuple, new: Cell) -> "GlobularSet":
         """A view over the same tower with one more override.
 
-        It shares the cell lists and the raw boundary and composite tables,
-        which ignore the overrides, and gets its own pair memo.
+        It shares the cell lists and the raw boundary, walk, composite and
+        glue tables, which ignore the overrides, and gets its own pair memo;
+        an s or t override gives it its own iterated-boundary memo too.
         """
 
         view = object.__new__(GlobularSet)
@@ -429,6 +509,8 @@ class GlobularSet:
         view._over = {**self._over, key: new}
         view._maps = frozenset(k[0] for k in view._over)
         view._pairs_memo = {}
+        if key[0] in ("s", "t"):
+            view._bounds = {}
         return view
 
     def with_source(self, cell: Cell, new: Cell) -> "GlobularSet":

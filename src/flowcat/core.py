@@ -73,18 +73,17 @@ def _hashconsed(cls):
     return cls
 
 
-def _intern(cls, values: tuple, kinds: tuple = ()):
+def _intern(cls, values: tuple, key: tuple = ()):
     """The live node of ``cls`` with these field values, built on first use.
 
-    ``kinds`` joins the key with the types of scalar fields, so values that
-    compare equal but print differently (``1``, ``True``, ``Fraction(1)``)
-    stay different nodes.  A new node gets its fields set in its
-    ``__dict__`` in declaration order, then runs its ``__post_init__``
-    checks; a node that fails them is never stored, so building it raises
-    every time.  ``weakref.ref.__new__`` skips ``KeyedRef``'s Python frames.
+    The table key is ``values`` unless a class gives its own ``key``.  A new
+    node gets its fields set in its ``__dict__`` in declaration order, then
+    runs its ``__post_init__`` checks; a node that fails them is never
+    stored, so building it raises every time.  ``weakref.ref.__new__``
+    skips ``KeyedRef``'s Python frames.
     """
 
-    key = values + kinds
+    key = key or values
     table = cls._table
     ref = table.get(key)
     node = None if ref is None else ref()
@@ -167,7 +166,12 @@ class CritPoint:
     home: ModuliAddress | None = None
 
     def __new__(cls, id, index, value, home=None):
-        return _intern(cls, (id, index, value, home), (type(index), type(value)))
+        # Keyed by numerator and denominator, whose hashes run no Python code
+        # as a Fraction's does, and by the types of the scalar fields, so that
+        # values that compare equal but print differently (``1``, ``True``,
+        # ``Fraction(1)``) stay different nodes.
+        key = (id, index, value.numerator, value.denominator, home, type(index), type(value))
+        return _intern(cls, (id, index, value, home), key)
 
     def __post_init__(self) -> None:
         if self.index < 0:

@@ -364,23 +364,27 @@ class _PairTable(NamedTuple):
 
     ``pairs`` maps ordered pairs of points to the components between
     them, ``succ`` maps each point to the other points it has components
-    to, in table order, and ``comp_of`` maps ``(source, target, component
+    to, in table order, ``pred`` each point to the points that have
+    components to it, and ``comp_of`` maps ``(source, target, component
     id)`` to the first component listed with that id.  Built once per table
     by :func:`_pair_table` and shared by every space over it.
     """
 
     pairs: dict[tuple[str, str], tuple[Component, ...]]
     succ: dict[str, list[str]]
+    pred: dict[str, list[str]]
     comp_of: dict[tuple[str, str, str], Component]
 
 
 def _pair_table(table: dict[tuple[str, str], tuple[Component, ...]]) -> _PairTable:
     succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = {}
     for (a, b), comps in table.items():
         if comps and a != b:
             succ.setdefault(a, []).append(b)
+            pred.setdefault(b, []).append(a)
     comp_of = {(s, t, c.id): c for (s, t), cs in table.items() for c in reversed(cs)}
-    return _PairTable(table, succ, comp_of)
+    return _PairTable(table, succ, pred, comp_of)
 
 
 def _chains(pt: _PairTable, source: str, target: str) -> list[tuple[str, ...]]:
@@ -392,6 +396,14 @@ def _chains(pt: _PairTable, source: str, target: str) -> list[tuple[str, ...]]:
     """
 
     table, succ = pt.pairs, pt.succ
+    # The points from which target is reachable without passing source:
+    # only through them can a chain go on.
+    live, todo = {target, source}, [target]
+    while todo:
+        for prev in pt.pred.get(todo.pop(), ()):
+            if prev not in live:
+                live.add(prev)
+                todo.append(prev)
     out: list[tuple[str, ...]] = []
     # A stack, not a recursive closure: a closure that calls itself is a
     # reference cycle and would keep the table alive until a gc pass.
@@ -401,7 +413,7 @@ def _chains(pt: _PairTable, source: str, target: str) -> list[tuple[str, ...]]:
         if table.get((at, target)):
             out.append(mids)
         for nxt in succ.get(at, ()):
-            if nxt != target and nxt != source and nxt not in mids:
+            if nxt in live and nxt != target and nxt != source and nxt not in mids:
                 stack.append((nxt, mids + (nxt,)))
     return sorted(out, key=lambda m: (len(m), m))
 

@@ -253,7 +253,9 @@ def _declared_points(
     Closed positive-dimensional shapes require exactly two points with
     the extreme indices, and declared positive-dimensional shapes at
     least one point; a missing or malformed declaration is an error
-    naming the space and component.
+    naming the space and component.  So is a declared ``moduli`` line the
+    build would never read: one against the index order, or one to a
+    point that is not declared on the same component.
     """
 
     decl = decls.get(addr_key_str, comp.id)
@@ -285,6 +287,17 @@ def _declared_points(
             raise BuildError(
                 f"declared point {p.name!r} of {comp.id!r} of {addr_key_str}: "
                 f"index {p.index} outside 0..{comp.dim}"
+            )
+    index = {p.name: p.index for p in pts}
+    for dm in decl.moduli if decl else ():
+        line = f"declared moduli {dm.source} {dm.target} of {comp.id!r} of {addr_key_str}"
+        missing = [e for e in (dm.source, dm.target) if e not in index]
+        if missing:
+            raise BuildError(f"{line}: {missing[0]!r} is not a declared point of {comp.id!r}")
+        if index[dm.source] <= index[dm.target]:
+            raise BuildError(
+                f"{line}: runs against the index order, from index "
+                f"{index[dm.source]} to index {index[dm.target]}"
             )
     return tuple(sorted(pts, key=lambda p: (-p.index, p.name)))
 

@@ -389,3 +389,43 @@ class TestAssociativityReference:
             rep = fc.check_axiom("c", X)
             assert rep.ok and rep.instances > 0
             assert joins == []
+
+
+class TestWorkAtDepth:
+    def test_check_all_walks_each_boundary_and_identity_stack_once(self, monkeypatch):
+        # Counted on a fresh view of sphere_system(32); rebuilding iterated
+        # boundaries, identity stacks and glued unit addresses per instance
+        # made 447,832 s/t calls, 26,246 identity calls and 26,186 glue frames.
+        import flowcat.category as category
+
+        calls = {"s": 0, "t": 0, "identity": 0, "glue": 0}
+
+        def counting(fn, name):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        for name in ("s", "t", "identity"):
+            monkeypatch.setattr(
+                fc.GlobularSet, name, counting(getattr(fc.GlobularSet, name), name)
+            )
+        monkeypatch.setattr(
+            category, "_glue_address", counting(category._glue_address, "glue")
+        )
+        rep = fc.check_all(fc.GlobularSet(fc.build_tower(*fc.sphere_system(32))))
+        assert rep.to_text() == "\n".join(
+            [
+                "globular: PASS — 194 instances, 128 strictly equal",
+                "a: PASS — 4 instances, 4 strictly equal",
+                "b: PASS — 132 instances, 132 strictly equal",
+                "c: PASS — 2 instances, 0 strictly equal",
+                "d: PASS — 2244 instances, 0 strictly equal",
+                "e: PASS — 0 instances, 0 strictly equal",
+                "f: PASS — 0 instances, 0 strictly equal",
+            ]
+        )
+        assert calls["s"] + calls["t"] <= 10_000
+        assert calls["identity"] <= 2_500
+        assert calls["glue"] <= 5_000

@@ -259,6 +259,30 @@ class TestDeclaredModuli:
             "hi1 (index 1) and lo1 (index 0) in M(N>S) need dimension 0"
         ]
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                _CIRCLES.replace("moduli hi1 lo1 component 1", "moduli lo1 hi1 component 1"),
+                "error: declared moduli lo1 hi1 of 'c0' of M(N>S): runs against the "
+                "index order, from index 0 to index 2",
+            ),
+            (
+                _CIRCLES + "moduli p0 q1 component 0 shape Point\n",
+                "error: declared moduli p0 q1 of '0' of M(hi1>lo1|N>S): 'q1' is not a "
+                "declared point of '0'",
+            ),
+        ],
+        ids=["against-index-order", "across-components"],
+    )
+    def test_moduli_line_the_build_never_reads_exits_2(self, tmp_path, capsys, text, error):
+        # Without the check, both files exit 0: the first with 82 instances,
+        # the second with the 150 of _CIRCLES, the line ignored.
+        assert main(["check", _write(tmp_path, "unread.ft", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [error]
+
     @pytest.mark.parametrize("ends", ["hi2 lo1", "hi1 lo2"])
     def test_undeclared_point_is_a_parse_error(self, ends):
         text = _CIRCLES.replace("moduli hi1 lo1 component 1", f"moduli {ends} component 1")

@@ -223,7 +223,7 @@ class TestInterning:
             live = fc.build_tower(fc.random_system(3))
             fc.check_all(live)
             one_tower = _table_sizes()
-            for n in (1, 2, 3, None):
+            for n in (1, 2, 3, 8, None):
                 system = fc.sphere_system(n) if n else (fc.random_system(5),)
                 fc.check_all(fc.build_tower(*system))
                 del system
@@ -234,7 +234,7 @@ class TestInterning:
     def test_entries_are_dropped_by_one_callback_per_class(self):
         node = fc.CritPoint("probe", 0, Fraction(7, 3))
         table = fc.CritPoint._table
-        key = ("probe", 0, Fraction(7, 3), None, int, Fraction)
+        key = ("probe", 0, 7, 3, None, int, Fraction)
         ref = table[key]
         assert type(ref) is weakref.KeyedRef and ref.key == key and ref() is node
         assert ref.__callback__ is fc.CritPoint._drop

@@ -291,6 +291,39 @@ class TestValidatorViolations:
         assert any("z" in v.message for v in got)
 
 
+def _chains_reference(pt, source, target):
+    """The chain walker before it pruned dead ends: every path out of source."""
+
+    out = []
+    stack = [(source, ())]
+    while stack:
+        at, mids = stack.pop()
+        if pt.pairs.get((at, target)):
+            out.append(mids)
+        for nxt in pt.succ.get(at, ()):
+            if nxt != target and nxt != source and nxt not in mids:
+                stack.append((nxt, mids + (nxt,)))
+    return sorted(out, key=lambda m: (len(m), m))
+
+
+class TestChains:
+    def test_matches_the_unpruned_walk_on_every_base_pair(self, deformed_fs):
+        from flowcat.stratification import _chains, _pair_table
+
+        systems = [deformed_fs, *(fc.sphere_system(n)[0] for n in (1, 2, 3))]
+        systems += [fc.random_system(seed) for seed in range(200)]
+        systems += [fc.random_system(seed, max_points=32) for seed in (1, 4, 8)]
+        found = 0
+        for fs in systems:
+            pt = _pair_table(fs.table)
+            for x, z in pt.pairs:
+                chains = _chains(pt, x, z)
+                assert chains == _chains_reference(pt, x, z)
+                found += sum(len(m) > 0 for m in chains)
+        # The systems do break: some chains pass intermediate points.
+        assert found > 0
+
+
 class TestBoundaryStrata:
     def test_deformed_interval_breaks_once_through_y(self, deformed_fs):
         st = fc.boundary_strata(deformed_fs, "x", "w")
