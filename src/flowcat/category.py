@@ -326,14 +326,12 @@ class GlobularSet:
     Sameness is one test throughout: two cells are the same exactly when
     their normal forms are one node, so an override answers for every raw
     cell with the normal form of the one it was given for.
-    For the life of the view it keeps the raw source and target of its own
-    cells and of the identity cells memoized on them, the composites of
-    two of its own cells, the normal forms of the raw iterated boundaries
-    of the cells it keeps, and the glued normal addresses of unit and
-    associativity composites; these tables are read after the overrides,
-    and a view derived by a ``with_*`` call shares them.  The iterated
-    boundaries through its own maps are the raw walks until an ``s`` or
-    ``t`` override gives a view a table of its own.
+    For the life of the view it keeps the composites of two of its own
+    cells, the iterated raw boundaries of each normal cell it has walked,
+    and the glued normal addresses of unit and associativity composites.
+    These tables ignore the overrides, so a view derived by a ``with_*``
+    call shares them; the iterated boundaries through an overridden ``s``
+    or ``t`` are walked afresh on each call.
     """
 
     def __init__(self, tower: Tower) -> None:
@@ -351,20 +349,8 @@ class GlobularSet:
         # Composites of two of the view's own cells, keyed (p, after, first):
         # the pairs that laws a, c, e and f glue again and again.
         self._composites: dict[tuple[int, Cell, Cell], Cell] = {}
-        # Raw (source, target) of the cells the view keeps alive anyway:
-        # its own cells of level >= 1, and the identity cells memoized on
-        # them (added by ``identity``).  Raw composites are not kept.
-        self._boundaries: dict[Cell, tuple[Cell, Cell]] = {
-            c: (source(c), target(c))
-            for l in range(1, self.n + 1)
-            for c in self._cells[l]
-        }
-        # Normal forms of iterated boundaries keyed (k, cell, side), for the
-        # kept cells above and their boundaries: ``_walks`` through the raw
-        # maps, ``_bounds`` through the view's maps, one table until an s or
-        # t override sets them apart.
-        self._walks: dict[tuple[int, Cell, str], Cell] = {}
-        self._bounds = self._walks
+        # The raw iterated boundaries of a normal cell, filled by ``_walk``.
+        self._walks: dict[Cell, tuple[tuple[Cell, ...], tuple[Cell, ...]]] = {}
         # Glued normal addresses, keyed (p, after, first).
         self._glued: dict[tuple[int, ModuliAddress, ModuliAddress], ModuliAddress] = {}
 
@@ -375,69 +361,54 @@ class GlobularSet:
 
     def s(self, cell: Cell) -> Cell:
         new = "s" in self._maps and self._over.get(("s", normalize(cell)))
-        return new or self._source(cell)
+        return new or source(cell)
 
     def t(self, cell: Cell) -> Cell:
         new = "t" in self._maps and self._over.get(("t", normalize(cell)))
-        return new or self._target(cell)
-
-    def _source(self, cell: Cell) -> Cell:
-        st = self._boundaries.get(cell)
-        return source(cell) if st is None else st[0]
-
-    def _target(self, cell: Cell) -> Cell:
-        st = self._boundaries.get(cell)
-        return target(cell) if st is None else st[1]
+        return new or target(cell)
 
     def identity(self, cell: Cell) -> Cell:
         new = "identity" in self._maps and self._over.get(("identity", normalize(cell)))
-        if new:
-            return new
-        one = identity(cell)
-        if cell in self._own_cells or cell in self._boundaries:
-            if one not in self._boundaries:
-                self._boundaries[one] = (source(one), target(one))
-        return one
+        return new or identity(cell)
 
     def boundary(self, q: int, cell: Cell, side: str) -> Cell:
-        """The normal form of the iterated level-q source or target, memoized:
-        ``cell.level - q`` steps of the view's ``s`` or ``t``."""
+        """The normal form of the iterated level-q source or target, for q in
+        0..level: ``cell.level - q`` steps of the view's ``s`` or ``t``."""
 
+        if not 0 <= q <= cell.level:
+            raise ValueError(f"level {q} out of range 0..{cell.level}")
+        if side not in self._maps:
+            return self._raw_boundary(q, cell, side)
         step = self.s if side == "s" else self.t
-        return self._walk(self._bounds, cell.level - q, cell, side, step)
+        for _ in range(cell.level - q):
+            cell = step(cell)
+        return normalize(cell)
 
     def _raw_boundary(self, q: int, cell: Cell, side: str) -> Cell:
         """``boundary`` through the raw maps, which ignore the overrides."""
 
-        step = self._source if side == "s" else self._target
-        return self._walk(self._walks, cell.level - q, cell, side, step)
+        walk = self._walks.get(cell) or self._walk(normalize(cell))
+        return walk[side == "t"][q]
 
-    def _walk(self, memo: dict, k: int, cell: Cell, side: str, step) -> Cell:
-        """The normal form of ``cell`` after k steps of ``step``, memoized.
+    def _walk(self, cell: Cell) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
+        """The iterated raw sources and targets of a normal cell, memoized:
+        entry q of each tuple is the level-q one, and the last is the cell.
 
-        An entry is keyed ``(k, cell, side)`` and filled from the ``k - 1``
-        entry of ``step(cell)``, so the walk takes exactly k steps whatever
-        level a step lands on.  Entries are made for k >= 2, where they save
-        more than a step, from the first cell the view keeps alive in
-        ``_boundaries`` on: a walk from a raw composite keys nothing until
-        it reaches one.
+        They are normal, since the normal form commutes with the raw maps:
+        ``normalize(source(c)) is source(normalize(c))``.
         """
 
-        path = []
-        while k > 1:
-            key = (k, cell, side)
-            out = memo.get(key)
-            if out is not None:
-                break
-            if path or cell in self._boundaries:
-                path.append(key)
-            cell = step(cell)
-            k -= 1
-        else:
-            out = normalize(step(cell) if k == 1 else cell)
-        for key in path:
-            memo[key] = out
-        return out
+        walk = self._walks.get(cell)
+        if walk is None:
+            if cell.space is None:
+                walk = ((cell,), (cell,))
+            else:
+                walk = (
+                    self._walk(source(cell))[0] + (cell,),
+                    self._walk(target(cell))[1] + (cell,),
+                )
+            self._walks[cell] = walk
+        return walk
 
     def composable(self, p: int, after: Cell, first: Cell) -> bool:
         """Whether the pair glues along level p under the view's own boundary
@@ -499,9 +470,8 @@ class GlobularSet:
     def _with(self, key: tuple, new: Cell) -> "GlobularSet":
         """A view over the same tower with one more override.
 
-        It shares the cell lists and the raw boundary, walk, composite and
-        glue tables, which ignore the overrides, and gets its own pair memo;
-        an s or t override gives it its own iterated-boundary memo too.
+        It shares the cell lists and the walk, composite and glue tables,
+        which ignore the overrides, and gets its own pair memo.
         """
 
         view = object.__new__(GlobularSet)
@@ -509,8 +479,6 @@ class GlobularSet:
         view._over = {**self._over, key: new}
         view._maps = frozenset(k[0] for k in view._over)
         view._pairs_memo = {}
-        if key[0] in ("s", "t"):
-            view._bounds = {}
         return view
 
     def with_source(self, cell: Cell, new: Cell) -> "GlobularSet":

@@ -93,16 +93,13 @@ def _parse_endpoint(lineno: int, group: str) -> Endpoint:
             )
         cid, src, tgt = m.groups()
         pieces.append(PieceRef(src, tgt, cid))
-    if not pieces:
-        raise ParseError(lineno, "empty endpoint group")
     return tuple(pieces)
 
 
 def _parse_shape_tokens(lineno: int, tokens: list[str]) -> tuple[Shape, int]:
-    """Parse a shape at the head of ``tokens``; return it and tokens used."""
+    """Parse a shape at the head of ``tokens`` (callers pass at least one);
+    return it and the number of tokens used."""
 
-    if not tokens:
-        raise ParseError(lineno, "missing shape")
     used = 2 if tokens[0] in ("SphereLike", "Declared") else 1
     if used == 2 and len(tokens) < 2:
         raise ParseError(lineno, f"shape {tokens[0]!r} needs a dimension")

@@ -31,7 +31,6 @@ from .core import (
     Primitive,
     Broken,
     address_key,
-    flatten_point,
     is_stationary,
     point_key,
     stationary_point,
@@ -310,21 +309,19 @@ def derive_moduli(
 ) -> tuple[Component, ...]:
     """Components of the next space between two critical points.
 
-    Forced cases: the same point gives a stationary one-point space;
-    points of different components give nothing; no flow runs against
-    the height order; an interval flows from its higher endpoint to its
-    lower through one point; the two poles of a circle are joined by two
-    points, those of a k-sphere by a (k-1)-sphere shape.  Remaining
-    pairs need declared components; a positive-dimensional pair without
-    a declaration is an error naming the space and component.
+    ``p`` and ``q`` are two different entries of the space's Morse data.
+    Forced cases: points of different components, or of a stationary
+    space, give nothing; no flow runs against the height order, so a
+    point gives nothing with itself; an interval flows from its higher
+    endpoint to its lower through one point; the two poles of a circle
+    are joined by two points, those of a k-sphere by a (k-1)-sphere
+    shape.  Remaining pairs need declared components; a pair without
+    them is an error naming the space and component.
     """
 
     akey = space.key
     pk, qk = point_key(p.point), point_key(q.point)
 
-    if pk == qk:
-        new_addr = ModuliAddress(p.point, q.point, space.address)
-        return (Component(id="0", ambient=new_addr, shape=POINT, boundary=()),)
     if p.component != q.component or p.role == "stationary":
         return ()
     if p.value <= q.value or p.index <= q.index:
@@ -365,20 +362,6 @@ def derive_moduli(
         shape = CIRCLE if k == 1 else sphere_like(k)
         return (Component(id="0", ambient=new_addr, shape=shape, boundary=()),)
 
-    # Product rule: two broken points differing in exactly one piece flow
-    # within that piece's component; desk-scale data never reaches this.
-    pf, qf = p.point, q.point
-    if isinstance(pf, Broken) and isinstance(qf, Broken):
-        pp, qq = flatten_point(pf), flatten_point(qf)
-        if len(pp) == len(qq):
-            diff = [i for i in range(len(pp)) if pp[i] != qq[i]]
-            if len(diff) == 1:
-                raise MissingDeclarationError(
-                    akey,
-                    comp.id,
-                    f"flow between corners {pk} and {qk} moves in one factor; "
-                    "declare its components",
-                )
     raise MissingDeclarationError(
         akey,
         comp.id,

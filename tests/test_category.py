@@ -69,6 +69,39 @@ class TestBoundaries:
                     got = fc.cell_key(deformed_view.boundary(q, c, "t"))
                     assert got == boundary_key_raw(c, q, "t")
 
+    def test_view_boundary_at_the_cell_level_and_out_of_range(self, deformed_tower):
+        # Both walks: the view's table, and the steps of an overridden map.
+        view = fc.GlobularSet(deformed_tower)
+        c0x = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
+        mutated = view.with_source(c0x, find_cell(deformed_tower, 0, "z"))
+        for X in (view, mutated):
+            for lv in range(4):
+                for c in fc.cells(deformed_tower, lv):
+                    assert X.boundary(lv, c, "s") is fc.normalize(c)
+                    for q in (-1, lv + 1):
+                        with pytest.raises(ValueError, match="out of range"):
+                            X.boundary(q, c, "s")
+
+    def test_normal_form_commutes_with_the_raw_maps(
+        self, deformed_tower, sphere_towers, random_towers
+    ):
+        # The view's walk table keys only normal cells on this invariant.
+        towers = [deformed_tower, *sphere_towers.values()]
+        towers += [fc.build_tower(*fc.sphere_system(4))]
+        towers += [random_towers[s] for s in (3, 5, 12)]
+        checked = 0
+        for t in towers:
+            view = fc.GlobularSet(t)
+            for level in range(1, t.max_level + 1):
+                cs = list(fc.extended_cells(t, level))
+                for p in range(level):
+                    cs += [fc.compose(p, c, a) for c, a in view.composable_pairs(level, p)]
+                for c in cs:
+                    assert fc.normalize(fc.source(c)) is fc.source(fc.normalize(c))
+                    assert fc.normalize(fc.target(c)) is fc.target(fc.normalize(c))
+                    checked += fc.normalize(c) is not c
+        assert checked
+
     @pytest.mark.parametrize("name", ["deformed", "sphere4"])
     def test_view_boundary_table_is_the_raw_boundaries(self, name, deformed_tower):
         tower = (
@@ -83,7 +116,9 @@ class TestBoundaries:
         ]
         assert ones and all(one.level >= 1 for one in ones)
         for c in own + ones:
-            assert c in view._boundaries
+            sources, targets = view._walk(fc.normalize(c))
+            assert sources[-2] is fc.normalize(fc.source(c))
+            assert targets[-2] is fc.normalize(fc.target(c))
             assert view.s(c) is fc.source(c)
             assert view.t(c) is fc.target(c)
 
@@ -91,14 +126,18 @@ class TestBoundaries:
         view = fc.GlobularSet(deformed_tower)
         fc.check_all(view)
         own = {c for level in range(view.n + 1) for c in view.cells(level)}
-        kept = set(view._boundaries)
+        kept = set(view._walks)
         assert kept - own
-        for c in kept - own:
-            assert fc.identity(fc.source(c)) is c
+        # Only normal cells are keys, and those are own cells or identities.
+        extended = {c for lv in range(view.n + 1) for c in fc.extended_cells(deformed_tower, lv)}
+        for c in kept:
+            assert fc.normalize(c) is c
+            assert c in extended
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
         padded = view.compose(0, after, fc.identity(find_cell(deformed_tower, 0, "y")))
         assert view.s(padded) is fc.source(padded)
-        assert padded not in view._boundaries
+        assert fc.normalize(padded) is not padded
+        assert padded not in view._walks
 
 
 class TestIdentities:
@@ -384,9 +423,10 @@ class TestMutatedViews:
         assert fc.cell_key(mutated.s(end)) == "z"
         assert fc.cell_key(deformed_view.s(end)) == "x"
         assert fc.cell_key(fc.source(end)) == "x"
-        # The overrides win over the view's boundary table.
+        # The overrides win over the view's walk table, which it shares.
         both = mutated.with_target(end, z)
-        assert end in both._boundaries
+        assert both._walks is deformed_view._walks
+        assert fc.cell_key(both._raw_boundary(0, end, "s")) == "x"
         assert both.s(end) is z and both.t(end) is z
         assert fc.cell_key(both.boundary(0, end, "t")) == "z"
         assert both.composable_pairs(1, 0) != deformed_view.composable_pairs(1, 0)

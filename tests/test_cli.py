@@ -85,6 +85,58 @@ class TestParseErrors:
                 5,
                 "unknown point 'q'",
             ),
+            (
+                "[critical]\nx 1\ny 0\n[moduli x y]\ncomponent c0 shape Point\n"
+                "[moduli x y]\n",
+                6,
+                "second [moduli x y] section",
+            ),
+            (
+                "[critical]\nx 1\ny 0\n[moduli x y]\ncomponent c0 shape SphereLike\n",
+                5,
+                "shape 'SphereLike' needs a dimension",
+            ),
+            ("[critical\nx 0\n", 1, "unterminated section header"),
+            ("[critical]\nx 0\n[bogus]\n", 3, "unknown section"),
+            ("[critical]\nx 1 2\n", 2, "expected 'id index'"),
+            ("[critical]\nx one\n", 2, "bad index 'one'"),
+            (
+                "[critical]\nx 1\ny 0\n[moduli x y]\ncomponent c0 shape Point extra\n",
+                5,
+                "unexpected token 'extra'",
+            ),
+            (
+                "[critical]\nx 1\ny 0\n[moduli x y]\n"
+                "component c0 shape Interval endpoints zap\n",
+                5,
+                "bad endpoints syntax",
+            ),
+            (
+                "[critical]\nx 1\ny 0\n[moduli x y]\ncomponent c0 shape Point\n"
+                "component c0 shape Point\n",
+                6,
+                "duplicate component id 'c0'",
+            ),
+            (
+                "[critical]\nN 2\nS 0\n[moduli N S]\ncomponent c0 shape Circle\n"
+                "[declare M(N>S)]\ncritical hi1 index 1 component c0\n"
+                "critical lo1 index 0 component c0\n"
+                "moduli hi1 lo1 component c0 shape Point extra\n",
+                9,
+                "unexpected trailing tokens",
+            ),
+            (
+                "[critical]\nN 2\nS 0\n[declare M(N>S)]\nbogus line\n",
+                5,
+                "unknown declare line",
+            ),
+            ("[critical]\n", 1, "no [critical] section with points"),
+            (
+                "[critical]\nN 2\nS 0\n[moduli N S]\ncomponent c0 shape Circle\n"
+                "[declare M(N>S)]\ncritical N index 1 component c0\n",
+                7,
+                "name 'N' already used at line 2",
+            ),
         ],
     )
     def test_line_numbers_and_messages(self, text, lineno, needle):
@@ -164,6 +216,30 @@ class TestExitCodes:
         undeclared = _write(tmp_path, "s2-bare.ft", fc.render_tower_file(fs))
         assert main(["check", undeclared]) == 3
         assert "declaration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Circle\n\n"
+                "[declare M(N>S)]\ncritical hi1 index 0 component c0\n"
+                "critical lo1 index 0 component c0\n",
+                "error: component 'c0' of M(N>S): a closed shape of dimension 1 needs "
+                "exactly two points with indices 1 and 0, got [('hi1', 0), ('lo1', 0)]",
+            ),
+            (
+                "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Declared 1\n\n"
+                "[declare M(N>S)]\ncritical p index 2 component c0\n",
+                "error: declared point 'p' of 'c0' of M(N>S): index 2 outside 0..1",
+            ),
+        ],
+        ids=["closed-shape-indices", "index-above-dimension"],
+    )
+    def test_bad_declared_points_exit_2(self, tmp_path, capsys, text, error):
+        assert main(["check", _write(tmp_path, "points.ft", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [error]
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.ft")]) == 2

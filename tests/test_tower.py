@@ -286,6 +286,24 @@ class TestBuildControls:
         with pytest.raises(fc.MissingDeclarationError):
             fc.build_tower(fs)
 
+    def test_no_space_lists_one_point_twice(self, deformed_tower):
+        # derive_moduli is asked only about two different entries of a space,
+        # and different entries have different point keys.
+        towers = [deformed_tower]
+        towers += [fc.build_tower(*fc.sphere_system(n)) for n in range(1, 7)]
+        towers += [fc.build_tower(fc.random_system(s)) for s in range(40)]
+        for t in towers:
+            for level in range(1, t.max_level + 1):
+                for sd in t.spaces(level):
+                    keys = [fc.point_key(e.point) for e in sd.morse]
+                    assert len(keys) == len(set(keys)), sd.key
+
+    def test_a_point_derives_nothing_with_itself(self, deformed_tower):
+        for level in range(1, deformed_tower.max_level + 1):
+            for sd in deformed_tower.spaces(level):
+                for e in sd.morse:
+                    assert fc.derive_moduli(sd, e, e, fc.Declarations()) == ()
+
     def test_declarations_lookup_and_rebuild(self):
         fs, decls = fc.sphere_system(2)
         assert decls.get("M(N>S)", "c0") is not None
