@@ -52,6 +52,7 @@ from .stratification import (
     INTERVAL,
     PieceRef,
     Shape,
+    _end_str,
     flow_system,
     parse_shape,
     shape_label,
@@ -283,11 +284,7 @@ def render_tower_file(fs: FlowSystem, decls: Declarations | None = None) -> str:
         for c in comps:
             line = f"component {c.id} shape {shape_label(c.shape)}"
             if c.boundary:
-                ends = " ".join(
-                    "(" + ",".join(f"{pr.component}@{pr.source}>{pr.target}" for pr in end) + ")"
-                    for end in c.boundary
-                )
-                line += f" endpoints {ends}"
+                line += " endpoints " + " ".join(map(_end_str, c.boundary))
             out.append(line)
     by_addr: dict[str, list[tuple[str, ComponentDecl]]] = {}
     for addr, cid, decl in (decls.entries if decls else ()):

@@ -712,4 +712,5 @@ def _face_rules(pt: _PairTable) -> Iterator[Violation]:
 
 
 def _end_str(end: Endpoint) -> str:
+    """An endpoint as tower files write it: ``(c@s>t,...)``."""
     return "(" + ",".join(f"{r.component}@{r.source}>{r.target}" for r in end) + ")"

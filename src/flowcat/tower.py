@@ -64,7 +64,6 @@ __all__ = [
     "InvalidFlowSystemError",
     "MissingDeclarationError",
     "BuildError",
-    "product_critical",
     "derive_moduli",
     "build_tower",
 ]
@@ -177,7 +176,7 @@ class SpaceData:
         stratum = Stratum(source, target, (), (PieceRef(source, target, "0"),), 0)
         return Stratification((stratum,), ())
 
-    @property
+    @cached_property
     def key(self) -> str:
         return address_key(self.address)
 
@@ -217,31 +216,6 @@ class Tower:
             return self._space_of[level - 1][addr_key]
         except KeyError:
             raise KeyError(f"no space {addr_key} at level {level}") from None
-
-
-def product_critical(factors: list[MorseEntry]) -> MorseEntry:
-    """Combine critical points of the factors of a product stratum.
-
-    Height and index add across factors.  Stationary factors contribute
-    nothing and are absorbed: the combined point is identified with the
-    product of the nonstationary factors.
-    """
-
-    if not factors:
-        raise ValueError("product_critical needs at least one factor")
-    live = [f for f in factors if not is_stationary(f.point)]
-    if not live:
-        return factors[0]
-    if len(live) == 1:
-        return live[0]
-    pieces: list[Point] = [f.point for f in live]
-    return MorseEntry(
-        point=Broken(tuple(pieces)),
-        index=sum(f.index for f in live),
-        value=sum((f.value for f in live), Fraction(0)),
-        component="",
-        role="corner",
-    )
 
 
 def _declared_points(
@@ -380,59 +354,43 @@ def _stationary_space(at: Point, ambient: ModuliAddress | None) -> SpaceData:
     return SpaceData(address=addr, components=(comp,), morse=(entry,))
 
 
-@dataclass(frozen=True)
-class _Seed:
-    """One space scheduled for the next round of the build."""
-
-    address: ModuliAddress
-    key: str
-    # the point keys of the address's source and target
-    source: str
-    target: str
-    components: tuple[Component, ...]
-    # the pair table one level down, shared by siblings and kept by the space
-    table: _PairTable
-
-
 def _schedule(
     table: dict[tuple[str, str], tuple[Component, ...]],
     points: list[Point],
     ambient: ModuliAddress | None,
-) -> tuple[list[_Seed], list[SpaceData], set[tuple[str, str]]]:
+) -> tuple[list[SpaceData], list[SpaceData], set[tuple[str, str]]]:
     """The next round over the pair table of one space.
 
     ``table`` maps pairs of point keys of the space to the components
     between them, ``points`` lists the space's critical points and
-    ``ambient`` is its address.  Each pair seeds a space; each point in
-    no pair gets a stationary tail; each chain a > b > c of pairs yields
-    the edge (a,b) > (b,c): heights on the first space exceed those on
-    the second.
+    ``ambient`` is its address.  Each pair seeds a space, with no Morse
+    data until its round mints it; each point in no pair gets a stationary
+    tail; each chain a > b > c of pairs yields the edge (a,b) > (b,c):
+    heights on the first space exceed those on the second.
     """
 
     point_of = {point_key(p): p for p in points}
     pt = _pair_table(table)
-    seeds = []
-    key_of: dict[tuple[str, str], str] = {}
-    for (a, b), comps in table.items():
-        addr = ModuliAddress(point_of[a], point_of[b], ambient)
-        key_of[a, b] = address_key(addr)
-        seeds.append(_Seed(addr, key_of[a, b], a, b, comps, pt))
+    seeds = {
+        (a, b): SpaceData(ModuliAddress(point_of[a], point_of[b], ambient), comps, (), _table=pt)
+        for (a, b), comps in table.items()
+    }
     used = {k for pair in table for k in pair}
     tails = [_stationary_space(p, ambient) for p in points if point_key(p) not in used]
     edges = {
-        (key_of[a, b], key_of[b, c])
+        (seeds[a, b].key, seeds[b, c].key)
         for a, b in table
         for c in pt.succ.get(b, ())
         if len({a, b, c}) == 3
     }
-    return seeds, tails, edges
+    return list(seeds.values()), tails, edges
 
 
 _Minted = dict[tuple[ModuliAddress | None, str, str, str], tuple[MorseEntry, ...]]
 
 
 def _mint(
-    seeds: list[_Seed], edges: set[tuple[str, str]], decls: Declarations
+    seeds: list[SpaceData], edges: set[tuple[str, str]], decls: Declarations
 ) -> _Minted:
     """The points of one round's components, with their heights.
 
@@ -454,17 +412,15 @@ def _mint(
     made: dict[str, list[tuple[str, list[tuple[str, int, int, str]]]]] = {}
     for seed in seeds:
         made[seed.key] = []
+        source, target = point_key(seed.address.source), point_key(seed.address.target)
         for comp in sorted(seed.components, key=lambda c: c.id):
             if comp.dim == 0:
-                names = [(f"{seed.source}/{seed.target}:{comp.id}", 0, 0, "point")]
+                names = [(f"{source}/{target}:{comp.id}", 0, 0, "point")]
             else:
                 dps = _declared_points(decls, seed.key, comp)
-                # _critical_points refuses a stationary space; minting its
-                # declared points would fail in CritPoint before that.
                 names = [
                     (dp.name, dp.index, len(dps) - m, "declared")
                     for m, dp in enumerate(dps)
-                    if not is_stationary(seed.address)
                 ]
             made[seed.key].append((comp.id, names))
     ranks = _base_ranks(list(made), edges)
@@ -472,18 +428,19 @@ def _mint(
     tag = Fraction(1, 2)
     order = sorted(seeds, key=lambda sd: (ranks[sd.key], sd.key))
     for slot, seed in enumerate(order, 1):
+        a = seed.address
         for cid, names in made[seed.key]:
             entries = []
             for name, index, height, role in names:
                 tag /= 2
-                pt = Primitive(CritPoint(name, index, slot + height + tag, seed.address))
+                pt = Primitive(CritPoint(name, index, slot + height + tag, a))
                 entries.append(MorseEntry(pt, index, pt.crit.value, cid, role))
-            minted[seed.address.ambient, seed.source, seed.target, cid] = tuple(entries)
+            minted[a.ambient, point_key(a.source), point_key(a.target), cid] = tuple(entries)
     return minted
 
 
-def _critical_points(seed: _Seed, minted: _Minted) -> tuple[MorseEntry, ...]:
-    """All critical points of the height function on one space.
+def _critical_points(space: SpaceData, minted: _Minted) -> tuple[MorseEntry, ...]:
+    """All critical points of the height function on one seeded space.
 
     Each component contributes its points from ``minted``; an interval
     also contributes its two endpoints (broken points whose pieces are
@@ -491,29 +448,27 @@ def _critical_points(seed: _Seed, minted: _Minted) -> tuple[MorseEntry, ...]:
     higher endpoint).
     """
 
-    if is_stationary(seed.address):
-        raise ValueError("critical_points expects a nonstationary space")
     entries: list[MorseEntry] = []
-    ambient = seed.address.ambient
-    for comp in sorted(seed.components, key=lambda c: c.id):
-        entries.extend(minted[ambient, seed.source, seed.target, comp.id])
+    a = space.address
+    source, target = point_key(a.source), point_key(a.target)
+    for comp in sorted(space.components, key=lambda c: c.id):
+        entries.extend(minted[a.ambient, source, target, comp.id])
         if comp.boundary:
             ends: list[MorseEntry] = []
             for end in comp.boundary:
                 pieces = []
                 for ref in end:
-                    piece = minted.get((ambient, ref.source, ref.target, ref.component), ())
+                    piece = minted.get((a.ambient, ref.source, ref.target, ref.component), ())
                     if [e.role for e in piece] != ["point"]:
                         raise BuildError(
-                            f"endpoint of {comp.id!r} of {seed.key} references "
+                            f"endpoint of {comp.id!r} of {space.key} references "
                             f"{ref.component!r} of ({ref.source},{ref.target}), "
                             "which has no point"
                         )
                     pieces.append(piece[0])
-                combined = product_critical(pieces)
-                ends.append(
-                    MorseEntry(combined.point, 0, combined.value, comp.id, "corner")
-                )
+                point = Broken(tuple(e.point for e in pieces))
+                value = sum((e.value for e in pieces), Fraction(0))
+                ends.append(MorseEntry(point, 0, value, comp.id, "corner"))
             if comp.shape == INTERVAL:
                 hi, lo = sorted(ends, key=lambda e: -e.value)
                 ends = [
@@ -525,6 +480,28 @@ def _critical_points(seed: _Seed, minted: _Minted) -> tuple[MorseEntry, ...]:
     return tuple(entries)
 
 
+def _refuse_unread(
+    decls: Declarations, levels: list[tuple[SpaceData, ...]], complete: bool
+) -> None:
+    """Raise :class:`BuildError` listing the declaration entries the build
+    never read.
+
+    The build reads the entry of every positive-dimensional component of
+    every space it makes.  A build cut short by ``max_level`` refuses only
+    entries on spaces it built: the others may name spaces of levels it
+    did not build.
+    """
+
+    built = {sd.key for spaces in levels for sd in spaces}
+    read = {(sd.key, c.id) for spaces in levels for sd in spaces for c in sd.components if c.dim}
+    unread = sorted(k for k in decls._by_key if k not in read and (complete or k[0] in built))
+    if unread:
+        raise BuildError(
+            "declarations the build never reads: "
+            + "; ".join(f"component {cid!r} of {akey}" for akey, cid in unread)
+        )
+
+
 def build_tower(
     fs: FlowSystem,
     decls: Declarations | None = None,
@@ -533,11 +510,13 @@ def build_tower(
     """Run the iterated construction until only stationary spaces remain.
 
     No space is stratified here; each does so when first read.  Raises
-    :class:`InvalidFlowSystemError` on bad base data and
+    :class:`InvalidFlowSystemError` on bad base data,
     :class:`MissingDeclarationError` where interior data is needed but not
-    declared.  ``max_level`` optionally truncates the build; a complete
-    build needs at most ``max base index + 1`` rounds.  Raises
-    :class:`ValueError` if ``max_level`` is given and below 1.
+    declared, and :class:`BuildError` on a declaration entry the build
+    never reads (see :func:`_refuse_unread`).  ``max_level`` optionally
+    truncates the build; a complete build needs at most ``max base index +
+    1`` rounds.  Raises :class:`ValueError` if ``max_level`` is given and
+    below 1.
     """
 
     if max_level is not None and max_level < 1:
@@ -557,7 +536,7 @@ def build_tower(
             raise BuildError(
                 f"construction failed to terminate within {hard_cap} rounds"
             )
-        seeds: list[_Seed] = []
+        seeds: list[SpaceData] = []
         tails: list[SpaceData] = []
         chain_edges: set[tuple[str, str]] = set()
         for table, points, ambient in rounds:
@@ -567,36 +546,31 @@ def build_tower(
             chain_edges |= edges
         seeds.sort(key=lambda sd: sd.key)
 
+        # Finish every space: its Morse data, then its pair table, the
+        # components of the next space for every ordered pair of its
+        # critical points.
         minted = _mint(seeds, chain_edges, decls)
-        built: list[SpaceData] = []
-        for seed in seeds:
-            entries = _critical_points(seed, minted)
-            built.append(
-                SpaceData(seed.address, seed.components, entries, _table=seed.table)
-            )
-        built += tails
-
-        # Derive the pair table of every space: the components of the
-        # next space for every ordered pair of its critical points.
         rounds = []
         finished: list[SpaceData] = []
-        for data in built:
+        for space in seeds + tails:
+            morse = space.morse if space.stationary else _critical_points(space, minted)
             table: dict[tuple[str, str], tuple[Component, ...]] = {}
-            for p in data.morse:
-                for q in data.morse:
+            for p in morse:
+                for q in morse:
                     if p is q:
                         continue
-                    comps = derive_moduli(data, p, q, decls)
+                    comps = derive_moduli(space, p, q, decls)
                     if comps:
                         table[(point_key(p.point), point_key(q.point))] = comps
-            rounds.append((table, [e.point for e in data.morse], data.address))
+            rounds.append((table, [e.point for e in morse], space.address))
             derived = tuple((a, b, comps) for (a, b), comps in sorted(table.items()))
-            finished.append(replace(data, derived=derived))
+            finished.append(replace(space, morse=morse, derived=derived))
 
         finished.sort(key=lambda d: d.key)
         levels.append(tuple(finished))
         complete = all(d.stationary for d in finished)
         if complete or len(levels) == max_level:
+            _refuse_unread(decls, levels, complete)
             return Tower(
                 base=fs,
                 declarations=decls,

@@ -217,6 +217,21 @@ class TestExitCodes:
         assert main(["check", undeclared]) == 3
         assert "declaration" in capsys.readouterr().err
 
+    def test_pair_without_a_rule_exits_3(self, tmp_path, capsys):
+        # A declared component has no forced rule between its points.
+        text = (
+            "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Declared 1\n\n"
+            "[declare M(N>S)]\ncritical a index 1 component c0\n"
+            "critical b index 0 component c0\n"
+        )
+        assert main(["check", _write(tmp_path, "no-rule.ft", text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: component 'c0' of M(N>S) needs a declaration: no forced rule for "
+            "flow from a to b; declare its components"
+        ]
+
     @pytest.mark.parametrize(
         "text, error",
         [
@@ -358,6 +373,45 @@ class TestDeclaredModuli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [error]
+
+    @pytest.mark.parametrize(
+        "text, unread",
+        [
+            (
+                _CIRCLES + "\n[declare M(hi9>lo1|N>S)]\ncritical yy index 0 component 0\n",
+                "component '0' of M(hi9>lo1|N>S)",
+            ),
+            (
+                _CIRCLES + "critical yy index 0 component 7\n",
+                "component '7' of M(hi1>lo1|N>S)",
+            ),
+            (
+                "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Circle\n\n"
+                "[declare M(N>S)]\ncritical a index 1 component c0\n"
+                "critical b index 0 component c0\n\n"
+                "[declare M(a>b|N>S)]\ncritical pp index 0 component 0\n",
+                "component '0' of M(a>b|N>S)",
+            ),
+        ],
+        ids=["missing-space", "missing-component", "point-component"],
+    )
+    def test_declaration_the_build_never_reads_exits_2(self, tmp_path, capsys, text, unread):
+        # Without the check, these exit 0 with 150, 150 and 56 instances.
+        path = _write(tmp_path, "unread.ft", text)
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: declarations the build never reads: {unread}"
+        ]
+        # Each entry names a level-2 space, which a level-1 build does not make.
+        assert main(["build", path, "--max-level", "1"]) == 0
+
+    def test_truncated_build_refuses_entries_on_spaces_it_made(self):
+        fs, decls = fc.parse_tower_file(_CIRCLES)
+        decls = fc.Declarations(decls.entries + (("M(N>S)", "c9", fc.ComponentDecl()),))
+        with pytest.raises(fc.BuildError, match=r"never reads: component 'c9' of M\(N>S\)$"):
+            fc.build_tower(fs, decls, max_level=1)
 
     @pytest.mark.parametrize("ends", ["hi2 lo1", "hi1 lo2"])
     def test_undeclared_point_is_a_parse_error(self, ends):

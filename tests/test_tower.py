@@ -9,7 +9,6 @@ import pytest
 import flowcat as fc
 from flowcat import tower as tower_module
 from flowcat.stratification import _pair_table, _stratify
-from flowcat.tower import product_critical
 
 
 def _morse(tower: fc.Tower, level: int, space_key: str) -> dict[str, fc.MorseEntry]:
@@ -115,27 +114,6 @@ class TestDeformedHigherLevels:
         src, tgt, comps = sp.derived[0]
         assert src == "(x/y:c0,y/w:a)" and tgt == "(x/y:c0,y/w:b)"
         assert [c.dim for c in comps] == [0]
-
-
-class TestProductCritical:
-    def test_value_and_index_add_over_live_factors(self, deformed_tower):
-        up = _morse(deformed_tower, 1, "M(x>y)")["x/y:c0"]
-        down = _morse(deformed_tower, 1, "M(y>w)")["y/w:a"]
-        got = product_critical([up, down])
-        assert got.value == up.value + down.value == Fraction(101, 16)
-        assert got.index == up.index + down.index == 0
-        assert got.role == "corner"
-        assert fc.point_key(got.point) == "(x/y:c0,y/w:a)"
-
-    def test_stationary_factors_are_absorbed(self, deformed_tower):
-        live = _morse(deformed_tower, 1, "M(x>y)")["x/y:c0"]
-        tail = next(iter(deformed_tower.space(2, "M(x/y:c0>x/y:c0|x>y)").morse))
-        assert tail.role == "stationary"
-        assert product_critical([tail, live]) == live
-        assert product_critical([live]) == live
-        assert product_critical([tail]) == tail
-        with pytest.raises(ValueError):
-            product_critical([])
 
 
 class TestSphereTowers:
