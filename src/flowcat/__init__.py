@@ -6,7 +6,10 @@ level, the compactified spaces of flow lines between critical points of
 the previous level, assembles all their critical points into a leveled
 family of cells with boundary and gluing maps, and machine-verifies the
 category laws those maps satisfy up to a canonical normal form.
+The command line, ``flowcat.cli``, is imported on first use.
 """
+
+import importlib
 
 from .core import (
     Broken,
@@ -37,8 +40,6 @@ from .stratification import (
     boundary_strata,
     flow_system,
     moduli_dimension,
-    parse_shape,
-    shape_label,
     sphere_like,
     validate_flow_system,
 )
@@ -78,7 +79,13 @@ from .axioms import (
     check_globular,
 )
 from .generators import deformed_sphere_system, random_system, sphere_system
-from .cli import ParseError, parse_tower_file, render_tower_file
+from .towerfile import (
+    ParseError,
+    parse_shape,
+    parse_tower_file,
+    render_tower_file,
+    shape_label,
+)
 
 __version__ = "0.1.0"
 
@@ -90,8 +97,8 @@ __all__ = [
     # stratification
     "CIRCLE", "Component", "Endpoint", "FlowSystem", "INTERVAL", "POINT",
     "PieceRef", "Shape", "Stratification", "Stratum", "Violation",
-    "boundary_strata", "flow_system", "moduli_dimension", "parse_shape",
-    "shape_label", "sphere_like", "validate_flow_system",
+    "boundary_strata", "flow_system", "moduli_dimension", "sphere_like",
+    "validate_flow_system",
     # tower
     "BuildError", "ComponentDecl", "DeclaredModuli", "DeclaredPoint",
     "Declarations", "InvalidFlowSystemError", "MissingDeclarationError",
@@ -106,6 +113,14 @@ __all__ = [
     # generators
     "deformed_sphere_system", "random_system", "sphere_system",
     # tower files
-    "ParseError", "parse_tower_file", "render_tower_file",
+    "ParseError", "parse_shape", "parse_tower_file", "render_tower_file",
+    "shape_label",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # ``from . import cli`` here would call this function again for "cli".
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ data such as key strings and normal forms is memoized on the node.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import wraps
 from typing import Union
@@ -163,7 +163,7 @@ class CritPoint:
     id: str
     index: int
     value: Fraction
-    home: ModuliAddress | None = None
+    home: ModuliAddress | None = field(default=None, repr=False)
 
     def __new__(cls, id, index, value, home=None):
         # Keyed by numerator and denominator, whose hashes run no Python code

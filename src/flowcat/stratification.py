@@ -20,11 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .core import (
-    CritPoint,
-    ModuliAddress,
-    Primitive,
-)
+from .core import CritPoint
 
 __all__ = [
     "Shape",
@@ -33,8 +29,6 @@ __all__ = [
     "CIRCLE",
     "sphere_like",
     "declared_shape",
-    "parse_shape",
-    "shape_label",
     "PieceRef",
     "Component",
     "Stratum",
@@ -96,34 +90,6 @@ def declared_shape(dim: int) -> Shape:
     return Shape("declared", dim)
 
 
-_SHAPE_WORDS = {"Point": POINT, "Interval": INTERVAL, "Circle": CIRCLE}
-
-
-def parse_shape(text: str) -> Shape:
-    """Parse a shape label: Point | Interval | Circle | SphereLike k | Declared d."""
-
-    words = text.split()
-    if len(words) == 1 and words[0] in _SHAPE_WORDS:
-        return _SHAPE_WORDS[words[0]]
-    if len(words) == 2 and words[0] == "SphereLike":
-        return sphere_like(int(words[1]))
-    if len(words) == 2 and words[0] == "Declared":
-        return declared_shape(int(words[1]))
-    raise ValueError(f"unknown shape {text!r}")
-
-
-def shape_label(shape: Shape) -> str:
-    if shape.kind == "point":
-        return "Point"
-    if shape.kind == "interval":
-        return "Interval"
-    if shape.kind == "circle":
-        return "Circle"
-    if shape.kind == "sphere":
-        return f"SphereLike {shape.k}"
-    return f"Declared {shape.k}"
-
-
 @dataclass(frozen=True, order=True)
 class PieceRef:
     """Reference to one factor component of a broken configuration.
@@ -152,7 +118,6 @@ class Component:
     """
 
     id: str
-    ambient: ModuliAddress
     shape: Shape
     boundary: tuple[Endpoint, ...] = ()
 
@@ -312,20 +277,8 @@ def flow_system(
         )
         for pid, _ in points
     )
-    by_id = {p.id: p for p in crit}
-
-    def addr(s: str, t: str) -> ModuliAddress:
-        return ModuliAddress(Primitive(by_id[s]), Primitive(by_id[t]))
-
     pairs = tuple(
-        (
-            s,
-            t,
-            tuple(
-                Component(id=cid, ambient=addr(s, t), shape=shape, boundary=boundary)
-                for cid, shape, boundary in comps
-            ),
-        )
+        (s, t, tuple(Component(cid, shape, boundary) for cid, shape, boundary in comps))
         for (s, t), comps in sorted(moduli.items())
     )
     return FlowSystem(points=crit, pairs=pairs)

@@ -300,7 +300,6 @@ def derive_moduli(
         return ()
     if p.value <= q.value or p.index <= q.index:
         return ()
-    new_addr = ModuliAddress(p.point, q.point, space.address)
 
     comp = next(c for c in space.components if c.id == p.component)
     decl = decls.get(akey, comp.id)
@@ -310,20 +309,16 @@ def derive_moduli(
                 want = p.index - q.index - 1
                 for cid, shape in dm.components:
                     if shape.dim != want:
+                        addr = ModuliAddress(p.point, q.point, space.address)
                         raise BuildError(
-                            f"declared component {cid!r} of {address_key(new_addr)} has "
+                            f"declared component {cid!r} of {address_key(addr)} has "
                             f"dimension {shape.dim}, but {pk} (index {p.index}) and {qk} "
                             f"(index {q.index}) in {akey} need dimension {want}"
                         )
-                return tuple(
-                    Component(id=cid, ambient=new_addr, shape=shape, boundary=())
-                    for cid, shape in dm.components
-                )
+                return tuple(Component(cid, shape) for cid, shape in dm.components)
 
     def points(*ids: str) -> tuple[Component, ...]:
-        return tuple(
-            Component(id=cid, ambient=new_addr, shape=POINT, boundary=()) for cid in ids
-        )
+        return tuple(Component(cid, POINT) for cid in ids)
 
     if comp.shape == INTERVAL and {p.role, q.role} == {"end_max", "end_min"}:
         return points("0")
@@ -334,7 +329,7 @@ def derive_moduli(
         if k == 0:
             return points("0", "1")
         shape = CIRCLE if k == 1 else sphere_like(k)
-        return (Component(id="0", ambient=new_addr, shape=shape, boundary=()),)
+        return (Component("0", shape),)
 
     raise MissingDeclarationError(
         akey,
@@ -349,9 +344,8 @@ def _stationary_space(at: Point, ambient: ModuliAddress | None) -> SpaceData:
 
     pt = stationary_point(at, ambient)
     addr = pt.crit.home
-    comp = Component(id="0", ambient=addr, shape=POINT, boundary=())
     entry = MorseEntry(pt, 0, Fraction(0), "0", "stationary")
-    return SpaceData(address=addr, components=(comp,), morse=(entry,))
+    return SpaceData(address=addr, components=(Component("0", POINT),), morse=(entry,))
 
 
 def _schedule(
@@ -456,16 +450,7 @@ def _critical_points(space: SpaceData, minted: _Minted) -> tuple[MorseEntry, ...
         if comp.boundary:
             ends: list[MorseEntry] = []
             for end in comp.boundary:
-                pieces = []
-                for ref in end:
-                    piece = minted.get((a.ambient, ref.source, ref.target, ref.component), ())
-                    if [e.role for e in piece] != ["point"]:
-                        raise BuildError(
-                            f"endpoint of {comp.id!r} of {space.key} references "
-                            f"{ref.component!r} of ({ref.source},{ref.target}), "
-                            "which has no point"
-                        )
-                    pieces.append(piece[0])
+                pieces = [minted[a.ambient, r.source, r.target, r.component][0] for r in end]
                 point = Broken(tuple(e.point for e in pieces))
                 value = sum((e.value for e in pieces), Fraction(0))
                 ends.append(MorseEntry(point, 0, value, comp.id, "corner"))

@@ -48,6 +48,18 @@ class TestRoundTrip:
             got_fs, _ = fc.parse_tower_file(fc.render_tower_file(fs))
             assert got_fs == fs
 
+    def test_declared_shapes(self):
+        text = (
+            "[critical]\nN 3\nS 0\n\n[moduli N S]\ncomponent c0 shape Declared 2\n\n"
+            "[declare M(N>S)]\ncritical a index 2 component c0\n"
+            "critical b index 0 component c0\n"
+            "moduli a b component 0 shape Declared 1\n"
+        )
+        fs, decls = fc.parse_tower_file(text)
+        assert fs.components("N", "S")[0].shape == fc.parse_shape("Declared 2")
+        assert fc.render_tower_file(fs, decls) == text
+        assert fc.parse_tower_file(fc.render_tower_file(fs, decls)) == (fs, decls)
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# heading\n\n[critical]\nx 1  # max\ny 0\n\n[moduli x y]\ncomponent c0 shape Point\n"
         fs, _ = fc.parse_tower_file(text)
@@ -130,6 +142,16 @@ class TestParseErrors:
                 5,
                 "unknown declare line",
             ),
+            (
+                "[critical]\nN 2\nS 0\n[declare M(N>S)]\ncritical hi1 index 1 c0\n",
+                5,
+                "expected 'critical <name> index <k> component <id>'",
+            ),
+            (
+                "[critical]\nN 2\nS 0\n[declare M(N>S)]\nmoduli a b shape Point\n",
+                5,
+                "expected 'moduli <p> <q> component <id> shape <shape>'",
+            ),
             ("[critical]\n", 1, "no [critical] section with points"),
             (
                 "[critical]\nN 2\nS 0\n[moduli N S]\ncomponent c0 shape Circle\n"
@@ -182,6 +204,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"error: sphere dimension must be >= 1, got {n}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "option, error",
+        [
+            ("--max-points=1", "error: need room for at least 2 points\n"),
+            ("--max-index=0", "error: need at least two index values\n"),
+        ],
+    )
+    def test_generate_random_without_room_exits_2(self, option, error, capsys):
+        assert main(["generate", "random", "--seed", "0", option]) == 2
+        assert capsys.readouterr() == ("", error)
 
     @pytest.mark.parametrize("level", ["0", "-1"])
     def test_build_bad_max_level_exits_2(self, level, deformed_file, capsys):
@@ -260,6 +293,19 @@ class TestExitCodes:
         assert main(["check", str(tmp_path / "nope.ft")]) == 2
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["cells"], ["export-dot"], ["compose", "--p", "0", "--after", "a", "--first", "b"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_file_exits_2_in_every_reader(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "nope.ft")
+        assert main([command[0], missing, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {missing}: ")
+        assert captured.err.count("\n") == 1
+
     def test_undecodable_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.ft"
         path.write_bytes(b"[critical]\nx\xe9 1\n")
@@ -271,8 +317,25 @@ class TestExitCodes:
         proc = _run_cli("check", missing, module="flowcat.cli", capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert errors == ["error: flowcat.cli is not a command; run python -m flowcat"]
+        assert proc.stderr == "error: flowcat.cli is not a command; run python -m flowcat\n"
+
+    def test_import_leaves_the_command_line_out(self):
+        # The library does not need argparse; flowcat.cli loads on first use.
+        code = (
+            "import sys, flowcat\n"
+            "assert 'flowcat.cli' not in sys.modules and 'argparse' not in sys.modules\n"
+            "assert callable(flowcat.cli.main) and flowcat.cli.build_tower\n"
+            "assert 'argparse' in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_byte_order_mark_is_skipped(self, tmp_path, deformed_file, capsys):
         bom = tmp_path / "bom.ft"

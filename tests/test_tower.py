@@ -150,6 +150,11 @@ class TestSphereTowers:
         base_dim = max(fc.moduli_dimension(t.base, s, x) for s, x, _ in t.base.pairs)
         assert len(nontrivial) <= base_dim + 1
 
+    def test_repr_grows_polynomially_with_depth(self):
+        # A point's repr leaves out its home, the space printed around it;
+        # printing the home chain with every point made n = 10 take 157 MB.
+        assert len(repr(fc.build_tower(*fc.sphere_system(10)))) < 100_000
+
     def test_sibling_ambients_keep_their_own_points(self):
         # Both circles declare points named n and s, so the level-2 spaces
         # M(n>s|N>S) and M(n>s|M>S) have ends with the same point keys.
