@@ -3,10 +3,16 @@
 The checker quantifies over the finitely many cells of a built tower
 and verifies, per law, every instance: boundary coherence of the cell
 maps, sources and targets of composites, identity boundaries, unit
-laws, associativity, and the two interchange laws.  Two sides of a law
-count as equal when their normal forms agree; the report also counts
-how often they agree as raw trees, which measures how far the structure
-is from strict.
+laws, associativity, and the two interchange laws.
+
+Each law family is a generator of instances ``(level, p, q, cells, what,
+sides)``, and one loop, ``_tally``, runs them all.  ``sides()`` returns
+``(lhs, rhs, strict)``, or raises ``ValueError`` with the failure text.
+An instance is strict when ``strict`` is true; otherwise it holds when
+the two sides have one normal form, and fails naming both.  The loop
+calls ``sides`` before it resumes the generator, so ``sides`` may close
+over the generator's loop variables, and it sends back whether ``sides``
+returned, so a family skips the rest of a group after a side that raised.
 
 Every law is checked through the view's maps and tables, so a single
 overridden entry (a redirected boundary, a rewired identity, a patched
@@ -15,6 +21,7 @@ composition result) makes exactly the affected law fail.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 
 from .category import GlobularSet, normalize
@@ -106,73 +113,35 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-class _Recorder:
-    """Collects instances, strict matches, and failures for one tag."""
-
-    def __init__(self, tag: str) -> None:
-        self.tag = tag
-        self.instances = 0
-        self.strict = 0
-        self.failures: list[Failure] = []
-
-    def compare(self, lhs: Cell, rhs: Cell, *, what: str, strict=None, **at) -> None:
-        """Count one instance: strict, equal up to normal form, or failed.
-
-        Two sides are equal when their normal forms are one node.  ``strict``
-        says whether the raw sides are one node, by default ``lhs is rhs``;
-        the laws that pass normal forms give it.  Sides that are one node are
-        never normalized.
-        """
-
-        if lhs is rhs if strict is None else strict:
-            self.strict += 1
-        elif lhs is not rhs and (nl := normalize(lhs)) is not (nr := normalize(rhs)):
-            self.error(f"{what}: {cell_key(nl)}  !=  {cell_key(nr)}", **at)
-            return
-        self.instances += 1
-
-    def error(
-        self,
-        message: str,
-        *,
-        level: int,
-        p: int | None = None,
-        q: int | None = None,
-        cells: tuple[Cell, ...] = (),
-    ) -> None:
-        self.instances += 1
-        self.failures.append(
-            Failure(
-                tag=self.tag,
-                level=level,
-                p=p,
-                q=q,
-                cells=tuple(cell_key(c) for c in cells),
-                detail=message,
-            )
-        )
-
-    def report(self) -> TagReport:
-        return TagReport(
-            tag=self.tag,
-            instances=self.instances,
-            strict=self.strict,
-            failures=tuple(self.failures),
-        )
+_Sides = Callable[[], tuple[Cell, Cell, bool]]
+_Instances = Generator[
+    tuple[int, int | None, int | None, tuple[Cell, ...], str, _Sides], bool, None
+]
 
 
-def _as_view(x: GlobularSet | Tower) -> GlobularSet:
-    return x if isinstance(x, GlobularSet) else GlobularSet(x)
+def _raw(lhs: Cell, rhs: Cell) -> tuple[Cell, Cell, bool]:
+    """Two sides, strict when they are one raw node."""
+
+    return lhs, rhs, lhs is rhs
 
 
-def check_globular(x: GlobularSet | Tower) -> TagReport:
+def _refused(message: str) -> _Sides:
+    """The sides of an instance whose precondition fails with ``message``."""
+
+    def sides():
+        raise ValueError(message)
+
+    return sides
+
+
+def _globular(X: GlobularSet) -> _Instances:
     """Boundary coherence: maps land one level down and agree two down.
 
     # s(s(c)) = s(t(c)) and t(s(c)) = t(t(c))
+
+    The landing check is one instance, never strict.
     """
 
-    X = _as_view(x)
-    rec = _Recorder("globular")
     for level in range(1, X.n + 1):
         below = {normalize(c) for c in X.cells(level - 1)}
         for c in X.cells(level):
@@ -182,82 +151,57 @@ def check_globular(x: GlobularSet | Tower) -> TagReport:
                 for side, cell in (("source", s), ("target", t))
                 if cell.level != level - 1 or normalize(cell) not in below
             ]
+            at = (level, None, None, (c,))
             if bad:
-                rec.error(
-                    f"{' and '.join(bad)} not a level-{level - 1} cell",
-                    level=level, cells=(c,),
-                )
+                yield *at, "", _refused(f"{' and '.join(bad)} not a level-{level - 1} cell")
                 continue
-            # The landing check is one instance, never counted as strict.
-            rec.instances += 1
+            yield *at, "", lambda: (c, c, False)
             if level >= 2:
-                rec.compare(
-                    X.s(s), X.s(t), level=level, cells=(c,), what="s∘s vs s∘t"
-                )
-                rec.compare(
-                    X.t(s), X.t(t), level=level, cells=(c,), what="t∘s vs t∘t"
-                )
-    return rec.report()
+                yield *at, "s∘s vs s∘t", lambda: _raw(X.s(s), X.s(t))
+                yield *at, "t∘s vs t∘t", lambda: _raw(X.t(s), X.t(t))
 
 
-def _check_a(X: GlobularSet) -> TagReport:
+def _law_a(X: GlobularSet) -> _Instances:
     """Sources and targets of composites.
 
     # p = l-1:  s(C∘A) = s(A),  t(C∘A) = t(C)
     # p < l-1:  s(C∘A) = s(C)∘s(A),  t(C∘A) = t(C)∘t(A)
     """
 
-    rec = _Recorder("a")
     for level in range(1, X.n + 1):
         for p in range(level):
             for C, A in X.composable_pairs(level, p):
-                try:
-                    glued = X.compose(p, C, A)
-                    if p == level - 1:
-                        rec.compare(
-                            X.s(glued), X.s(A), level=level, p=p,
-                            cells=(C, A), what="s of composite",
-                        )
-                        rec.compare(
-                            X.t(glued), X.t(C), level=level, p=p,
-                            cells=(C, A), what="t of composite",
-                        )
-                    else:
-                        rec.compare(
-                            X.s(glued), X.compose(p, X.s(C), X.s(A)),
-                            level=level, p=p, cells=(C, A), what="s of composite",
-                        )
-                        rec.compare(
-                            X.t(glued), X.compose(p, X.t(C), X.t(A)),
-                            level=level, p=p, cells=(C, A), what="t of composite",
-                        )
-                except ValueError as e:
-                    rec.error(str(e), level=level, p=p, cells=(C, A))
-    return rec.report()
+                at = (level, p, None, (C, A))
+                if p == level - 1:
+                    s = lambda: _raw(X.s(X.compose(p, C, A)), X.s(A))
+                    t = lambda: _raw(X.t(X.compose(p, C, A)), X.t(C))
+                else:
+                    s = lambda: _raw(X.s(X.compose(p, C, A)), X.compose(p, X.s(C), X.s(A)))
+                    t = lambda: _raw(X.t(X.compose(p, C, A)), X.compose(p, X.t(C), X.t(A)))
+                if (yield *at, "s of composite", s):
+                    yield *at, "t of composite", t
 
 
-def _check_b(X: GlobularSet) -> TagReport:
+def _law_b(X: GlobularSet) -> _Instances:
     """Identity boundaries.
 
     # s(1_A) = A = t(1_A)
     """
 
-    rec = _Recorder("b")
     for level in range(X.n):
         for A in X.cells(level):
             one = X.identity(A)
+            at = (level, None, None, (A,))
             if one.level != level + 1:
-                rec.error(
-                    f"identity lands at level {one.level}, expected {level + 1}",
-                    level=level, cells=(A,),
+                yield *at, "", _refused(
+                    f"identity lands at level {one.level}, expected {level + 1}"
                 )
                 continue
-            rec.compare(X.s(one), A, level=level, cells=(A,), what="s of identity")
-            rec.compare(X.t(one), A, level=level, cells=(A,), what="t of identity")
-    return rec.report()
+            yield *at, "s of identity", lambda: _raw(X.s(one), A)
+            yield *at, "t of identity", lambda: _raw(X.t(one), A)
 
 
-def _check_c(X: GlobularSet) -> TagReport:
+def _law_c(X: GlobularSet) -> _Instances:
     """Associativity of each gluing.
 
     # (E∘C)∘A = E∘(C∘A)
@@ -269,7 +213,6 @@ def _check_c(X: GlobularSet) -> TagReport:
     with a compose override.
     """
 
-    rec = _Recorder("c")
     raw = "compose" in X._maps
     for level in range(1, X.n + 1):
         for p in range(level):
@@ -279,20 +222,15 @@ def _check_c(X: GlobularSet) -> TagReport:
                 by_left.setdefault(c, []).append(a)
             for E, C in pairs:
                 for A in by_left.get(C, []):
-                    try:
+
+                    def sides():
                         EC = X.compose(p, E, C)
                         lhs = X.normal_compose(p, EC, A)
                         CA = X.compose(p, C, A)
                         rhs = X.normal_compose(p, E, CA)
-                        rec.compare(
-                            lhs, rhs,
-                            strict=raw and X.compose(p, EC, A) == X.compose(p, E, CA),
-                            level=level, p=p, cells=(E, C, A),
-                            what="re-associated composites",
-                        )
-                    except ValueError as e:
-                        rec.error(str(e), level=level, p=p, cells=(E, C, A))
-    return rec.report()
+                        return lhs, rhs, raw and X.compose(p, EC, A) == X.compose(p, E, CA)
+
+                    yield level, p, None, (E, C, A), "re-associated composites", sides
 
 
 def _identities(X: GlobularSet, stacks: dict, x: Cell, k: int) -> Cell:
@@ -307,13 +245,12 @@ def _identities(X: GlobularSet, stacks: dict, x: Cell, k: int) -> Cell:
     return one
 
 
-def _check_d(X: GlobularSet) -> TagReport:
+def _law_d(X: GlobularSet) -> _Instances:
     """Units: iterated identities on either boundary absorb.
 
     # 1^{l-p}(t^{l-p}(A)) ∘ A = A = A ∘ 1^{l-p}(s^{l-p}(A))
     """
 
-    rec = _Recorder("d")
     stacks: dict[tuple[Cell, int], Cell] = {}
     for level in range(1, X.n + 1):
         for A in X.cells(level):
@@ -327,29 +264,24 @@ def _check_d(X: GlobularSet) -> TagReport:
                 k = level - p
                 tt = _identities(X, stacks, targets[k], k)
                 ss = _identities(X, stacks, sources[k], k)
-                try:
-                    for what, after, first in (
-                        ("left unit", tt, A), ("right unit", A, ss)
-                    ):
-                        # A glued unit composite is never A itself: its top is
-                        # broken.  Only an overridden one can be strict.
-                        rec.compare(
-                            X.normal_compose(p, after, first), normalize(A),
-                            strict=X._compose_override(p, after, first) is A,
-                            level=level, p=p, cells=(A,), what=what,
-                        )
-                except ValueError as e:
-                    rec.error(str(e), level=level, p=p, cells=(A,))
-    return rec.report()
+                for what, after, first in (("left unit", tt, A), ("right unit", A, ss)):
+                    # A glued unit composite is never A itself: its top is
+                    # broken.  Only an overridden one can be strict.
+                    sides = lambda: (
+                        X.normal_compose(p, after, first),
+                        normalize(A),
+                        X._compose_override(p, after, first) is A,
+                    )
+                    if not (yield level, p, None, (A,), what, sides):
+                        break
 
 
-def _check_e(X: GlobularSet) -> TagReport:
+def _law_e(X: GlobularSet) -> _Instances:
     """Interchange of two gluings at different levels.
 
     # (H∘ₚE)∘_q(C∘ₚA) = (H∘_qC)∘ₚ(E∘_qA)   for q < p
     """
 
-    rec = _Recorder("e")
     bd = X.boundary
     for level in range(2, X.n + 1):
         for p in range(1, level):
@@ -363,62 +295,82 @@ def _check_e(X: GlobularSet) -> TagReport:
                     below.setdefault((bd(q, C, "t"), bd(q, A, "t")), []).append((C, A))
                 for H, E in pairs:
                     for C, A in below.get((bd(q, H, "s"), bd(q, E, "s")), ()):
-                        try:
-                            lhs = X.compose(
-                                q, X.compose(p, H, E), X.compose(p, C, A)
-                            )
-                            rhs = X.compose(
-                                p, X.compose(q, H, C), X.compose(q, E, A)
-                            )
-                            rec.compare(
-                                lhs, rhs, level=level, p=p, q=q,
-                                cells=(H, E, C, A), what="interchanged composites",
-                            )
-                        except ValueError as e:
-                            rec.error(
-                                str(e), level=level, p=p, q=q, cells=(H, E, C, A)
-                            )
-    return rec.report()
+                        sides = lambda: _raw(
+                            X.compose(q, X.compose(p, H, E), X.compose(p, C, A)),
+                            X.compose(p, X.compose(q, H, C), X.compose(q, E, A)),
+                        )
+                        yield level, p, q, (H, E, C, A), "interchanged composites", sides
 
 
-def _check_f(X: GlobularSet) -> TagReport:
+def _law_f(X: GlobularSet) -> _Instances:
     """Interchange of identities with gluing.
 
     # 1_C ∘ₚ 1_A = 1_{C∘ₚA}
     """
 
-    rec = _Recorder("f")
     for level in range(1, X.n):
         for p in range(level):
             for C, A in X.composable_pairs(level, p):
                 oneC, oneA = X.identity(C), X.identity(A)
+                at = (level, p, None, (C, A))
                 if not X.composable(p, oneC, oneA):
-                    rec.error(
-                        "identities of a gluable pair do not glue",
-                        level=level, p=p, cells=(C, A),
-                    )
+                    yield *at, "", _refused("identities of a gluable pair do not glue")
                     continue
-                try:
-                    lhs = X.compose(p, oneC, oneA)
-                    rhs = X.identity(X.compose(p, C, A))
-                    rec.compare(
-                        lhs, rhs, level=level, p=p, cells=(C, A),
-                        what="identity of composite",
-                    )
-                except ValueError as e:
-                    rec.error(str(e), level=level, p=p, cells=(C, A))
-    return rec.report()
+                yield *at, "identity of composite", lambda: _raw(
+                    X.compose(p, oneC, oneA), X.identity(X.compose(p, C, A))
+                )
 
 
-_CHECKS = {
-    "globular": check_globular,
-    "a": _check_a,
-    "b": _check_b,
-    "c": _check_c,
-    "d": _check_d,
-    "e": _check_e,
-    "f": _check_f,
+_LAWS: dict[str, Callable[[GlobularSet], _Instances]] = {
+    "globular": _globular,
+    "a": _law_a,
+    "b": _law_b,
+    "c": _law_c,
+    "d": _law_d,
+    "e": _law_e,
+    "f": _law_f,
 }
+
+
+def _tally(tag: str, X: GlobularSet) -> TagReport:
+    """Count, compare and record every instance of one law family."""
+
+    instances = _LAWS[tag](X)
+    count = strict = 0
+    failures: list[Failure] = []
+    returned = None
+    while True:
+        try:
+            level, p, q, cells, what, sides = instances.send(returned)
+        except StopIteration:
+            break
+        count += 1
+        returned = False
+        try:
+            lhs, rhs, same = sides()
+        except ValueError as e:
+            detail = str(e)
+        else:
+            returned = True
+            if same:
+                strict += 1
+                continue
+            # _Sides that are one node are never normalized.
+            if lhs is rhs or (nl := normalize(lhs)) is (nr := normalize(rhs)):
+                continue
+            detail = f"{what}: {cell_key(nl)}  !=  {cell_key(nr)}"
+        failures.append(Failure(tag, level, p, q, tuple(map(cell_key, cells)), detail))
+    return TagReport(tag, count, strict, tuple(failures))
+
+
+def _as_view(x: GlobularSet | Tower) -> GlobularSet:
+    return x if isinstance(x, GlobularSet) else GlobularSet(x)
+
+
+def check_globular(x: GlobularSet | Tower) -> TagReport:
+    """Boundary coherence: maps land one level down and agree two down."""
+
+    return _tally("globular", _as_view(x))
 
 
 def check_axiom(tag: str, x: GlobularSet | Tower) -> TagReport:
@@ -426,11 +378,11 @@ def check_axiom(tag: str, x: GlobularSet | Tower) -> TagReport:
 
     if tag not in AXIOM_TAGS:
         raise ValueError(f"unknown axiom tag {tag!r}; expected one of {AXIOM_TAGS}")
-    return _CHECKS[tag](_as_view(x))
+    return _tally(tag, _as_view(x))
 
 
 def check_all(x: GlobularSet | Tower) -> AxiomReport:
     """Check boundary coherence and all six laws; deterministic order."""
 
     X = _as_view(x)
-    return AxiomReport(tuple(check(X) for check in _CHECKS.values()))
+    return AxiomReport(tuple(_tally(tag, X) for tag in _LAWS))

@@ -410,8 +410,11 @@ def _refines(
     return True
 
 
-def _stratify(pt: _PairTable, source: str, target: str) -> Stratification:
-    """Enumerate strata (all chains, all factor choices) with closure.
+def _strata(
+    pt: _PairTable, source: str, target: str, chains: list[tuple[str, ...]]
+) -> list[Stratum]:
+    """The strata over the given chains of intermediates, one per choice of
+    factor components, sorted by depth, intermediates and factors.
 
     ``pt`` is the pair table of the space one level down, whose points
     ``source`` and ``target`` are.
@@ -419,7 +422,7 @@ def _stratify(pt: _PairTable, source: str, target: str) -> Stratification:
 
     table, comp_of = pt.pairs, pt.comp_of
     strata: list[Stratum] = []
-    for mids in _chains(pt, source, target):
+    for mids in chains:
         chain = (source,) + mids + (target,)
         segs = list(zip(chain, chain[1:]))
         choices: list[tuple[PieceRef, ...]] = [()]
@@ -444,11 +447,18 @@ def _stratify(pt: _PairTable, source: str, target: str) -> Stratification:
     strata.sort(key=lambda s: (len(s.intermediates), s.intermediates, tuple(
         (r.source, r.target, r.component) for r in s.factors
     )))
+    return strata
+
+
+def _stratify(pt: _PairTable, source: str, target: str) -> Stratification:
+    """Enumerate strata (all chains, all factor choices) with closure."""
+
+    strata = _strata(pt, source, target, _chains(pt, source, target))
     closure = tuple(
         (i, j)
         for i, sub in enumerate(strata)
         for j, sup in enumerate(strata)
-        if _refines(sub, sup, comp_of)
+        if _refines(sub, sup, pt.comp_of)
     )
     return Stratification(strata=tuple(strata), closure=closure)
 
@@ -643,19 +653,27 @@ def _breaking_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
 
 
 def _face_rules(pt: _PairTable) -> Iterator[Violation]:
-    """Face-of-face: every double break refines through a single break."""
+    """Face-of-face: every double break refines through a single break.
+
+    Only pairs with a chain of two or more intermediates have a double
+    break, and a stratum broken at ``mids`` with one point dropped can lie
+    only in the closure of the strata broken at exactly the rest.
+    """
 
     for x, z in sorted(pt.pairs):
-        strat = _stratify(pt, x, z)
-        faces: dict[int, set[tuple[str, ...]]] = {}
-        for i, j in strat.closure:
-            faces.setdefault(i, set()).add(strat.strata[j].intermediates)
-        for i, sub in enumerate(strat.strata):
+        chains = _chains(pt, x, z)
+        if not chains or len(chains[-1]) < 2:
+            continue
+        strata = _strata(pt, x, z, chains)
+        by_mids: dict[tuple[str, ...], list[Stratum]] = {}
+        for stratum in strata:
+            by_mids.setdefault(stratum.intermediates, []).append(stratum)
+        for sub in strata:
             if sub.depth < 2:
                 continue
             for drop in range(sub.depth):
                 mids = sub.intermediates[:drop] + sub.intermediates[drop + 1 :]
-                if mids not in faces.get(i, ()):
+                if not any(_refines(sub, sup, pt.comp_of) for sup in by_mids.get(mids, ())):
                     yield Violation(
                         "face-of-face",
                         f"stratum of ({x},{z}) broken at {sub.intermediates} does not "

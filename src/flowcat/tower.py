@@ -326,8 +326,6 @@ def derive_moduli(
         return points("0", "1")
     if comp.shape.kind == "sphere" and p.role == q.role == "declared":
         k = comp.dim - 1
-        if k == 0:
-            return points("0", "1")
         shape = CIRCLE if k == 1 else sphere_like(k)
         return (Component("0", shape),)
 

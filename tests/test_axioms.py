@@ -237,6 +237,14 @@ class TestFailureBranches:
             "identities of a gluable pair do not glue",
         )
 
+    def test_a_composite_that_does_not_glue_is_one_law_a_failure(self, deformed_tower):
+        # The rerouted target makes six pairs composable under the view's maps
+        # that do not glue raw: each is one failed instance, not one per side.
+        mutated = _mutants(deformed_tower, fc.GlobularSet(deformed_tower))["globular"]
+        rep = fc.check_axiom("a", mutated)
+        assert rep.line() == "a: FAIL (6 instances) — 58 instances, 52 strictly equal"
+        assert all("do not glue" in f.detail for f in rep.failures)
+
 
 def _count_joins(monkeypatch):
     """Patch ``category._join`` to record its calls; returns the record."""

@@ -261,6 +261,27 @@ class TestComposition:
                         f"cells of different levels do not glue: {message}"
                     )
 
+    def test_composites_are_cells_of_the_tower(self, deformed_tower, random_towers):
+        # Composition is the inclusion of broken flow lines: the composite of
+        # every composable pair normalizes onto a cell of its level or onto
+        # an iterated identity of a lower cell.
+        towers = [
+            deformed_tower,
+            *(fc.build_tower(*fc.sphere_system(n)) for n in range(1, 9)),
+            *random_towers.values(),
+            *(fc.build_tower(fc.random_system(seed)) for seed in range(20, 40)),
+        ]
+        glued = 0
+        for t in towers:
+            X = fc.GlobularSet(t)
+            for level in range(1, t.max_level + 1):
+                ext = {fc.normalize(c) for c in fc.extended_cells(t, level)}
+                for p in range(level):
+                    for C, A in X.composable_pairs(level, p):
+                        assert fc.normalize(X.compose(p, C, A)) in ext, (p, _nkey(C), _nkey(A))
+                        glued += 1
+        assert glued == 679
+
     def test_unit_composite_normalizes_to_the_cell(self, deformed_tower):
         c = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
         glued = fc.compose(0, after=c, first=fc.identity(fc.source(c)))

@@ -802,6 +802,14 @@ class TestProperties:
         assert self._check(directory, text.encode("utf-8")) in self.EXIT_CODES
 
     @settings(max_examples=60, deadline=None)
+    @given(text=_mutated_text())
+    def test_mutated_text_never_fails_a_law(self, tmp_path_factory, text):
+        # Whatever builds is an almost-strict n-category: a mutated file is
+        # refused (2 or 3) or checks clean, and never exits 1.
+        directory = tmp_path_factory.getbasetemp()
+        assert self._check(directory, text.encode("utf-8")) in {0, 2, 3}
+
+    @settings(max_examples=60, deadline=None)
     @given(data=st.one_of(
         st.lists(st.one_of(_words, _lines), max_size=30).map(" ".join),
         st.lists(st.one_of(_words, _lines), max_size=30).map("\n".join),

@@ -284,6 +284,44 @@ class TestValidatorViolations:
             dup = ["[dup-point] duplicate critical point id 'x'"] * len(twice)
             assert [str(v) for v in fc.validate_flow_system(bad)] == dup + [message] * 2
 
+    def test_face_of_face_holds_on_a_chain_broken_twice(self):
+        # x > a > b > w: each broken pair of neighbours bounds an interval,
+        # so every stratum of (x,w) broken at a and b refines through both
+        # single breaks, and the closed (x,w) lists no boundary.
+        R = fc.PieceRef
+        fs = fc.flow_system(
+            [("x", 3), ("a", 2), ("b", 1), ("w", 0)],
+            {
+                ("x", "a"): [("c0", fc.POINT, ()), ("c1", fc.POINT, ())],
+                ("a", "b"): [("c0", fc.POINT, ())],
+                ("b", "w"): [("c0", fc.POINT, ()), ("c1", fc.POINT, ())],
+                ("x", "b"): [
+                    (
+                        "c0",
+                        fc.INTERVAL,
+                        (
+                            (R("x", "a", "c0"), R("a", "b", "c0")),
+                            (R("x", "a", "c1"), R("a", "b", "c0")),
+                        ),
+                    )
+                ],
+                ("a", "w"): [
+                    (
+                        "c0",
+                        fc.INTERVAL,
+                        (
+                            (R("a", "b", "c0"), R("b", "w", "c0")),
+                            (R("a", "b", "c0"), R("b", "w", "c1")),
+                        ),
+                    )
+                ],
+                ("x", "w"): [("c0", fc.parse_shape("SphereLike 2"), ())],
+            },
+        )
+        assert fc.validate_flow_system(fs) == ()
+        strata = fc.boundary_strata(fs, "x", "w").strata
+        assert [s.intermediates for s in strata if s.depth == 2] == [("a", "b")] * 4
+
     def test_violation_messages_name_subjects(self, deformed_fs):
         points = tuple(p for p in deformed_fs.points if p.id != "z")
         got = fc.validate_flow_system(dataclasses.replace(deformed_fs, points=points))

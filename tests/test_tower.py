@@ -269,6 +269,17 @@ class TestBuildControls:
         with pytest.raises(fc.MissingDeclarationError):
             fc.build_tower(fs)
 
+    def test_a_hand_built_one_sphere_is_refused_by_sphere_like(self):
+        # No tower file can declare a SphereLike 1; built through the API, its
+        # poles would be joined by a 0-sphere, which the build never derives.
+        text = fc.render_tower_file(*fc.sphere_system(2))
+        _, decls = fc.parse_tower_file(text.replace("N 2", "N 3").replace("S 0", "S 1"))
+        fs = fc.flow_system(
+            [("N", 3), ("S", 1)], {("N", "S"): [("c0", fc.Shape("sphere", 1), ())]}
+        )
+        with pytest.raises(ValueError, match=r"^sphere_like\(0\)"):
+            fc.build_tower(fs, decls)
+
     def test_no_space_lists_one_point_twice(self, deformed_tower):
         # derive_moduli is asked only about two different entries of a space,
         # and different entries have different point keys.
