@@ -280,8 +280,15 @@ def _law_e(X: GlobularSet) -> _Instances:
     """Interchange of two gluings at different levels.
 
     # (H∘ₚE)∘_q(C∘ₚA) = (H∘_qC)∘ₚ(E∘_qA)   for q < p
+
+    Each side's outer gluing is taken as a normal form of the inner
+    composites.  Without a compose override the raw tops are
+    ((A,C),(E,H)) and ((A,E),(C,H)), one node only when C's top is E's.
+    So the raw sides are built, to count strict instances, only on a view
+    with a compose override or when C and E share their top.
     """
 
+    raw = "compose" in X._maps
     bd = X.boundary
     for level in range(2, X.n + 1):
         for p in range(1, level):
@@ -295,10 +302,17 @@ def _law_e(X: GlobularSet) -> _Instances:
                     below.setdefault((bd(q, C, "t"), bd(q, A, "t")), []).append((C, A))
                 for H, E in pairs:
                     for C, A in below.get((bd(q, H, "s"), bd(q, E, "s")), ()):
-                        sides = lambda: _raw(
-                            X.compose(q, X.compose(p, H, E), X.compose(p, C, A)),
-                            X.compose(p, X.compose(q, H, C), X.compose(q, E, A)),
-                        )
+
+                        def sides():
+                            HE, CA = X.compose(p, H, E), X.compose(p, C, A)
+                            lhs = X.normal_compose(q, HE, CA)
+                            HC, EA = X.compose(q, H, C), X.compose(q, E, A)
+                            rhs = X.normal_compose(p, HC, EA)
+                            strict = (raw or C.top is E.top) and (
+                                X.compose(q, HE, CA) is X.compose(p, HC, EA)
+                            )
+                            return lhs, rhs, strict
+
                         yield level, p, q, (H, E, C, A), "interchanged composites", sides
 
 

@@ -328,10 +328,12 @@ class GlobularSet:
     cell with the normal form of the one it was given for.
     For the life of the view it keeps the composites of two of its own
     cells, the iterated raw boundaries of each normal cell it has walked,
-    and the glued normal addresses of unit and associativity composites.
-    These tables ignore the overrides, so a view derived by a ``with_*``
-    call shares them; the iterated boundaries through an overridden ``s``
-    or ``t`` are walked afresh on each call.
+    the glued normal addresses, and the normal composite of each pair that
+    ``normal_compose`` glued.  These tables ignore the overrides, so a view
+    derived by a ``with_*`` call shares them; the iterated boundaries through
+    an overridden ``s`` or ``t`` are walked afresh on each call.  A derived
+    view shares the composable pairs too, unless its new override is on
+    ``s`` or ``t``.
     """
 
     def __init__(self, tower: Tower) -> None:
@@ -353,6 +355,9 @@ class GlobularSet:
         self._walks: dict[Cell, tuple[tuple[Cell, ...], tuple[Cell, ...]]] = {}
         # Glued normal addresses, keyed (p, after, first).
         self._glued: dict[tuple[int, ModuliAddress, ModuliAddress], ModuliAddress] = {}
+        # Normal composites, keyed (p, after, first): every pair that
+        # ``normal_compose`` glued without a compose override.
+        self._normals: dict[tuple[int, Cell, Cell], Cell] = {}
 
     def cells(self, level: int) -> tuple[Cell, ...]:
         if not 0 <= level <= self.n:
@@ -457,28 +462,37 @@ class GlobularSet:
     def normal_compose(self, p: int, after: Cell, first: Cell) -> Cell:
         """The normal form of ``compose(p, after, first)``.
 
-        Unless an override applies, it glues the normal forms of the two cells.
+        Unless an override applies, it glues the normal forms of the two cells
+        and keeps the result, keyed ``(p, after, first)``.
         """
 
         new = self._compose_override(p, after, first)
         if new:
             return normalize(new)
-        if not _glues(p, after, first, self._raw_boundary):
-            raise ValueError(_gluing_error(p, after, first))
-        return _glue(p, normalize(after), normalize(first), _merge, self._glued)
+        key = (p, after, first)
+        glued = self._normals.get(key)
+        if glued is None:
+            if not _glues(p, after, first, self._raw_boundary):
+                raise ValueError(_gluing_error(p, after, first))
+            glued = _glue(p, normalize(after), normalize(first), _merge, self._glued)
+            self._normals[key] = glued
+        return glued
 
     def _with(self, key: tuple, new: Cell) -> "GlobularSet":
         """A view over the same tower with one more override.
 
-        It shares the cell lists and the walk, composite and glue tables,
-        which ignore the overrides, and gets its own pair memo.
+        It shares the cell lists and the walk, composite, glue and normal
+        composite tables, which ignore the overrides.  It shares the pair memo
+        too unless the new override is on ``s`` or ``t``, the only maps that
+        ``composable_pairs`` reads.
         """
 
         view = object.__new__(GlobularSet)
         view.__dict__.update(self.__dict__)
         view._over = {**self._over, key: new}
         view._maps = frozenset(k[0] for k in view._over)
-        view._pairs_memo = {}
+        if key[0] in ("s", "t"):
+            view._pairs_memo = {}
         return view
 
     def with_source(self, cell: Cell, new: Cell) -> "GlobularSet":

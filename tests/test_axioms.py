@@ -6,6 +6,8 @@ import pytest
 
 import flowcat as fc
 
+from flowcat.axioms import _law_e
+
 from _helpers import (
     find_cell,
     independent_tag_counts,
@@ -182,6 +184,35 @@ class TestMutationSensitivity:
             )
         ]
         assert fc.check_all(parent).ok
+
+    def test_a_shared_table_never_leaks_an_override(self, deformed_tower):
+        # The clean view fills the pair memo and the normal-composite table
+        # first; each mutant, checked in the benchmark's order, must report
+        # what the same mutation of a view that has checked nothing reports.
+        clean = fc.GlobularSet(deformed_tower)
+        assert fc.check_all(clean).ok
+        for tag, mutated in _mutants(deformed_tower, clean).items():
+            fresh = _mutants(deformed_tower, fc.GlobularSet(deformed_tower))[tag]
+            got, want = fc.check_all(mutated), fc.check_all(fresh)
+            assert got.to_text() == want.to_text(), tag
+            assert [(t.tag, t.instances, t.strict) for t in got.tags] == [
+                (t.tag, t.instances, t.strict) for t in want.tags
+            ], tag
+            # Only an s or t override changes the composable pairs.
+            kind = next(iter(mutated._over))[0]
+            assert mutated._normals is clean._normals, tag
+            assert (mutated._pairs_memo is clean._pairs_memo) == (kind not in ("s", "t")), tag
+
+    def test_a_derived_view_shares_the_pairs_of_its_own_parent(self, deformed_tower):
+        clean = fc.GlobularSet(deformed_tower)
+        c0x = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
+        a_cell = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
+        # y/w:a now ends at x, where x/y:c0 starts.
+        moved = clean.with_target(a_cell, find_cell(deformed_tower, 0, "x"))
+        unit = moved.with_identity(c0x, c0x)
+        assert unit._pairs_memo is moved._pairs_memo is not clean._pairs_memo
+        assert (c0x, a_cell) in unit.composable_pairs(1, 0)
+        assert (c0x, a_cell) not in clean.composable_pairs(1, 0)
 
 
 class TestFailureBranches:
@@ -437,3 +468,66 @@ class TestWorkAtDepth:
         assert calls["s"] + calls["t"] <= 10_000
         assert calls["identity"] <= 2_500
         assert calls["glue"] <= 5_000
+
+
+def _law_e_instances(X):
+    """Each law-e instance of ``X`` with its two raw sides and the inner
+    composites they glue."""
+
+    for _, p, q, (H, E, C, A), _, _ in _law_e(X):
+        HE, CA = X.compose(p, H, E), X.compose(p, C, A)
+        HC, EA = X.compose(q, H, C), X.compose(q, E, A)
+        raw = (X.compose(q, HE, CA), X.compose(p, HC, EA))
+        yield p, q, (H, E, C, A), (HE, CA, HC, EA), raw
+
+
+class TestInterchangeShortcut:
+    """Law e on normal forms, with raw sides only where they can be one node."""
+
+    @pytest.fixture(scope="class")
+    def views(self, deformed_tower, random_towers):
+        towers = [deformed_tower, *random_towers.values()]
+        towers += [fc.build_tower(fc.random_system(seed)) for seed in range(20, 40)]
+        return [fc.GlobularSet(t) for t in towers]
+
+    def test_distinct_middle_tops_give_distinct_raw_sides(self, views):
+        seen = same_top = 0
+        for X in views:
+            for _, _, (H, E, C, A), _, (lhs, rhs) in _law_e_instances(X):
+                seen += 1
+                if C.top is E.top:
+                    same_top += 1
+                else:
+                    assert lhs is not rhs
+        assert seen > same_top > 0
+
+    def test_normal_sides_are_the_normal_forms_of_the_raw_sides(self, views):
+        for X in views:
+            for p, q, _, (HE, CA, HC, EA), (lhs, rhs) in _law_e_instances(X):
+                assert X.normal_compose(q, HE, CA) is fc.normalize(lhs)
+                assert X.normal_compose(p, HC, EA) is fc.normalize(rhs)
+
+    def test_interchange_interns_only_the_same_top_raw_sides(
+        self, deformed_tower, monkeypatch
+    ):
+        import flowcat.core as core
+
+        X = fc.GlobularSet(deformed_tower)
+        first = fc.check_axiom("e", X)
+        same_top = sum(C.top is E.top for *_, (H, E, C, A), _, _ in _law_e(X))
+        # A second run finds every normal side and inner composite in the
+        # view's tables; only the raw outer cell and its broken top of each
+        # instance whose C and E share a top are built again.
+        misses = []
+        intern = core._intern
+
+        def counting(cls, values, key=()):
+            ref = cls._table.get(key or values)
+            if ref is None or ref() is None:
+                misses.append(cls.__name__)
+            return intern(cls, values, key)
+
+        monkeypatch.setattr(core, "_intern", counting)
+        assert fc.check_axiom("e", X) == first
+        assert (first.strict, same_top) == (4, 4)
+        assert sorted(misses) == ["Broken"] * same_top + ["Cell"] * same_top

@@ -573,6 +573,15 @@ class TestSubcommands:
         assert out.out == ""
         assert out.err == f"error: --p {p} out of range 0..0 for level-1 cells\n"
 
+    def test_compose_level_0_cells_exits_2(self, deformed_file, capsys):
+        argv = ["compose", deformed_file, "--p", "0", "--after", "x", "--first", "x"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: level-0 cells do not compose: they have no boundary to glue along\n"
+        )
+
     def test_compose_cells_of_different_levels_exits_2(self, deformed_file, capsys):
         after = "1(y/w:a) @ M(y/w:a>y/w:a|y>w)"
         argv = ["compose", deformed_file, "--p", "0", "--after", after]
