@@ -254,16 +254,10 @@ def _law_d(X: GlobularSet) -> _Instances:
     stacks: dict[tuple[Cell, int], Cell] = {}
     for level in range(1, X.n + 1):
         for A in X.cells(level):
-            # The iterated targets and sources of A, from A down to level 0:
-            # entry level - p is the level-p boundary.
-            targets, sources = [A], [A]
-            for _ in range(level):
-                targets.append(X.t(targets[-1]))
-                sources.append(X.s(sources[-1]))
             for p in range(level):
                 k = level - p
-                tt = _identities(X, stacks, targets[k], k)
-                ss = _identities(X, stacks, sources[k], k)
+                tt = _identities(X, stacks, X.boundary(p, A, "t"), k)
+                ss = _identities(X, stacks, X.boundary(p, A, "s"), k)
                 for what, after, first in (("left unit", tt, A), ("right unit", A, ss)):
                     # A glued unit composite is never A itself: its top is
                     # broken.  Only an overridden one can be strict.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import reduce
 
 from .core import (
     Broken,
@@ -177,12 +178,14 @@ def _join(x: Point, y: Point) -> Point:
 
 
 def _merge(x: Point, y: Point) -> Point:
-    """``normalize_point(_join(x, y))`` for normal x and y, built from x and y.
+    """The normal join of two normal points: the normal form of the broken
+    point that runs x, then y, and the step that ``normalize_point`` folds.
 
     A normal point is constant only as a constant primitive; a moving one
-    has only moving pieces, in flow order.  Two constant points join as the
-    constant point over the join of their supports, one level down, and a
-    repeated support counts once.  Every node built is part of the result.
+    has only moving pieces, in flow order.  A constant side next to a moving
+    one is deleted.  Two constant points join as x when they sit over one
+    support, and otherwise as the constant point over the join of their
+    supports, one level down.  Every node built is part of the result.
     """
 
     if is_stationary(x):
@@ -232,7 +235,8 @@ def _glue_address(
 
 
 def _stationary_over(base: Point) -> Primitive:
-    """The canonical constant point over an (already canonical) point.
+    """The canonical constant point over a normal point: the point of the
+    stationary space at ``base``, over the space ``base`` lives on.
 
     Memoized on the base through a weak reference.  A base point is shared
     by every live tower with a point of that name, so a strong memo would
@@ -253,43 +257,29 @@ def _stationary_over(base: Point) -> Primitive:
 def normalize_point(pt: Point) -> Point:
     """Canonical form of a point.
 
-    Pieces are put in canonical form first, then merged: grouping is
-    erased, constant pieces next to moving ones are deleted, and the
-    moving pieces are sorted into flow order.  A configuration whose
-    pieces are all constant is itself constant — over the glue of their
-    supports, one level down, where repeated passage through the same
-    support counts once.  Constant points rebuild over their canonical
-    support, so the level of the input is always preserved.
+    A constant primitive is the constant point over its normal support, so
+    the level of the input is always preserved; a moving one is already
+    canonical.  A
+    broken point is the left fold of the normal join ``_merge`` over its
+    normalized pieces: grouping is erased, constant pieces next to moving
+    ones are deleted, and the moving pieces are sorted into flow order.
     """
 
-    if isinstance(pt, Primitive):
-        if not is_stationary(pt):
-            return pt
-        crit = pt.crit
-        base = normalize_point(crit.home.source)
-        if (
-            base is crit.home.source
-            and crit.home.ambient is ambient_of_point(base)
-            and crit.id == f"1({point_key(base)})"
-            and (crit.index, type(crit.index), type(crit.value)) == (0, int, Fraction)
-        ):
-            # Already the canonical point (its value is 0 on a stationary home).
-            base.__dict__["_memo_stationary_over"] = weakref.ref(pt)
-            return pt
-        return _stationary_over(base)
-    flat: list[Primitive] = []
-    for piece in pt.pieces:
-        flat.extend(flatten_point(normalize_point(piece)))
-    live = [q for q in flat if not is_stationary(q)]
-    if live:
-        ordered = sorted(live, key=breaking_key)
-        return ordered[0] if len(ordered) == 1 else Broken(tuple(ordered))
-    supports = [q.crit.home.source for q in flat]
-    dedup = [supports[0]]
-    for s in supports[1:]:
-        if s != dedup[-1]:
-            dedup.append(s)
-    base = dedup[0] if len(dedup) == 1 else normalize_point(Broken(tuple(dedup)))
+    if isinstance(pt, Broken):
+        return reduce(_merge, map(normalize_point, pt.pieces))
+    if not is_stationary(pt):
+        return pt
+    crit = pt.crit
+    base = normalize_point(crit.home.source)
+    if (
+        base is crit.home.source
+        and crit.home.ambient is ambient_of_point(base)
+        and crit.id == f"1({point_key(base)})"
+        and (crit.index, type(crit.index), type(crit.value)) == (0, int, Fraction)
+    ):
+        # Already the canonical point (its value is 0 on a stationary home).
+        base.__dict__["_memo_stationary_over"] = weakref.ref(pt)
+        return pt
     return _stationary_over(base)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import flowcat as fc
@@ -277,6 +279,69 @@ class TestFailureBranches:
         assert all("do not glue" in f.detail for f in rep.failures)
 
 
+def _stray(cell: fc.Cell) -> fc.Cell:
+    """A cell on the space of ``cell``'s normal form, so with its boundaries,
+    whose point no tower holds."""
+
+    space = fc.normalize(cell).space
+    value = Fraction(0) if fc.is_stationary(space) else Fraction(1, 7)
+    return fc.Cell(fc.Primitive(fc.CritPoint("stray", 0, value, space)), space)
+
+
+class TestComposeOverrideOutsideTheTower:
+    """A ``with_compose`` override onto a well-bounded cell that is no cell of
+    the tower: which laws catch it."""
+
+    def test_below_the_top_level_laws_a_and_f_catch_it(
+        self, deformed_tower, sphere_towers, random_towers
+    ):
+        # Law a glues the pair's identities one level up, whose boundaries
+        # are the pair; law f compares the identity of the composite.
+        caught = constant = 0
+        for t in (deformed_tower, *sphere_towers.values(), *random_towers.values()):
+            X = fc.GlobularSet(t)
+            for level in range(1, X.n):
+                tower_cells = {fc.normalize(c) for c in fc.extended_cells(t, level)}
+                for p in range(level):
+                    for C, A in X.composable_pairs(level, p):
+                        stray = _stray(X.compose(p, C, A))
+                        if fc.normalize(stray) in tower_cells:
+                            constant += 1
+                            continue
+                        rep = fc.check_all(X.with_compose(p, C, A, stray))
+                        assert {r.tag for r in rep.tags if not r.ok} == {"a", "f"}
+                        caught += 1
+        assert (caught, constant) == (52, 129)
+
+    def test_at_the_top_level_every_composite_is_constant(
+        self, deformed_tower, sphere_towers, random_towers
+    ):
+        # A constant point has one normal form over its support, so a cell
+        # with the boundaries of a constant composite normalizes onto it:
+        # there is no stray cell to override with.
+        for t in (deformed_tower, *sphere_towers.values(), *random_towers.values()):
+            X = fc.GlobularSet(t)
+            for p in range(X.n):
+                for C, A in X.composable_pairs(X.n, p):
+                    glued = fc.normalize(X.compose(p, C, A))
+                    assert fc.is_stationary(glued)
+                    assert fc.normalize(_stray(glued)) is glued
+        X = fc.GlobularSet(deformed_tower)
+        C, A = X.composable_pairs(X.n, 0)[0]
+        assert fc.check_all(X.with_compose(0, C, A, _stray(X.compose(0, C, A)))).ok
+
+    def test_no_law_catches_it_at_the_top_of_a_cut_tower(self, deformed_fs):
+        # Cut at level 1, the top composites move; no law glues them again,
+        # so closure there is guarded by the tests alone.
+        X = fc.GlobularSet(fc.build_tower(deformed_fs, max_level=1))
+        pairs = X.composable_pairs(1, 0)
+        assert len(pairs) == 4
+        for C, A in pairs:
+            stray = _stray(X.compose(0, C, A))
+            assert not fc.is_stationary(stray)
+            assert fc.check_all(X.with_compose(0, C, A, stray)).ok
+
+
 def _count_joins(monkeypatch):
     """Patch ``category._join`` to record its calls; returns the record."""
     import flowcat.category as category
@@ -468,6 +533,22 @@ class TestWorkAtDepth:
         assert calls["s"] + calls["t"] <= 10_000
         assert calls["identity"] <= 2_500
         assert calls["glue"] <= 5_000
+
+    def test_law_d_reads_the_walk_table(self, deformed_tower, monkeypatch):
+        # Each unit's boundary is the view's walk-table entry, so on a view
+        # with no s or t override law d never steps those maps.
+        calls = []
+        for name in ("s", "t"):
+            step = getattr(fc.GlobularSet, name)
+            monkeypatch.setattr(
+                fc.GlobularSet,
+                name,
+                lambda view, cell, step=step: calls.append(cell) or step(view, cell),
+            )
+        for t in (deformed_tower, fc.build_tower(*fc.sphere_system(8))):
+            rep = fc.check_axiom("d", fc.GlobularSet(t))
+            assert rep.ok and rep.instances > 0
+        assert calls == []
 
 
 def _law_e_instances(X):

@@ -7,6 +7,7 @@ import re
 import pytest
 
 import flowcat as fc
+from flowcat.core import ambient_of_point, breaking_key, stationary_point
 
 from _helpers import boundary_key_raw, cell_map, find_cell, units
 
@@ -311,6 +312,56 @@ class TestNormalize:
         scrambled = fc.Cell(top=fc.Broken((down, up)), space=end.space)
         assert _nkey(scrambled) == fc.cell_key(end)
 
+    def test_the_normal_form_is_the_left_fold_of_the_normal_join(self, deformed_tower):
+        # Left-nested grouping of any pieces normalizes as the flat point.
+        c_a = fc.identity(find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")).top
+        c_b = fc.identity(find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")).top
+        moving = [c.top for c in fc.cells(deformed_tower, 2) if not fc.is_stationary(c)]
+        pieces = [c_a, c_b, *moving]
+        for x in pieces:
+            for y in pieces:
+                for z in pieces:
+                    flat = fc.normalize_point(fc.Broken((x, y, z)))
+                    assert flat is fc.normalize_point(fc.Broken((fc.Broken((x, y)), z)))
+        # Right-nested grouping agrees only on chains that glue.  c_b does not
+        # glue to itself, so no composite reaches these two nodes: the join
+        # drops a repeated support only when the supports are one node.
+        flat = fc.normalize_point(fc.Broken((c_a, c_b, c_b)))
+        assert fc.point_key(flat) == "1((x/y:c0,y/w:a,y/w:a))"
+        right = fc.normalize_point(fc.Broken((c_a, fc.Broken((c_b, c_b)))))
+        assert fc.point_key(right) == "1((x/y:c0,y/w:a))"
+
+    def test_association_through_identities(self, deformed_tower, random_towers):
+        # Every composable triple of extended cells, identities included, so
+        # that gluings which pass through a corner constantly are bracketed
+        # both ways: their constant supports merge one level down.
+        towers = [
+            deformed_tower,
+            *(fc.build_tower(*fc.sphere_system(n)) for n in range(1, 5)),
+            *(random_towers[seed] for seed in range(10)),
+        ]
+        count = 0
+        for t in towers:
+            X = fc.GlobularSet(t)
+            for level in range(1, X.n + 1):
+                # A stationary tower cell is also an identity: list it once.
+                cs = set(fc.extended_cells(t, level))
+                for p in range(level):
+                    by_target: dict[fc.Cell, list[fc.Cell]] = {}
+                    for a in cs:
+                        by_target.setdefault(X.boundary(p, a, "t"), []).append(a)
+                    firsts = {c: by_target.get(X.boundary(p, c, "s"), []) for c in cs}
+                    for E in cs:
+                        for C in firsts[E]:
+                            for A in firsts[C]:
+                                lhs = X.compose(p, X.compose(p, E, C), A)
+                                rhs = X.compose(p, E, X.compose(p, C, A))
+                                assert fc.normalize(lhs) is fc.normalize(rhs), (
+                                    p, _nkey(E), _nkey(C), _nkey(A)
+                                )
+                                count += 1
+        assert count == 1807
+
     def test_cell_key_is_injective_on_normal_cells(
         self, deformed_tower, sphere_towers, random_towers
     ):
@@ -402,12 +453,26 @@ def _normal_points_by_level(tower: fc.Tower) -> dict[int, set]:
     return by_level
 
 
+def _reference_join(x, y):
+    """The normal join of two normal points, spelled out without the
+    normalizer: the normal form of the raw join, as ``category._merge``
+    must build it."""
+    if fc.is_stationary(x) and fc.is_stationary(y):
+        sx, sy = x.crit.home.source, y.crit.home.source
+        if sx is sy:
+            return x
+        base = _reference_join(sx, sy)
+        return stationary_point(base, ambient_of_point(base))
+    moving = [q for z in (x, y) if not fc.is_stationary(z) for q in fc.flatten_point(z)]
+    moving.sort(key=breaking_key)
+    return moving[0] if len(moving) == 1 else fc.Broken(tuple(moving))
+
+
 class TestMergeContract:
     def test_merge_is_the_normal_form_of_the_raw_join(
         self, deformed_tower, sphere_towers, random_towers
     ):
         import flowcat.category as category
-        from flowcat.core import breaking_key
 
         seen = dict.fromkeys(("same support", "different supports", "reordered"), 0)
         towers = [deformed_tower, *sphere_towers.values()]
@@ -417,7 +482,7 @@ class TestMergeContract:
                 for x in points:
                     for y in points:
                         try:
-                            want = fc.normalize_point(fc.Broken((x, y)))
+                            want = _reference_join(x, y)
                         except ValueError as e:
                             # Constant points that stay constant down to
                             # two base points have no space to glue over.
