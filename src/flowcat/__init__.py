@@ -46,7 +46,6 @@ from .stratification import (
 from .tower import (
     BuildError,
     ComponentDecl,
-    DeclaredModuli,
     DeclaredPoint,
     Declarations,
     InvalidFlowSystemError,
@@ -100,10 +99,9 @@ __all__ = [
     "boundary_strata", "flow_system", "moduli_dimension", "sphere_like",
     "validate_flow_system",
     # tower
-    "BuildError", "ComponentDecl", "DeclaredModuli", "DeclaredPoint",
-    "Declarations", "InvalidFlowSystemError", "MissingDeclarationError",
-    "MorseEntry", "SpaceData", "Tower", "build_tower",
-    "derive_moduli",
+    "BuildError", "ComponentDecl", "DeclaredPoint", "Declarations",
+    "InvalidFlowSystemError", "MissingDeclarationError", "MorseEntry",
+    "SpaceData", "Tower", "build_tower", "derive_moduli",
     # category
     "GlobularSet", "cells", "composable", "compose", "extended_cells",
     "identity", "normalize", "normalize_point", "source", "target",

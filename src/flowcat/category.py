@@ -80,7 +80,7 @@ def extended_cells(tower: Tower, level: int) -> tuple[Cell, ...]:
     out = list(cells(tower, level))
     if level >= 1:
         out.extend(identity(c) for c in extended_cells(tower, level - 1))
-    return tuple(sorted(out, key=cell_key))
+    return tuple(sorted(dict.fromkeys(out), key=cell_key))
 
 
 def source(cell: Cell) -> Cell:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import CritPoint
 
@@ -491,41 +491,47 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
     """
 
     pt = _pair_table(fs.table)
-    out = [*_point_rules(fs), *_pair_rules(fs, pt)]
+    index = {p.id: p.index for p in reversed(fs.points)}
+    out = [*_point_rules(p.id for p in fs.points), *_pair_rules(fs.pairs, index, pt.comp_of)]
     # The last two families walk chains, which need known, distinct, index-dropping ends.
     if not any(v.code in ("index-order", "unknown-point", "self-pair") for v in out):
-        out += [*_breaking_rules(fs, pt), *_face_rules(pt)]
+        out += [*_breaking_rules(index, pt), *_face_rules(pt)]
     return tuple(out)
 
 
-def _point_rules(fs: FlowSystem) -> Iterator[Violation]:
+def _point_rules(ids: Iterable[str]) -> Iterator[Violation]:
     """Unique, well-formed point ids; ``CritPoint`` refuses negative indices."""
 
     seen: set[str] = set()
-    for p in fs.points:
-        if p.id in seen:
-            yield Violation("dup-point", f"duplicate critical point id {p.id!r}", (p.id,))
-        seen.add(p.id)
-        if not p.id or not set(p.id) <= _ID_OK:
+    for pid in ids:
+        if pid in seen:
+            yield Violation("dup-point", f"duplicate critical point id {pid!r}", (pid,))
+        seen.add(pid)
+        if not pid or not set(pid) <= _ID_OK:
             yield Violation(
                 "bad-id",
-                f"critical point id {p.id!r} has characters outside [A-Za-z0-9_.+-]",
-                (p.id,),
+                f"critical point id {pid!r} has characters outside [A-Za-z0-9_.+-]",
+                (pid,),
             )
 
 
-def _pair_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
+def _pair_rules(
+    pairs: Iterable[tuple[str, str, tuple[Component, ...]]],
+    index: dict[str, int],
+    comp_of: dict[tuple[str, str, str], Component],
+) -> Iterator[Violation]:
     """Known, distinct, index-dropping ends per pair, then its components;
-    a pair listed again is reported and otherwise ignored."""
+    a pair listed again is reported and otherwise ignored.  ``index`` maps
+    point ids to indices, ``comp_of`` the pieces endpoints may name."""
 
     seen: set[tuple[str, str]] = set()
-    for s, t, comps in fs.pairs:
+    for s, t, comps in pairs:
         subj = (s, t)
         if subj in seen:
             yield Violation("dup-pair", f"pair ({s},{t}) listed twice", subj)
             continue
         seen.add(subj)
-        unknown = [_unknown_point(s, t, e) for e in (s, t) if not fs.has_point(e)]
+        unknown = [_unknown_point(s, t, e) for e in (s, t) if e not in index]
         if unknown:
             yield from unknown
             continue
@@ -534,7 +540,7 @@ def _pair_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
             continue
         if not comps:
             continue
-        si, ti = fs.point(s).index, fs.point(t).index
+        si, ti = index[s], index[t]
         if si <= ti:
             yield Violation(
                 "index-order",
@@ -590,7 +596,7 @@ def _pair_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
                     )
                 else:
                     for r in end:
-                        rc = pt.comp_of.get((r.source, r.target, r.component))
+                        rc = comp_of.get((r.source, r.target, r.component))
                         if rc is None:
                             yield Violation(
                                 "endpoint-ref",
@@ -607,7 +613,7 @@ def _pair_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
                             )
 
 
-def _breaking_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
+def _breaking_rules(index: dict[str, int], pt: _PairTable) -> Iterator[Violation]:
     """Broken configurations x > m > z of 0-dimensional pieces need a space
     (x,z); on a 1-dimensional one they are its interval endpoints, once each."""
 
@@ -626,7 +632,7 @@ def _breaking_rules(fs: FlowSystem, pt: _PairTable) -> Iterator[Violation]:
                 f"flow lines break from {x!r} to {z!r} but no space ({x},{z}) is given",
                 (x, z),
             )
-        if not comps or fs.point(x).index - fs.point(z).index - 1 != 1:
+        if not comps or index[x] - index[z] - 1 != 1:
             continue
         used = [end for c in comps for end in c.boundary if len(end) == 2]
         for cfg in sorted(broken - set(used)):

@@ -42,12 +42,13 @@ from .stratification import (
     INTERVAL,
     PieceRef,
     POINT,
-    Shape,
     Stratification,
     Stratum,
     _PairTable,
     _base_ranks,
+    _pair_rules,
     _pair_table,
+    _point_rules,
     _stratify,
     sphere_like,
     validate_flow_system,
@@ -55,7 +56,6 @@ from .stratification import (
 
 __all__ = [
     "DeclaredPoint",
-    "DeclaredModuli",
     "ComponentDecl",
     "Declarations",
     "MorseEntry",
@@ -102,20 +102,13 @@ class DeclaredPoint:
 
 
 @dataclass(frozen=True)
-class DeclaredModuli:
-    """Declared components of the space between two declared points."""
-
-    source: str
-    target: str
-    components: tuple[tuple[str, Shape], ...]
-
-
-@dataclass(frozen=True)
 class ComponentDecl:
-    """Interior data declared for one component of one space."""
+    """Interior data declared for one component of one space: its points,
+    and the components between pairs of them as ``(source, target,
+    components)`` triples, the shape of :attr:`FlowSystem.pairs`."""
 
     points: tuple[DeclaredPoint, ...] = ()
-    moduli: tuple[DeclaredModuli, ...] = ()
+    moduli: tuple[tuple[str, str, tuple[Component, ...]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -226,13 +219,13 @@ def _declared_points(
     Closed positive-dimensional shapes require exactly two points with
     the extreme indices, and declared positive-dimensional shapes at
     least one point; a missing or malformed declaration is an error
-    naming the space and component.  So is a declared ``moduli`` line the
-    build would never read: one against the index order, or one to a
-    point that is not declared on the same component.
+    naming the space and component.  The declared names and ``moduli``
+    lines then obey the point and pair rules of base flow data, with no
+    component for an endpoint to name; all violations are listed at once.
     """
 
-    decl = decls.get(addr_key_str, comp.id)
-    pts = decl.points if decl else ()
+    decl = decls.get(addr_key_str, comp.id) or ComponentDecl()
+    pts = decl.points
     if comp.shape.kind == "declared" and comp.dim >= 1 and not pts:
         raise MissingDeclarationError(
             addr_key_str,
@@ -261,17 +254,13 @@ def _declared_points(
                 f"declared point {p.name!r} of {comp.id!r} of {addr_key_str}: "
                 f"index {p.index} outside 0..{comp.dim}"
             )
-    index = {p.name: p.index for p in pts}
-    for dm in decl.moduli if decl else ():
-        line = f"declared moduli {dm.source} {dm.target} of {comp.id!r} of {addr_key_str}"
-        missing = [e for e in (dm.source, dm.target) if e not in index]
-        if missing:
-            raise BuildError(f"{line}: {missing[0]!r} is not a declared point of {comp.id!r}")
-        if index[dm.source] <= index[dm.target]:
-            raise BuildError(
-                f"{line}: runs against the index order, from index "
-                f"{index[dm.source]} to index {index[dm.target]}"
-            )
+    index = {p.name: p.index for p in reversed(pts)}
+    violations = [*_point_rules(p.name for p in pts), *_pair_rules(decl.moduli, index, {})]
+    if violations:
+        raise BuildError(
+            f"invalid declarations of component {comp.id!r} of {addr_key_str}:\n"
+            + "\n".join(map(str, violations))
+        )
     return tuple(sorted(pts, key=lambda p: (-p.index, p.name)))
 
 
@@ -289,8 +278,9 @@ def derive_moduli(
     point gives nothing with itself; an interval flows from its higher
     endpoint to its lower through one point; the two poles of a circle
     are joined by two points, those of a k-sphere by a (k-1)-sphere
-    shape.  Remaining pairs need declared components; a pair without
-    them is an error naming the space and component.
+    shape.  Remaining pairs need declared components, which are trusted
+    as :func:`build_tower` has validated them; a pair without them is an
+    error naming the space and component.
     """
 
     akey = space.key
@@ -303,19 +293,9 @@ def derive_moduli(
 
     comp = next(c for c in space.components if c.id == p.component)
     decl = decls.get(akey, comp.id)
-    if decl:
-        for dm in decl.moduli:
-            if (dm.source, dm.target) == (pk, qk):
-                want = p.index - q.index - 1
-                for cid, shape in dm.components:
-                    if shape.dim != want:
-                        addr = ModuliAddress(p.point, q.point, space.address)
-                        raise BuildError(
-                            f"declared component {cid!r} of {address_key(addr)} has "
-                            f"dimension {shape.dim}, but {pk} (index {p.index}) and {qk} "
-                            f"(index {q.index}) in {akey} need dimension {want}"
-                        )
-                return tuple(Component(cid, shape) for cid, shape in dm.components)
+    for s, t, comps in decl.moduli if decl else ():
+        if (s, t) == (pk, qk):
+            return comps
 
     def points(*ids: str) -> tuple[Component, ...]:
         return tuple(Component(cid, POINT) for cid in ids)
@@ -495,11 +475,11 @@ def build_tower(
     No space is stratified here; each does so when first read.  Raises
     :class:`InvalidFlowSystemError` on bad base data,
     :class:`MissingDeclarationError` where interior data is needed but not
-    declared, and :class:`BuildError` on a declaration entry the build
-    never reads (see :func:`_refuse_unread`).  ``max_level`` optionally
-    truncates the build; a complete build needs at most ``max base index +
-    1`` rounds.  Raises :class:`ValueError` if ``max_level`` is given and
-    below 1.
+    declared, and :class:`BuildError` on declarations that break a law (see
+    :func:`_declared_points`) or that the build never reads (see
+    :func:`_refuse_unread`).  ``max_level`` optionally truncates the build;
+    a complete build needs at most ``max base index + 1`` rounds.  Raises
+    :class:`ValueError` if ``max_level`` is given and below 1.
     """
 
     if max_level is not None and max_level < 1:

@@ -19,8 +19,11 @@ a comma-separated chain of ``component@source>target`` pieces.  A
 ``moduli`` line inside ``[declare]`` names two points declared in the
 same section and the components of the space between them (any shape
 except ``Interval``, whose endpoints the format cannot express at
-depth).  ``#`` starts a comment; declared point names must not collide
-with each other or with base point ids.
+depth); the lines of one component parse to ``(source, target,
+components)`` triples, the shape of ``FlowSystem.pairs``.  The build
+checks declared names and ``moduli`` lines by the rules for base points
+and ``[moduli]`` sections.  ``#`` starts a comment; declared point names
+must not collide with each other or with base point ids.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import re
 
 from .stratification import (
+    Component,
     Endpoint,
     FlowSystem,
     INTERVAL,
@@ -38,7 +42,7 @@ from .stratification import (
     flow_system,
     sphere_like,
 )
-from .tower import ComponentDecl, DeclaredModuli, DeclaredPoint, Declarations
+from .tower import ComponentDecl, DeclaredPoint, Declarations
 
 __all__ = ["ParseError", "parse_shape", "parse_tower_file", "render_tower_file", "shape_label"]
 
@@ -258,16 +262,11 @@ def parse_tower_file(text: str) -> tuple[FlowSystem, Declarations]:
     items: dict[tuple[str, str], ComponentDecl] = {}
     for addr, per_comp in declared.items():
         for cid, (pts, dms) in per_comp.items():
-            grouped: dict[tuple[str, str], list[tuple[str, Shape]]] = {}
+            grouped: dict[tuple[str, str], list[Component]] = {}
             for p, q, mcid, shape in dms:
-                grouped.setdefault((p, q), []).append((mcid, shape))
-            items[(addr, cid)] = ComponentDecl(
-                points=tuple(pts),
-                moduli=tuple(
-                    DeclaredModuli(p, q, tuple(comps))
-                    for (p, q), comps in sorted(grouped.items())
-                ),
-            )
+                grouped.setdefault((p, q), []).append(Component(mcid, shape))
+            pairs = tuple((p, q, tuple(cs)) for (p, q), cs in sorted(grouped.items()))
+            items[(addr, cid)] = ComponentDecl(points=tuple(pts), moduli=pairs)
     return flow_system(points, moduli), Declarations.build(items)
 
 
@@ -296,10 +295,7 @@ def render_tower_file(fs: FlowSystem, decls: Declarations | None = None) -> str:
             for dp in decl.points:
                 out.append(f"critical {dp.name} index {dp.index} component {cid}")
         for _, decl in comps:
-            for dm in decl.moduli:
-                for mcid, shape in dm.components:
-                    out.append(
-                        f"moduli {dm.source} {dm.target} component {mcid} "
-                        f"shape {shape_label(shape)}"
-                    )
+            for s, t, mcomps in decl.moduli:
+                for c in mcomps:
+                    out.append(f"moduli {s} {t} component {c.id} shape {shape_label(c.shape)}")
     return "\n".join(out) + "\n"

@@ -24,8 +24,8 @@ class TestCellEnumeration:
         assert [len(fc.extended_cells(deformed_tower, lv)) for lv in range(4)] == [
             4,
             12,
-            18,
-            24,
+            14,
+            14,
         ]
         native = set(map(fc.cell_key, fc.cells(deformed_tower, 2)))
         extended = set(map(fc.cell_key, fc.extended_cells(deformed_tower, 2)))

@@ -373,9 +373,12 @@ class TestDeclaredModuli:
 
     def test_render_and_parse_round_trip(self):
         fs, decls = fc.parse_tower_file(_CIRCLES)
-        (moduli,) = decls.get("M(N>S)", "c0").moduli
-        assert (moduli.source, moduli.target) == ("hi1", "lo1")
-        assert moduli.components == (("0", fc.CIRCLE), ("1", fc.CIRCLE))
+        ((s, t, comps),) = decls.get("M(N>S)", "c0").moduli
+        assert (s, t, comps) == (
+            "hi1",
+            "lo1",
+            (fc.Component("0", fc.CIRCLE), fc.Component("1", fc.CIRCLE)),
+        )
         assert fc.parse_tower_file(fc.render_tower_file(fs, decls)) == (fs, decls)
 
     def test_round_trip_with_a_point_of_a_later_component(self):
@@ -407,24 +410,31 @@ class TestDeclaredModuli:
             "moduli hi1 lo1 component 0 shape Circle\n"
         )
         assert main(["check", _write(tmp_path, "bad.ft", text)]) == 2
-        errors = capsys.readouterr().err.splitlines()
-        assert errors == [
-            "error: declared component '0' of M(hi1>lo1|N>S) has dimension 1, but "
-            "hi1 (index 1) and lo1 (index 0) in M(N>S) need dimension 0"
-        ]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid declarations of component 'c0' of M(N>S):\n"
+            "[dimension] component '0' of (hi1,lo1) has dimension 1, but index "
+            "difference gives 0\n"
+        )
 
     @pytest.mark.parametrize(
         "text, error",
         [
             (
                 _CIRCLES.replace("moduli hi1 lo1 component 1", "moduli lo1 hi1 component 1"),
-                "error: declared moduli lo1 hi1 of 'c0' of M(N>S): runs against the "
-                "index order, from index 0 to index 2",
+                [
+                    "error: invalid declarations of component 'c0' of M(N>S):",
+                    "[index-order] flow from 'lo1' (index 0) to 'hi1' (index 2) must "
+                    "strictly drop index",
+                ],
             ),
             (
                 _CIRCLES + "moduli p0 q1 component 0 shape Point\n",
-                "error: declared moduli p0 q1 of '0' of M(hi1>lo1|N>S): 'q1' is not a "
-                "declared point of '0'",
+                [
+                    "error: invalid declarations of component '0' of M(hi1>lo1|N>S):",
+                    "[unknown-point] pair (p0,q1) names unknown point 'q1'",
+                ],
             ),
         ],
         ids=["against-index-order", "across-components"],
@@ -435,7 +445,44 @@ class TestDeclaredModuli:
         assert main(["check", _write(tmp_path, "unread.ft", text)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [error]
+        assert captured.err.splitlines() == error
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Circle\n\n"
+                "[declare M(N>S)]\ncritical a>b index 1 component c0\n"
+                "critical (x,y) index 0 component c0\n",
+                [
+                    "error: invalid declarations of component 'c0' of M(N>S):",
+                    "[bad-id] critical point id 'a>b' has characters outside "
+                    "[A-Za-z0-9_.+-]",
+                    "[bad-id] critical point id '(x,y)' has characters outside "
+                    "[A-Za-z0-9_.+-]",
+                ],
+            ),
+            (
+                "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Declared 1\n\n"
+                "[declare M(N>S)]\ncritical a index 1 component c0\n"
+                "critical b index 0 component c0\n"
+                "moduli a b component 0 shape Point\nmoduli a b component 0 shape Point\n",
+                [
+                    "error: invalid declarations of component 'c0' of M(N>S):",
+                    "[dup-component] pair (a,b): duplicate component id '0'",
+                ],
+            ),
+        ],
+        ids=["bad-id", "dup-component"],
+    )
+    def test_declarations_breaking_a_flow_data_rule_exit_2(self, tmp_path, capsys, text, error):
+        # Without the rules, both files exit 0: the first builds the space
+        # M(a>b>(x,y)|N>S), whose ends its key cannot give back, the second
+        # two level-2 cells printed a/b:0 and two level-3 spaces of one key.
+        assert main(["check", _write(tmp_path, "rules.ft", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == error
 
     @pytest.mark.parametrize(
         "text, unread",
@@ -507,6 +554,14 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "w" in out.splitlines()[1:][0] or "w" in out
         assert "1(w) @ M(w>w)" in out
+
+    def test_cells_lists_each_cell_once(self, deformed_file, capsys):
+        # A stationary tower cell is also the identity of the cell below it;
+        # listed both ways, 1(1(x/y:c0)) printed three times at level 3.
+        assert main(["cells", deformed_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(set(lines)) == 44
+        assert "3: 1(1(x/y:c0)) @ M(1(x/y:c0)>1(x/y:c0)|x/y:c0>x/y:c0;x>y)" in lines
 
     def test_compose_reports_raw_and_normal(self, deformed_file, capsys):
         assert (

@@ -312,6 +312,67 @@ class TestBuildControls:
         assert rebuilt == decls
 
 
+def _interval(*mids: str) -> fc.Component:
+    """An interval from hi1 to lo1 with one endpoint through each of ``mids``."""
+
+    ends = tuple((fc.PieceRef("hi1", m, "0"), fc.PieceRef(m, "lo1", "0")) for m in mids)
+    return fc.Component("0", fc.INTERVAL, ends)
+
+
+class TestDeclarationRules:
+    """Declared points and moduli obey the point and pair rules of base data."""
+
+    @pytest.mark.parametrize(
+        "points, moduli, lines",
+        [
+            (
+                ("hi1", "lo1"),
+                (("hi1", "lo1", (_interval(),)),),
+                ["[interval-ends] interval '0' of (hi1,lo1) needs exactly 2 endpoints, has 0"],
+            ),
+            (
+                ("hi1", "lo1"),
+                (("hi1", "lo1", (_interval("a", "b"),)),),
+                [
+                    f"[endpoint-ref] endpoint of '0' of (hi1,lo1) references missing "
+                    f"component '0' of ({s},{t})"
+                    for s, t in (("hi1", "a"), ("a", "lo1"), ("hi1", "b"), ("b", "lo1"))
+                ],
+            ),
+            (
+                ("hi1", "lo1"),
+                (
+                    ("hi1", "lo1", (fc.Component("0", fc.CIRCLE),)),
+                    ("hi1", "lo1", (fc.Component("1", fc.CIRCLE),)),
+                ),
+                ["[dup-pair] pair (hi1,lo1) listed twice"],
+            ),
+            (
+                ("hi1", "lo1"),
+                (("hi1", "hi1", (fc.Component("0", fc.POINT),)),),
+                ["[self-pair] pair (hi1,hi1): stationary spaces are implicit, not input"],
+            ),
+            (
+                ("hi1", "hi1"),
+                (),
+                ["[dup-point] duplicate critical point id 'hi1'"],
+            ),
+        ],
+        ids=["interval-ends", "endpoint-ref", "dup-pair", "self-pair", "dup-point"],
+    )
+    def test_declarations_breaking_a_rule_are_refused(self, points, moduli, lines):
+        fs = fc.flow_system([("N", 3), ("S", 0)], {("N", "S"): [("c0", fc.sphere_like(2), ())]})
+        top, bottom = (fc.DeclaredPoint(name, k) for name, k in zip(points, (2, 0)))
+        decl = fc.ComponentDecl(points=(top, bottom), moduli=moduli)
+        with pytest.raises(fc.BuildError) as err:
+            fc.build_tower(fs, fc.Declarations.build({("M(N>S)", "c0"): decl}))
+        assert type(err.value) is fc.BuildError
+        assert str(err.value).splitlines() == [
+            "invalid declarations of component 'c0' of M(N>S):",
+            *lines,
+        ]
+
+
 def _one_stratum(a: str, b: str) -> fc.Stratification:
     return fc.Stratification((fc.Stratum(a, b, (), (fc.PieceRef(a, b, "0"),), 0),), ())
 
