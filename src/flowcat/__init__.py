@@ -34,12 +34,9 @@ from .stratification import (
     POINT,
     PieceRef,
     Shape,
-    Stratification,
     Stratum,
     Violation,
-    boundary_strata,
     flow_system,
-    moduli_dimension,
     sphere_like,
     validate_flow_system,
 )
@@ -59,8 +56,6 @@ from .tower import (
 from .category import (
     GlobularSet,
     cells,
-    composable,
-    compose,
     extended_cells,
     identity,
     normalize,
@@ -95,16 +90,15 @@ __all__ = [
     "is_stationary", "point_key", "point_value",
     # stratification
     "CIRCLE", "Component", "Endpoint", "FlowSystem", "INTERVAL", "POINT",
-    "PieceRef", "Shape", "Stratification", "Stratum", "Violation",
-    "boundary_strata", "flow_system", "moduli_dimension", "sphere_like",
-    "validate_flow_system",
+    "PieceRef", "Shape", "Stratum", "Violation", "flow_system",
+    "sphere_like", "validate_flow_system",
     # tower
     "BuildError", "ComponentDecl", "DeclaredPoint", "Declarations",
     "InvalidFlowSystemError", "MissingDeclarationError", "MorseEntry",
     "SpaceData", "Tower", "build_tower", "derive_moduli",
     # category
-    "GlobularSet", "cells", "composable", "compose", "extended_cells",
-    "identity", "normalize", "normalize_point", "source", "target",
+    "GlobularSet", "cells", "extended_cells", "identity", "normalize",
+    "normalize_point", "source", "target",
     # axioms
     "AXIOM_TAGS", "AxiomReport", "Failure", "TagReport", "check_all",
     "check_axiom", "check_globular",

@@ -41,8 +41,6 @@ __all__ = [
     "source",
     "target",
     "identity",
-    "composable",
-    "compose",
     "normalize",
     "normalize_point",
     "GlobularSet",
@@ -136,39 +134,6 @@ def _glues(p: int, after: Cell, first: Cell, boundary) -> bool:
         and 0 <= p < level
         and boundary(p, after, "s") is boundary(p, first, "t")
     )
-
-
-def _boundary(q: int, cell: Cell, side: str) -> Cell:
-    """The normal form of the raw iterated level-q source or target."""
-
-    step = source if side == "s" else target
-    for _ in range(cell.level - q):
-        cell = step(cell)
-    return normalize(cell)
-
-
-def composable(p: int, after: Cell, first: Cell) -> bool:
-    """Whether two same-level cells glue along their level-p boundary.
-
-    ``first`` runs first along the flow; its iterated target must be the
-    iterated source of ``after``, up to normal form.
-    """
-
-    return _glues(p, after, first, _boundary)
-
-
-def compose(p: int, after: Cell, first: Cell) -> Cell:
-    """Glue two cells along their shared level-p boundary.
-
-    The result's point is the broken point (first, after) — the piece
-    traversed first comes first.  Addresses pair entrywise above level
-    p, join at level p, and share the data below.  Raises if the pair
-    does not glue.
-    """
-
-    if not _glues(p, after, first, _boundary):
-        raise ValueError(_gluing_error(p, after, first))
-    return _glue(p, after, first, _join)
 
 
 def _join(x: Point, y: Point) -> Point:
@@ -436,6 +401,15 @@ class GlobularSet:
         )
 
     def compose(self, p: int, after: Cell, first: Cell) -> Cell:
+        """Glue two cells along their shared level-p boundary, unless an
+        override applies.
+
+        The result's point is the broken point (first, after): the piece
+        traversed first comes first.  Addresses pair entrywise above level
+        p, join at level p, and share the data below.  Raises
+        :class:`ValueError` if the pair does not glue under the raw maps.
+        """
+
         new = self._compose_override(p, after, first)
         if new:
             return new

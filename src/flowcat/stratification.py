@@ -6,11 +6,12 @@ compactified space of flow lines between them.  Component shapes are
 combinatorial stand-ins for the topology; each carries a dimension and,
 for intervals, the two boundary configurations (broken flow lines).
 
-The boundary of a compactified space is stratified by how far flow lines
+The validator checks the laws that make such data consistent: index
+monotonicity, the dimension formula, the exact matching between broken
+configurations and interval endpoints, and the face-of-face condition.
+For the last it stratifies the boundary of a space by how far flow lines
 break: one stratum per chain of intermediate critical points per choice
-of factor component.  The validator checks the laws that make such data
-consistent: index monotonicity, the dimension formula, and the exact
-matching between broken configurations and interval endpoints.
+of factor component.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ __all__ = [
     "PieceRef",
     "Component",
     "Stratum",
-    "Stratification",
     "FlowSystem",
     "flow_system",
     "Violation",
-    "moduli_dimension",
-    "boundary_strata",
     "validate_flow_system",
 ]
 
@@ -140,23 +138,10 @@ class Stratum:
     target: str
     intermediates: tuple[str, ...]
     factors: tuple[PieceRef, ...]
-    dim: int
 
     @property
     def depth(self) -> int:
         return len(self.intermediates)
-
-
-@dataclass(frozen=True)
-class Stratification:
-    """All strata of one space plus the face relation between them.
-
-    ``closure`` holds index pairs ``(i, j)`` meaning stratum ``i`` lies
-    in the closure of stratum ``j``.
-    """
-
-    strata: tuple[Stratum, ...]
-    closure: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -300,27 +285,15 @@ def _unknown_point(s: str, t: str, e: str) -> Violation:
     return Violation("unknown-point", f"pair ({s},{t}) names unknown point {e!r}", (s, t))
 
 
-def moduli_dimension(fs: FlowSystem, source: str, target: str) -> int:
-    """Dimension of the compactified space between two base points.
-
-    Defined as index difference minus one; requires the pair to be
-    directly connected.
-    """
-
-    if not fs.components(source, target):
-        raise ValueError(f"no flow lines from {source!r} to {target!r}")
-    return fs.point(source).index - fs.point(target).index - 1
-
-
 class _PairTable(NamedTuple):
-    """A pair table with the maps that stratifying its spaces reads.
+    """A pair table with the maps that walking its chains reads.
 
     ``pairs`` maps ordered pairs of points to the components between
     them, ``succ`` maps each point to the other points it has components
     to, in table order, ``pred`` each point to the points that have
     components to it, and ``comp_of`` maps ``(source, target, component
     id)`` to the first component listed with that id.  Built once per table
-    by :func:`_pair_table` and shared by every space over it.
+    by :func:`_pair_table`.
     """
 
     pairs: dict[tuple[str, str], tuple[Component, ...]]
@@ -420,7 +393,7 @@ def _strata(
     ``source`` and ``target`` are.
     """
 
-    table, comp_of = pt.pairs, pt.comp_of
+    table = pt.pairs
     strata: list[Stratum] = []
     for mids in chains:
         chain = (source,) + mids + (target,)
@@ -431,48 +404,11 @@ def _strata(
             choices = [
                 chosen + (PieceRef(s, t, c.id),) for chosen in choices for c in comps
             ]
-        for factors in choices:
-            dim = sum(
-                comp_of[(r.source, r.target, r.component)].dim for r in factors
-            )
-            strata.append(
-                Stratum(
-                    source=source,
-                    target=target,
-                    intermediates=mids,
-                    factors=factors,
-                    dim=dim,
-                )
-            )
+        strata.extend(Stratum(source, target, mids, factors) for factors in choices)
     strata.sort(key=lambda s: (len(s.intermediates), s.intermediates, tuple(
         (r.source, r.target, r.component) for r in s.factors
     )))
     return strata
-
-
-def _stratify(pt: _PairTable, source: str, target: str) -> Stratification:
-    """Enumerate strata (all chains, all factor choices) with closure."""
-
-    strata = _strata(pt, source, target, _chains(pt, source, target))
-    closure = tuple(
-        (i, j)
-        for i, sub in enumerate(strata)
-        for j, sup in enumerate(strata)
-        if _refines(sub, sup, pt.comp_of)
-    )
-    return Stratification(strata=tuple(strata), closure=closure)
-
-
-def boundary_strata(fs: FlowSystem, source: str, target: str) -> Stratification:
-    """All strata of the space between two base points, with closure.
-
-    One open stratum per component (empty chain), plus one stratum per
-    chain of intermediates per choice of factor components.
-    """
-
-    if not fs.components(source, target):
-        raise ValueError(f"no flow lines from {source!r} to {target!r}")
-    return _stratify(_pair_table(fs.table), source, target)
 
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-")

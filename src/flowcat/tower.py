@@ -20,7 +20,7 @@ over different broken configurations and therefore never tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -40,16 +40,11 @@ from .stratification import (
     Component,
     FlowSystem,
     INTERVAL,
-    PieceRef,
     POINT,
-    Stratification,
-    Stratum,
-    _PairTable,
     _base_ranks,
     _pair_rules,
     _pair_table,
     _point_rules,
-    _stratify,
     sphere_like,
     validate_flow_system,
 )
@@ -151,23 +146,13 @@ class MorseEntry:
 @dataclass(frozen=True)
 class SpaceData:
     """One built space: its components, Morse data, and the components
-    derived for every ordered pair of its critical points.  Its strata are
-    computed on first read from ``_table``, the pair table one level down."""
+    derived for every ordered pair of its critical points."""
 
     address: ModuliAddress
     components: tuple[Component, ...]
     # All critical points of the space, highest first.
     morse: tuple[MorseEntry, ...]
     derived: tuple[tuple[str, str, tuple[Component, ...]], ...] = ()
-    _table: _PairTable | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def stratification(self) -> Stratification:
-        source, target = point_key(self.address.source), point_key(self.address.target)
-        if self._table is not None:
-            return _stratify(self._table, source, target)
-        stratum = Stratum(source, target, (), (PieceRef(source, target, "0"),), 0)
-        return Stratification((stratum,), ())
 
     @cached_property
     def key(self) -> str:
@@ -317,8 +302,7 @@ def derive_moduli(
 
 
 def _stationary_space(at: Point, ambient: ModuliAddress | None) -> SpaceData:
-    """The one-point space over a critical point, with its Morse datum and
-    no pair table: its one stratum is built when first read."""
+    """The one-point space over a critical point, with its Morse datum."""
 
     pt = stationary_point(at, ambient)
     addr = pt.crit.home
@@ -344,7 +328,7 @@ def _schedule(
     point_of = {point_key(p): p for p in points}
     pt = _pair_table(table)
     seeds = {
-        (a, b): SpaceData(ModuliAddress(point_of[a], point_of[b], ambient), comps, (), _table=pt)
+        (a, b): SpaceData(ModuliAddress(point_of[a], point_of[b], ambient), comps, ())
         for (a, b), comps in table.items()
     }
     used = {k for pair in table for k in pair}
@@ -472,8 +456,7 @@ def build_tower(
 ) -> Tower:
     """Run the iterated construction until only stationary spaces remain.
 
-    No space is stratified here; each does so when first read.  Raises
-    :class:`InvalidFlowSystemError` on bad base data,
+    Raises :class:`InvalidFlowSystemError` on bad base data,
     :class:`MissingDeclarationError` where interior data is needed but not
     declared, and :class:`BuildError` on declarations that break a law (see
     :func:`_declared_points`) or that the build never reads (see

@@ -16,10 +16,10 @@ declared interior data, in three kinds of section::
 
 Endpoints list one parenthesized group per boundary configuration, each
 a comma-separated chain of ``component@source>target`` pieces.  A
-``moduli`` line inside ``[declare]`` names two points declared in the
-same section and the components of the space between them (any shape
-except ``Interval``, whose endpoints the format cannot express at
-depth); the lines of one component parse to ``(source, target,
+``moduli`` line inside ``[declare]`` names two points declared earlier in
+the same section on one component, and the components of the space
+between them (any shape except ``Interval``, whose endpoints the format
+cannot express at depth); the lines of one component parse to ``(source, target,
 components)`` triples, the shape of ``FlowSystem.pairs``.  The build
 checks declared names and ``moduli`` lines by the rules for base points
 and ``[moduli]`` sections.  ``#`` starts a comment; declared point names
@@ -246,6 +246,12 @@ def parse_tower_file(text: str) -> tuple[FlowSystem, Declarations]:
                             lineno, f"{name!r} is not a declared point of this section"
                         )
                 owner = point_of_name[p]
+                if point_of_name[q] != owner:
+                    raise ParseError(
+                        lineno,
+                        f"{p!r} is a point of component {owner!r} and {q!r} of "
+                        f"component {point_of_name[q]!r}: no flow runs between components",
+                    )
                 pts, dms = declared[addr].setdefault(owner, ([], []))
                 dms.append((p, q, cid, shape))
             else:
@@ -290,7 +296,7 @@ def render_tower_file(fs: FlowSystem, decls: Declarations | None = None) -> str:
     for addr, comps in by_addr.items():
         out.append("")
         out.append(f"[declare {addr}]")
-        # Every point first: a moduli line may name a point of a later component.
+        # Every point first, then the moduli lines that name them.
         for cid, decl in comps:
             for dp in decl.points:
                 out.append(f"critical {dp.name} index {dp.index} component {cid}")

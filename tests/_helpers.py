@@ -1,4 +1,5 @@
-"""Test utilities: cell lookup and an independent recount of checker instances.
+"""Test utilities: cell lookup, strata as the face rule reads them, and an
+independent recount of checker instances.
 
 The recount walks boundaries with the module-level ``source``/``target``
 functions and raw key strings, never through ``GlobularSet`` internals, so it
@@ -8,6 +9,7 @@ serves as a second opinion on the composability bookkeeping of ``check_all``.
 from __future__ import annotations
 
 import flowcat as fc
+from flowcat.stratification import _chains, _pair_table, _refines, _strata
 
 
 def cell_map(tower: fc.Tower, level: int, extended: bool = False) -> dict[str, fc.Cell]:
@@ -25,6 +27,22 @@ def boundary_key_raw(cell: fc.Cell, q: int, side: str) -> str:
     while x.level > q:
         x = step(x)
     return fc.cell_key(fc.normalize(x))
+
+
+def stratify(table, source: str, target: str):
+    """The strata of the space from ``source`` to ``target`` over a pair
+    table, as the validator's face rule reads them, and the ``(i, j)`` pairs
+    whose stratum i lies in the closure of stratum j by ``_refines``."""
+
+    pt = _pair_table(table)
+    strata = _strata(pt, source, target, _chains(pt, source, target))
+    closure = [
+        (i, j)
+        for i, sub in enumerate(strata)
+        for j, sup in enumerate(strata)
+        if _refines(sub, sup, pt.comp_of)
+    ]
+    return strata, closure
 
 
 def independent_tag_counts(tower: fc.Tower) -> dict[str, int]:

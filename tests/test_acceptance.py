@@ -16,7 +16,7 @@ import pytest
 
 import flowcat as fc
 
-from _helpers import find_cell, independent_tag_counts, report_counts
+from _helpers import find_cell, independent_tag_counts, report_counts, stratify
 from test_axioms import _mutants
 
 SPHERES = (1, 2, 3)
@@ -90,7 +90,7 @@ def test_criterion_2_deformed_sphere_structure(emit):
         first = find_cell(tower, 1, "x/y:c0 @ M(x>y)")
         after = find_cell(tower, 1, "y/w:a @ M(y>w)")
         end = find_cell(tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
-        assert fc.compose(0, after=after, first=first) == end
+        assert view.compose(0, after=after, first=first) == end
         # Both derived level-2 spaces are single points.
         live = [sp for sp in tower.spaces(2) if not sp.stationary]
         assert len(live) == 2
@@ -131,7 +131,7 @@ def _parent_space(tower: fc.Tower, level: int, sp) -> fc.SpaceData:
 def test_criterion_5_stratification_laws(emit):
     with emit(5, "stratification: dimensions, product boundaries, nested faces"):
         towers = _corpus()
-        product_strata = 0
+        product_strata = codim_strata = 0
         for name, tower in towers.items():
             fs = tower.base
             for src, tgt, comps in fs.pairs:
@@ -147,43 +147,35 @@ def test_criterion_5_stratification_laws(emit):
                         gap = index_of[srck] - index_of[tgtk] - 1
                         assert all(c.dim == gap for c in comps), (name, sp.key)
 
+                    if sp.stationary:
+                        continue
                     # Factor lookup: the registry a boundary factor must come
                     # from is the base system for level 1 and the parent
                     # space's derived table above that.
                     if level == 1:
-                        def factor_comp(ref):
-                            try:
-                                comps = fs.components(ref.source, ref.target)
-                            except Exception:
-                                return None
-                            for c in comps:
-                                if c.id == ref.component:
-                                    return c
-                            return None
-
+                        table = fs.table
+                        index_below = {p.id: p.index for p in fs.points}
                         known_point = fs.has_point
                     else:
                         parent = _parent_space(tower, level, sp)
                         table = {(a, b): cs for a, b, cs in parent.derived}
-                        parent_points = {
-                            fc.point_key(e.point) for e in parent.morse
-                        }
+                        index_below = {fc.point_key(e.point): e.index for e in parent.morse}
+                        known_point = index_below.__contains__
 
-                        def factor_comp(ref, table=table):
-                            for c in table.get((ref.source, ref.target), ()):
-                                if c.id == ref.component:
-                                    return c
-                            return None
-
-                        known_point = parent_points.__contains__
+                    def factor_comp(ref, table=table):
+                        for c in table.get((ref.source, ref.target), ()):
+                            if c.id == ref.component:
+                                return c
+                        return None
 
                     own = {c.id: c for c in sp.components}
-                    strat = sp.stratification
                     src_key = fc.point_key(sp.address.source)
                     tgt_key = fc.point_key(sp.address.target)
-                    closure = set(strat.closure)
+                    dim = index_below[src_key] - index_below[tgt_key] - 1
+                    strata, closure = stratify(table, src_key, tgt_key)
+                    assert strata, (name, sp.key)
                     by_signature = {}
-                    for i, stratum in enumerate(strat.strata):
+                    for i, stratum in enumerate(strata):
                         assert stratum.source == src_key
                         assert stratum.target == tgt_key
                         chain = (stratum.source, *stratum.intermediates, stratum.target)
@@ -194,37 +186,36 @@ def test_criterion_5_stratification_laws(emit):
                         by_signature[
                             (stratum.intermediates, tuple(f.component for f in stratum.factors))
                         ] = i
+                        # Codimension: a stratum broken at k points is a
+                        # product of pieces from the registry one level down
+                        # whose dimensions sum to the space's dimension less k.
+                        factor_dims = []
+                        for ref in stratum.factors:
+                            comp = factor_comp(ref)
+                            assert comp is not None, (name, sp.key, ref)
+                            factor_dims.append(comp.dim)
+                        assert sum(factor_dims) == dim - stratum.depth, (name, sp.key, i)
+                        codim_strata += 1
                         if stratum.depth == 0:
                             assert stratum.intermediates == ()
                             assert stratum.factors[0].component in own
-                            assert stratum.dim == own[stratum.factors[0].component].dim
                             continue
-                        # A proper boundary stratum is a product of pieces
-                        # drawn from the registry one level down, glued along
-                        # known intermediate points, with additive dimension.
+                        # A proper boundary stratum is glued along known
+                        # intermediate points.
                         product_strata += 1
                         assert all(known_point(m) for m in stratum.intermediates), (
                             name,
                             sp.key,
                         )
-                        if sp.stationary:
-                            assert all(f.component in own for f in stratum.factors)
-                        else:
-                            factor_dims = []
-                            for ref in stratum.factors:
-                                comp = factor_comp(ref)
-                                assert comp is not None, (name, sp.key, ref)
-                                factor_dims.append(comp.dim)
-                            assert stratum.dim == sum(factor_dims), (name, sp.key)
                         # Every proper stratum closes up into some open stratum.
                         assert any(
                             (i, j) in closure
-                            for j, other in enumerate(strat.strata)
+                            for j, other in enumerate(strata)
                             if other.depth == 0
                         ), (name, sp.key, i)
 
                     for deep, shallow in closure:
-                        a, b = strat.strata[deep], strat.strata[shallow]
+                        a, b = strata[deep], strata[shallow]
                         assert a.depth > b.depth, (name, sp.key)
                         assert set(b.intermediates) < set(a.intermediates), (
                             name,
@@ -236,7 +227,7 @@ def test_criterion_5_stratification_laws(emit):
                     # relation already connects.  (The corpus realizes depth
                     # <= 1, so this loop certifies absence of deeper strata
                     # rather than exercising the drop.)
-                    for i, stratum in enumerate(strat.strata):
+                    for i, stratum in enumerate(strata):
                         if stratum.depth < 2:
                             continue
                         for keep in range(len(stratum.intermediates)):
@@ -256,6 +247,7 @@ def test_criterion_5_stratification_laws(emit):
                                 i,
                             )
         assert product_strata >= 200, product_strata
+        assert codim_strata == 1174, codim_strata
 
 
 def _point_index(point) -> int:
@@ -312,9 +304,8 @@ def test_criterion_6_flow_value_laws(emit):
                             assert slow > fast > 0, (name, up.key, down.key)
             # Termination: at most (top base dimension + 1) levels hold any
             # live space, and a complete tower ends on a stationary level.
-            top_dim = max(
-                fc.moduli_dimension(tower.base, s, t) for s, t, _ in tower.base.pairs
-            )
+            fs = tower.base
+            top_dim = max(fs.point(s).index - fs.point(t).index - 1 for s, t, _ in fs.pairs)
             live_levels = [
                 level
                 for level in range(1, tower.max_level + 1)
@@ -343,14 +334,14 @@ def _association_chain(length: int) -> list[fc.Cell]:
     return cells
 
 
-def _association_trees(cells):
+def _association_trees(view: fc.GlobularSet, cells):
     if len(cells) == 1:
         yield cells[0]
         return
     for cut in range(1, len(cells)):
-        for left in _association_trees(cells[:cut]):
-            for right in _association_trees(cells[cut:]):
-                yield fc.compose(0, after=right, first=left)
+        for left in _association_trees(view, cells[:cut]):
+            for right in _association_trees(view, cells[cut:]):
+                yield view.compose(0, after=right, first=left)
 
 
 def test_criterion_7_normal_form(emit):
@@ -367,10 +358,12 @@ def test_criterion_7_normal_form(emit):
         assert idempotent_cells == 5431, idempotent_cells
 
         # Every way of bracketing a chain of up to five pieces produces a
-        # distinct raw tree and the same normal form.
+        # distinct raw tree and the same normal form.  Gluing reads only the
+        # cells, so a view of any tower glues the synthetic chain.
         chain = _association_chain(5)
+        glue = fc.GlobularSet(towers["deformed"])
         for size, tree_count in ((2, 1), (3, 2), (4, 5), (5, 14)):
-            trees = list(_association_trees(chain[:size]))
+            trees = list(_association_trees(glue, chain[:size]))
             assert len(trees) == tree_count
             assert len({fc.cell_key(t) for t in trees}) == tree_count
             assert len({fc.cell_key(fc.normalize(t)) for t in trees}) == 1
@@ -394,15 +387,15 @@ def test_criterion_7_normal_form(emit):
                                     continue
                                 if key(high_first, "s") != key(low_first, "t"):
                                     continue
-                                lhs = fc.compose(
+                                lhs = view.compose(
                                     q,
-                                    after=fc.compose(p, after=high, first=high_first),
-                                    first=fc.compose(p, after=low, first=low_first),
+                                    after=view.compose(p, after=high, first=high_first),
+                                    first=view.compose(p, after=low, first=low_first),
                                 )
-                                rhs = fc.compose(
+                                rhs = view.compose(
                                     p,
-                                    after=fc.compose(q, after=high, first=low),
-                                    first=fc.compose(
+                                    after=view.compose(q, after=high, first=low),
+                                    first=view.compose(
                                         q, after=high_first, first=low_first
                                     ),
                                 )

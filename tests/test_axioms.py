@@ -410,7 +410,7 @@ class TestUnitLawReference:
         assert joins == []
         # The patched join is the one that raw composites go through.
         c0x = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
-        fc.compose(0, c0x, fc.identity(fc.source(c0x)))
+        fc.GlobularSet(deformed_tower).compose(0, c0x, fc.identity(fc.source(c0x)))
         assert joins
 
     @pytest.mark.parametrize("name", ["deformed", "sphere4"])

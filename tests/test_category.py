@@ -96,7 +96,7 @@ class TestBoundaries:
             for level in range(1, t.max_level + 1):
                 cs = list(fc.extended_cells(t, level))
                 for p in range(level):
-                    cs += [fc.compose(p, c, a) for c, a in view.composable_pairs(level, p)]
+                    cs += [view.compose(p, c, a) for c, a in view.composable_pairs(level, p)]
                 for c in cs:
                     assert fc.normalize(fc.source(c)) is fc.source(fc.normalize(c))
                     assert fc.normalize(fc.target(c)) is fc.target(fc.normalize(c))
@@ -167,7 +167,7 @@ class TestComposition:
     def test_golden_composite_is_the_max_end_raw(self, deformed_tower):
         first = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
-        glued = fc.compose(0, after=after, first=first)
+        glued = fc.GlobularSet(deformed_tower).compose(0, after=after, first=first)
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
         assert glued == end
 
@@ -177,7 +177,6 @@ class TestComposition:
             for a in cells1:
                 expect = boundary_key_raw(c, 0, "s") == boundary_key_raw(a, 0, "t")
                 assert deformed_view.composable(0, c, a) == expect
-                assert fc.composable(0, c, a) == expect
 
     def test_composable_pair_counts(self, deformed_view):
         expect = {(1, 0): 4, (2, 0): 4, (2, 1): 4, (3, 0): 4, (3, 1): 4, (3, 2): 6}
@@ -222,25 +221,28 @@ class TestComposition:
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
         two = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
         view = fc.GlobularSet(deformed_tower)
-        # The view checks gluing through its boundary table, with the same
-        # text, and so does its normal-form composite.
+        # The view checks gluing through its boundary table, and its
+        # normal-form composite refuses with the same text.
         for p, c, a in ((0, first, after), (1, first, after), (0, two, first)):
             with pytest.raises(ValueError) as raw:
-                fc.compose(p, after=c, first=a)
-            for glue in (view.compose, view.normal_compose):
-                with pytest.raises(ValueError) as viewed:
-                    glue(p, c, a)
-                assert str(viewed.value) == str(raw.value)
+                view.compose(p, after=c, first=a)
+            with pytest.raises(ValueError) as viewed:
+                view.normal_compose(p, c, a)
+            assert str(viewed.value) == str(raw.value)
             if c is first:
-                assert f"do not glue along level {p}" in str(raw.value)
+                assert str(raw.value) == (
+                    f"cells do not glue along level {p}: the level-{p} source of "
+                    f"x/y:c0 @ M(x>y) differs from the level-{p} target of y/w:a @ M(y>w)"
+                )
 
     def test_level_mismatch_raises(self, deformed_tower):
         one = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
         base = find_cell(deformed_tower, 0, "w")
+        view = fc.GlobularSet(deformed_tower)
         with pytest.raises(ValueError):
-            fc.compose(0, after=one, first=base)
+            view.compose(0, after=one, first=base)
         with pytest.raises(ValueError):
-            fc.compose(1, after=one, first=one)
+            view.compose(1, after=one, first=one)
 
     def test_cells_of_different_levels_raise_one_message(self, deformed_tower):
         one = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
@@ -253,9 +255,8 @@ class TestComposition:
              "1(y/w:a) @ M(y/w:a>y/w:a|y>w) a level-2 cell"),
         ):
             for p in (0, 1, 5):
-                assert not fc.composable(p, after, first)
                 assert not view.composable(p, after, first)
-                for glue in (fc.compose, view.compose, view.normal_compose):
+                for glue in (view.compose, view.normal_compose):
                     with pytest.raises(ValueError) as err:
                         glue(p, after, first)
                     assert str(err.value) == (
@@ -265,27 +266,46 @@ class TestComposition:
     def test_composites_are_cells_of_the_tower(self, deformed_tower, random_towers):
         # Composition is the inclusion of broken flow lines: the composite of
         # every composable pair normalizes onto a cell of its level or onto
-        # an iterated identity of a lower cell.
+        # an iterated identity of a lower cell.  A tower cut by max_level
+        # must stay closed at its top level too.
         towers = [
             deformed_tower,
             *(fc.build_tower(*fc.sphere_system(n)) for n in range(1, 9)),
             *random_towers.values(),
             *(fc.build_tower(fc.random_system(seed)) for seed in range(20, 40)),
         ]
-        glued = 0
-        for t in towers:
-            X = fc.GlobularSet(t)
-            for level in range(1, t.max_level + 1):
-                ext = {fc.normalize(c) for c in fc.extended_cells(t, level)}
-                for p in range(level):
-                    for C, A in X.composable_pairs(level, p):
-                        assert fc.normalize(X.compose(p, C, A)) in ext, (p, _nkey(C), _nkey(A))
-                        glued += 1
-        assert glued == 679
+        systems = [
+            (fc.deformed_sphere_system(),),
+            *(fc.sphere_system(n) for n in range(1, 7)),
+            *((fc.random_system(seed),) for seed in range(40)),
+        ]
+        cut = [
+            fc.build_tower(*args, max_level=m)
+            for args in systems
+            for m in range(1, fc.build_tower(*args).max_level)
+        ]
+        assert len(cut) == 78 and not any(t.complete for t in cut)
+
+        def glue_all(towers) -> int:
+            glued = 0
+            for t in towers:
+                X = fc.GlobularSet(t)
+                for level in range(1, t.max_level + 1):
+                    ext = {fc.normalize(c) for c in fc.extended_cells(t, level)}
+                    for p in range(level):
+                        for C, A in X.composable_pairs(level, p):
+                            composite = fc.normalize(X.compose(p, C, A))
+                            assert composite in ext, (t.max_level, p, _nkey(C), _nkey(A))
+                            glued += 1
+            return glued
+
+        assert glue_all(towers) == 679
+        assert glue_all(cut) == 345
 
     def test_unit_composite_normalizes_to_the_cell(self, deformed_tower):
         c = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
-        glued = fc.compose(0, after=c, first=fc.identity(fc.source(c)))
+        unit = fc.identity(fc.source(c))
+        glued = fc.GlobularSet(deformed_tower).compose(0, after=c, first=unit)
         assert _nkey(glued) == _nkey(c)
         assert fc.cell_key(glued) != fc.cell_key(c)  # raw shapes differ
 

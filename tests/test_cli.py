@@ -381,16 +381,21 @@ class TestDeclaredModuli:
         )
         assert fc.parse_tower_file(fc.render_tower_file(fs, decls)) == (fs, decls)
 
-    def test_round_trip_with_a_point_of_a_later_component(self):
-        # The moduli line of c0 names b, a point of c1.
+    def test_a_point_of_a_later_component_is_refused_where_named(self):
+        # The moduli line of c0 names b, a point of c1: no flow runs between
+        # components, so the parser refuses the line and names both.
         text = (
             "[critical]\nN 2\nS 0\n\n[moduli N S]\ncomponent c0 shape Circle\n"
             "component c1 shape Circle\n\n[declare M(N>S)]\n"
             "critical a index 1 component c0\ncritical b index 0 component c1\n"
             "moduli a b component 0 shape Point\n"
         )
-        fs, decls = fc.parse_tower_file(text)
-        assert fc.parse_tower_file(fc.render_tower_file(fs, decls)) == (fs, decls)
+        with pytest.raises(fc.ParseError) as err:
+            fc.parse_tower_file(text)
+        assert str(err.value) == (
+            "line 12: 'a' is a point of component 'c0' and 'b' of component 'c1': "
+            "no flow runs between components"
+        )
 
     def test_declared_circles_build_and_check(self, tmp_path, capsys):
         tower = fc.build_tower(*fc.parse_tower_file(_CIRCLES))
@@ -432,8 +437,8 @@ class TestDeclaredModuli:
             (
                 _CIRCLES + "moduli p0 q1 component 0 shape Point\n",
                 [
-                    "error: invalid declarations of component '0' of M(hi1>lo1|N>S):",
-                    "[unknown-point] pair (p0,q1) names unknown point 'q1'",
+                    "error: {path}: line 19: 'p0' is a point of component '0' and "
+                    "'q1' of component '1': no flow runs between components",
                 ],
             ),
         ],
@@ -442,10 +447,11 @@ class TestDeclaredModuli:
     def test_moduli_line_the_build_never_reads_exits_2(self, tmp_path, capsys, text, error):
         # Without the check, both files exit 0: the first with 82 instances,
         # the second with the 150 of _CIRCLES, the line ignored.
-        assert main(["check", _write(tmp_path, "unread.ft", text)]) == 2
+        path = _write(tmp_path, "unread.ft", text)
+        assert main(["check", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == error
+        assert captured.err.splitlines() == [line.replace("{path}", path) for line in error]
 
     @pytest.mark.parametrize(
         "text, error",

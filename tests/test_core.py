@@ -178,7 +178,7 @@ class TestInterning:
     def test_normal_form_is_memoized(self, deformed_tower):
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
         unit = fc.identity(find_cell(deformed_tower, 0, "y"))
-        padded = fc.compose(0, after, unit)
+        padded = fc.GlobularSet(deformed_tower).compose(0, after, unit)
         assert fc.normalize(padded) is after
         for cell in (*fc.extended_cells(deformed_tower, 2), padded):
             assert fc.normalize(cell) is fc.normalize(cell)
@@ -286,6 +286,7 @@ class TestInternFastPath:
         # Pinned strings: the raw history of a composite glued below its top
         # boundary shares, joins and pairs entries by position.
         sphere = fc.build_tower(*fc.sphere_system(3))
+        X = fc.GlobularSet(sphere)
         units = []
         for a in fc.cells(sphere, 3):
             for p in (0, 1):
@@ -294,7 +295,7 @@ class TestInternFastPath:
                     unit = fc.target(unit)
                 for _ in range(3 - p):
                     unit = fc.identity(unit)
-                units.append(fc.cell_key(fc.compose(p, unit, a)))
+                units.append(fc.cell_key(X.compose(p, unit, a)))
         assert units == [
             "(hi2/lo2:0,1(1(1(S)))) @ M((hi2,1(1(S)))>(lo2,1(1(S)))|(hi1,1(S))>(lo1,1(S));N>S)",
             "(hi2/lo2:0,1(1(lo1))) @ M((hi2,1(lo1))>(lo2,1(lo1))|hi1>lo1;N>S)",
@@ -303,7 +304,7 @@ class TestInternFastPath:
         ]
         view = fc.GlobularSet(deformed_tower)
         glued = {
-            p: [fc.cell_key(fc.compose(p, c, a)) for c, a in view.composable_pairs(3, p)]
+            p: [fc.cell_key(view.compose(p, c, a)) for c, a in view.composable_pairs(3, p)]
             for p in (0, 1)
         }
         assert glued == {

@@ -9,6 +9,8 @@ import pytest
 
 import flowcat as fc
 
+from _helpers import stratify
+
 
 def _codes(fs: fc.FlowSystem) -> set[str]:
     return {v.code for v in fc.validate_flow_system(fs)}
@@ -84,10 +86,11 @@ class TestFlowSystem:
         assert fs.point("x") is x and fs.has_point("y")
         assert fs.components("y", "w") is first
 
-    def test_moduli_dimension_is_index_gap_minus_one(self, deformed_fs):
-        assert fc.moduli_dimension(deformed_fs, "x", "w") == 1
-        assert fc.moduli_dimension(deformed_fs, "x", "y") == 0
-        assert fc.moduli_dimension(deformed_fs, "z", "y") == 0
+    def test_component_dimension_is_index_gap_minus_one(self, deformed_fs):
+        for (s, t), dim in {("x", "w"): 1, ("x", "y"): 0, ("z", "y"): 0}.items():
+            assert deformed_fs.point(s).index - deformed_fs.point(t).index - 1 == dim
+            comps = deformed_fs.components(s, t)
+            assert comps and all(c.dim == dim for c in comps)
 
 
 class TestValidatorAcceptsCorpus:
@@ -123,7 +126,7 @@ class TestValidatorViolations:
         fs = dataclasses.replace(deformed_fs, pairs=deformed_fs.pairs + (("x", "w", (k9,)),))
         assert fs.components("x", "w") is first
         assert fs.table["x", "w"] is first
-        assert fc.boundary_strata(fs, "x", "w") == fc.boundary_strata(deformed_fs, "x", "w")
+        assert stratify(fs.table, "x", "w") == stratify(deformed_fs.table, "x", "w")
         assert [str(v) for v in fc.validate_flow_system(fs)] == ["[dup-pair] pair (x,w) listed twice"]
 
     def test_unknown_point(self, deformed_fs):
@@ -319,7 +322,7 @@ class TestValidatorViolations:
             },
         )
         assert fc.validate_flow_system(fs) == ()
-        strata = fc.boundary_strata(fs, "x", "w").strata
+        strata, _ = stratify(fs.table, "x", "w")
         assert [s.intermediates for s in strata if s.depth == 2] == [("a", "b")] * 4
 
     def test_violation_messages_name_subjects(self, deformed_fs):
@@ -362,29 +365,37 @@ class TestChains:
         assert found > 0
 
 
+def _factor_dim(fs: fc.FlowSystem, stratum: fc.Stratum) -> int:
+    return sum(
+        next(c.dim for c in fs.components(r.source, r.target) if c.id == r.component)
+        for r in stratum.factors
+    )
+
+
 class TestBoundaryStrata:
     def test_deformed_interval_breaks_once_through_y(self, deformed_fs):
-        st = fc.boundary_strata(deformed_fs, "x", "w")
-        assert [(s.depth, s.dim) for s in st.strata] == [(0, 1), (1, 0), (1, 0)]
-        top = st.strata[0]
+        strata, closure = stratify(deformed_fs.table, "x", "w")
+        dims = [(s.depth, _factor_dim(deformed_fs, s)) for s in strata]
+        assert dims == [(0, 1), (1, 0), (1, 0)]
+        top = strata[0]
         assert top.intermediates == ()
         assert top.factors == (fc.PieceRef("x", "w", "c0"),)
-        for s in st.strata[1:]:
+        for s in strata[1:]:
             assert s.intermediates == ("y",)
             assert [f.source for f in s.factors] == ["x", "y"]
             assert [f.target for f in s.factors] == ["y", "w"]
-        assert st.closure == ((1, 0), (2, 0))
+        assert closure == [(1, 0), (2, 0)]
 
     def test_closure_pairs_point_from_deeper_to_shallower(self, deformed_fs):
         for s, t, _ in deformed_fs.pairs:
-            st = fc.boundary_strata(deformed_fs, s, t)
-            for i, j in st.closure:
-                assert st.strata[i].depth > st.strata[j].depth
-                mids_j = set(st.strata[j].intermediates)
-                mids_i = set(st.strata[i].intermediates)
+            strata, closure = stratify(deformed_fs.table, s, t)
+            for i, j in closure:
+                assert strata[i].depth > strata[j].depth
+                mids_j = set(strata[j].intermediates)
+                mids_i = set(strata[i].intermediates)
                 assert mids_j < mids_i
 
     def test_point_pair_has_single_zero_stratum_per_component(self, deformed_fs):
-        st = fc.boundary_strata(deformed_fs, "y", "w")
-        assert [(s.depth, s.dim) for s in st.strata] == [(0, 0), (0, 0)]
-        assert st.closure == ()
+        strata, closure = stratify(deformed_fs.table, "y", "w")
+        assert [(s.depth, _factor_dim(deformed_fs, s)) for s in strata] == [(0, 0), (0, 0)]
+        assert closure == []

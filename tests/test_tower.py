@@ -7,8 +7,6 @@ from fractions import Fraction
 import pytest
 
 import flowcat as fc
-from flowcat import tower as tower_module
-from flowcat.stratification import _pair_table, _stratify
 
 
 def _morse(tower: fc.Tower, level: int, space_key: str) -> dict[str, fc.MorseEntry]:
@@ -147,7 +145,8 @@ class TestSphereTowers:
             for lv in range(1, t.max_level + 1)
             if any(not sp.stationary for sp in t.spaces(lv))
         ]
-        base_dim = max(fc.moduli_dimension(t.base, s, x) for s, x, _ in t.base.pairs)
+        fs = t.base
+        base_dim = max(fs.point(s).index - fs.point(x).index - 1 for s, x, _ in fs.pairs)
         assert len(nontrivial) <= base_dim + 1
 
     def test_repr_grows_polynomially_with_depth(self):
@@ -209,7 +208,7 @@ class TestAmbientChain:
                     assert fc.target(c).space is c.space.ambient
                 for p in range(level - 1):
                     for C, A in X.composable_pairs(level, p):
-                        glued = fc.compose(p, C, A).space
+                        glued = X.compose(p, C, A).space
                         assert glued.level == level
                         assert _at_level(glued, p) is _at_level(A.space, p)
                         joint = _at_level(glued, p + 1)
@@ -373,20 +372,12 @@ class TestDeclarationRules:
         ]
 
 
-def _one_stratum(a: str, b: str) -> fc.Stratification:
-    return fc.Stratification((fc.Stratum(a, b, (), (fc.PieceRef(a, b, "0"),), 0),), ())
+class TestParentPairTable:
+    """Each built space runs between a pair of its parent's pair table."""
 
-
-class TestOnDemandStratification:
-    """Strata are computed from the parent's pair table when first read."""
-
-    @staticmethod
-    def _towers(deformed_tower, random_towers):
+    def test_spaces_are_the_pairs_of_the_parent_table(self, deformed_tower, random_towers):
         spheres = [fc.build_tower(*fc.sphere_system(n)) for n in (1, 2, 3, 4)]
-        return [deformed_tower, *spheres, *random_towers.values()]
-
-    def test_strata_come_from_the_parent_pair_table(self, deformed_tower, random_towers):
-        for t in self._towers(deformed_tower, random_towers):
+        for t in (deformed_tower, *spheres, *random_towers.values()):
             for level in range(1, t.max_level + 1):
                 for sp in t.spaces(level):
                     a, b = fc.point_key(sp.address.source), fc.point_key(sp.address.target)
@@ -396,43 +387,9 @@ class TestOnDemandStratification:
                         parent = t.space(level - 1, fc.address_key(sp.address.ambient))
                         table = {(x, y): cs for x, y, cs in parent.derived}
                     if (a, b) in table:
-                        assert sp.stratification == _stratify(_pair_table(table), a, b)
+                        assert sp.components == table[a, b], sp.key
                     else:
                         assert sp.stationary, sp.key
-                    if sp.stationary:
-                        assert sp.stratification == _one_stratum(a, b), sp.key
-
-    def test_level_one_strata_are_the_boundary_strata(self, deformed_tower, random_towers):
-        for t in self._towers(deformed_tower, random_towers):
-            for sp in t.spaces(1):
-                if not sp.stationary:
-                    a, b = fc.point_key(sp.address.source), fc.point_key(sp.address.target)
-                    assert sp.stratification == fc.boundary_strata(t.base, a, b)
 
     def test_two_builds_compare_equal(self, deformed_fs):
-        first, second = fc.build_tower(deformed_fs), fc.build_tower(deformed_fs)
-        assert first == second
-        for level in range(1, first.max_level + 1):
-            for sp in first.spaces(level):
-                sp.stratification
-        assert first == second
-
-    def test_build_stratifies_nothing_and_a_read_stratifies_once(
-        self, deformed_fs, monkeypatch
-    ):
-        calls = []
-        stratify = tower_module._stratify
-
-        def counting(*args):
-            calls.append(args)
-            return stratify(*args)
-
-        monkeypatch.setattr(tower_module, "_stratify", counting)
-        t = fc.build_tower(deformed_fs)
-        assert calls == []
-        sp = t.space(1, "M(x>w)")
-        first = sp.stratification
-        assert len(calls) == 1
-        assert sp.stratification is first
-        assert len(calls) == 1
-        assert first.strata and first.closure
+        assert fc.build_tower(deformed_fs) == fc.build_tower(deformed_fs)
