@@ -34,7 +34,6 @@ from .stratification import (
     POINT,
     PieceRef,
     Shape,
-    Stratum,
     Violation,
     flow_system,
     sphere_like,
@@ -90,7 +89,7 @@ __all__ = [
     "is_stationary", "point_key", "point_value",
     # stratification
     "CIRCLE", "Component", "Endpoint", "FlowSystem", "INTERVAL", "POINT",
-    "PieceRef", "Shape", "Stratum", "Violation", "flow_system",
+    "PieceRef", "Shape", "Violation", "flow_system",
     "sphere_like", "validate_flow_system",
     # tower
     "BuildError", "ComponentDecl", "DeclaredPoint", "Declarations",

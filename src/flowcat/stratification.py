@@ -1,4 +1,4 @@
-"""Flow systems, component shapes, and boundary stratification.
+"""Flow systems, component shapes, and the laws of flow data.
 
 A :class:`FlowSystem` is the finite input datum: base critical points
 with indices, and for selected ordered pairs the components of the
@@ -8,10 +8,9 @@ for intervals, the two boundary configurations (broken flow lines).
 
 The validator checks the laws that make such data consistent: index
 monotonicity, the dimension formula, the exact matching between broken
-configurations and interval endpoints, and the face-of-face condition.
-For the last it stratifies the boundary of a space by how far flow lines
-break: one stratum per chain of intermediate critical points per choice
-of factor component.
+configurations and interval endpoints, and the face-of-face condition:
+a flow line broken at two or more intermediate critical points lies on a
+face broken at one point fewer, read directly off the broken pieces.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import CritPoint
@@ -32,7 +32,6 @@ __all__ = [
     "declared_shape",
     "PieceRef",
     "Component",
-    "Stratum",
     "FlowSystem",
     "flow_system",
     "Violation",
@@ -125,26 +124,6 @@ class Component:
 
 
 @dataclass(frozen=True)
-class Stratum:
-    """One stratum of a compactified space.
-
-    The open stratum of a component has no intermediates and its single
-    factor is the component itself.  A boundary stratum breaks at the
-    listed intermediate critical points, with one factor component per
-    segment of the chain.
-    """
-
-    source: str
-    target: str
-    intermediates: tuple[str, ...]
-    factors: tuple[PieceRef, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.intermediates)
-
-
-@dataclass(frozen=True)
 class FlowSystem:
     """Finite flow data: base critical points and level-1 components.
 
@@ -156,29 +135,13 @@ class FlowSystem:
     points: tuple[CritPoint, ...]
     pairs: tuple[tuple[str, str, tuple[Component, ...]], ...]
 
-    # The first entry listed per key wins; pairs keep their listing order.
-    @cached_property
-    def _point_of(self) -> dict[str, CritPoint]:
-        return {p.id: p for p in reversed(self.points)}
-
+    # The first listing of a pair wins; pairs keep their listing order.
     @cached_property
     def _components_of(self) -> dict[tuple[str, str], tuple[Component, ...]]:
         out: dict[tuple[str, str], tuple[Component, ...]] = {}
         for s, t, comps in self.pairs:
             out.setdefault((s, t), comps)
         return out
-
-    def point(self, pt_id: str) -> CritPoint:
-        try:
-            return self._point_of[pt_id]
-        except KeyError:
-            raise KeyError(f"no critical point {pt_id!r}") from None
-
-    def has_point(self, pt_id: str) -> bool:
-        return pt_id in self._point_of
-
-    def components(self, source: str, target: str) -> tuple[Component, ...]:
-        return self._components_of.get((source, target), ())
 
     @property
     def table(self) -> dict[tuple[str, str], tuple[Component, ...]]:
@@ -344,73 +307,6 @@ def _chains(pt: _PairTable, source: str, target: str) -> list[tuple[str, ...]]:
     return sorted(out, key=lambda m: (len(m), m))
 
 
-def _refines(
-    sub: Stratum, sup: Stratum, comp_of: dict[tuple[str, str, str], Component]
-) -> bool:
-    """Whether ``sub`` lies in the closure of ``sup``.
-
-    The intermediates of ``sup`` must appear, in order, among those of
-    ``sub``; over each single factor of ``sup``, the induced segment of
-    ``sub`` must either be the same component or one of its boundary
-    configurations.
-    """
-
-    sup_chain = (sup.source,) + sup.intermediates + (sup.target,)
-    sub_chain = (sub.source,) + sub.intermediates + (sub.target,)
-    if sub == sup:
-        return False
-    # locate sup's chain inside sub's chain
-    positions = []
-    start = 0
-    for pt in sup_chain:
-        try:
-            pos = sub_chain.index(pt, start)
-        except ValueError:
-            return False
-        positions.append(pos)
-        start = pos + 1
-    if positions[0] != 0 or positions[-1] != len(sub_chain) - 1:
-        return False
-    for k in range(len(sup.factors)):
-        lo, hi = positions[k], positions[k + 1]
-        segment = sub.factors[lo:hi]
-        sup_factor = sup.factors[k]
-        if len(segment) == 1 and segment[0] == sup_factor:
-            continue
-        comp = comp_of.get((sup_factor.source, sup_factor.target, sup_factor.component))
-        if comp is None or segment not in comp.boundary:
-            return False
-    return True
-
-
-def _strata(
-    pt: _PairTable, source: str, target: str, chains: list[tuple[str, ...]]
-) -> list[Stratum]:
-    """The strata over the given chains of intermediates, one per choice of
-    factor components, sorted by depth, intermediates and factors.
-
-    ``pt`` is the pair table of the space one level down, whose points
-    ``source`` and ``target`` are.
-    """
-
-    table = pt.pairs
-    strata: list[Stratum] = []
-    for mids in chains:
-        chain = (source,) + mids + (target,)
-        segs = list(zip(chain, chain[1:]))
-        choices: list[tuple[PieceRef, ...]] = [()]
-        for s, t in segs:
-            comps = table.get((s, t), ())
-            choices = [
-                chosen + (PieceRef(s, t, c.id),) for chosen in choices for c in comps
-            ]
-        strata.extend(Stratum(source, target, mids, factors) for factors in choices)
-    strata.sort(key=lambda s: (len(s.intermediates), s.intermediates, tuple(
-        (r.source, r.target, r.component) for r in s.factors
-    )))
-    return strata
-
-
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-")
 
 
@@ -421,9 +317,9 @@ def validate_flow_system(fs: FlowSystem) -> tuple[Violation, ...]:
     (hence acyclicity), the dimension formula per component, interval
     endpoints being well-formed broken configurations, the exact matching
     of broken configurations to interval endpoints, and the face-of-face
-    condition on the resulting strata.  The first listing of a pair wins,
-    as it does for every reader of the system; each violation is reported
-    once.
+    condition on configurations broken twice or more.  The first listing of
+    a pair wins, as it does for every reader of the system; each violation
+    is reported once.
     """
 
     pt = _pair_table(fs.table)
@@ -595,33 +491,38 @@ def _breaking_rules(index: dict[str, int], pt: _PairTable) -> Iterator[Violation
 
 
 def _face_rules(pt: _PairTable) -> Iterator[Violation]:
-    """Face-of-face: every double break refines through a single break.
+    """Face-of-face: a line broken twice lies on a face broken once.
 
-    Only pairs with a chain of two or more intermediates have a double
-    break, and a stratum broken at ``mids`` with one point dropped can lie
-    only in the closure of the strata broken at exactly the rest.
+    A configuration broken at ``mids`` lies on a face broken at ``mids``
+    less one point ``m`` when its two pieces around ``m`` are an endpoint
+    of some component between the neighbours of ``m``.  Only pairs with a
+    chain of two or more intermediates break twice.
     """
 
     for x, z in sorted(pt.pairs):
         chains = _chains(pt, x, z)
         if not chains or len(chains[-1]) < 2:
             continue
-        strata = _strata(pt, x, z, chains)
-        by_mids: dict[tuple[str, ...], list[Stratum]] = {}
-        for stratum in strata:
-            by_mids.setdefault(stratum.intermediates, []).append(stratum)
-        for sub in strata:
-            if sub.depth < 2:
+        for mids in chains:
+            if len(mids) < 2:
                 continue
-            for drop in range(sub.depth):
-                mids = sub.intermediates[:drop] + sub.intermediates[drop + 1 :]
-                if not any(_refines(sub, sup, pt.comp_of) for sup in by_mids.get(mids, ())):
-                    yield Violation(
-                        "face-of-face",
-                        f"stratum of ({x},{z}) broken at {sub.intermediates} does not "
-                        f"lie in the closure of a stratum broken at {mids}",
-                        (x, z),
-                    )
+            chain = (x, *mids, z)
+            choices = [
+                [PieceRef(s, t, c.id) for c in pt.pairs[s, t]] for s, t in zip(chain, chain[1:])
+            ]
+            for refs in sorted(product(*choices)):
+                for k in range(len(mids)):
+                    a, b = chain[k], chain[k + 2]
+                    if not any(
+                        refs[k : k + 2] in pt.comp_of[a, b, c.id].boundary
+                        for c in pt.pairs.get((a, b), ())
+                    ):
+                        yield Violation(
+                            "face-of-face",
+                            f"stratum of ({x},{z}) broken at {mids} does not "
+                            f"lie in the closure of a stratum broken at {mids[:k] + mids[k + 1 :]}",
+                            (x, z),
+                        )
 
 
 def _end_str(end: Endpoint) -> str:

@@ -183,18 +183,6 @@ class Tower:
             )
         return self.levels[level - 1]
 
-    @cached_property
-    def _space_of(self) -> tuple[dict[str, SpaceData], ...]:
-        # Per level; built from the end, so that the first space per key wins.
-        return tuple({sd.key: sd for sd in reversed(spaces)} for spaces in self.levels)
-
-    def space(self, level: int, addr_key: str) -> SpaceData:
-        self.spaces(level)  # raises on a level out of range
-        try:
-            return self._space_of[level - 1][addr_key]
-        except KeyError:
-            raise KeyError(f"no space {addr_key} at level {level}") from None
-
 
 def _declared_points(
     decls: Declarations, addr_key_str: str, comp: Component

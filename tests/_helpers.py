@@ -1,5 +1,6 @@
-"""Test utilities: cell lookup, strata as the face rule reads them, and an
-independent recount of checker instances.
+"""Test utilities: cell and space lookup, the reference face rule over
+strata, a four-grade family of flow systems, and an independent recount of
+checker instances.
 
 The recount walks boundaries with the module-level ``source``/``target``
 functions and raw key strings, never through ``GlobularSet`` internals, so it
@@ -8,8 +9,12 @@ serves as a second opinion on the composability bookkeeping of ``check_all``.
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
+from typing import Iterator
+
 import flowcat as fc
-from flowcat.stratification import _chains, _pair_table, _refines, _strata
+from flowcat.stratification import _PairTable, _chains, _pair_table
 
 
 def cell_map(tower: fc.Tower, level: int, extended: bool = False) -> dict[str, fc.Cell]:
@@ -21,6 +26,13 @@ def find_cell(tower: fc.Tower, level: int, key: str) -> fc.Cell:
     return cell_map(tower, level, extended=True)[key]
 
 
+def space_at(tower: fc.Tower, level: int, key: str) -> fc.SpaceData:
+    """The one space of ``tower.spaces(level)`` with address key ``key``."""
+
+    (sp,) = [sp for sp in tower.spaces(level) if sp.key == key]
+    return sp
+
+
 def boundary_key_raw(cell: fc.Cell, q: int, side: str) -> str:
     step = fc.source if side == "s" else fc.target
     x = cell
@@ -29,10 +41,97 @@ def boundary_key_raw(cell: fc.Cell, q: int, side: str) -> str:
     return fc.cell_key(fc.normalize(x))
 
 
+@dataclass(frozen=True)
+class Stratum:
+    """One stratum of a compactified space.
+
+    The open stratum of a component has no intermediates and its single
+    factor is the component itself.  A boundary stratum breaks at the
+    listed intermediate critical points, with one factor component per
+    segment of the chain.
+    """
+
+    source: str
+    target: str
+    intermediates: tuple[str, ...]
+    factors: tuple[fc.PieceRef, ...]
+
+    @property
+    def depth(self) -> int:
+        return len(self.intermediates)
+
+
+def _refines(
+    sub: Stratum, sup: Stratum, comp_of: dict[tuple[str, str, str], fc.Component]
+) -> bool:
+    """Whether ``sub`` lies in the closure of ``sup``.
+
+    The intermediates of ``sup`` must appear, in order, among those of
+    ``sub``; over each single factor of ``sup``, the induced segment of
+    ``sub`` must either be the same component or one of its boundary
+    configurations.
+    """
+
+    sup_chain = (sup.source,) + sup.intermediates + (sup.target,)
+    sub_chain = (sub.source,) + sub.intermediates + (sub.target,)
+    if sub == sup:
+        return False
+    # locate sup's chain inside sub's chain
+    positions = []
+    start = 0
+    for pt in sup_chain:
+        try:
+            pos = sub_chain.index(pt, start)
+        except ValueError:
+            return False
+        positions.append(pos)
+        start = pos + 1
+    if positions[0] != 0 or positions[-1] != len(sub_chain) - 1:
+        return False
+    for k in range(len(sup.factors)):
+        lo, hi = positions[k], positions[k + 1]
+        segment = sub.factors[lo:hi]
+        sup_factor = sup.factors[k]
+        if len(segment) == 1 and segment[0] == sup_factor:
+            continue
+        comp = comp_of.get((sup_factor.source, sup_factor.target, sup_factor.component))
+        if comp is None or segment not in comp.boundary:
+            return False
+    return True
+
+
+def _strata(
+    pt: _PairTable, source: str, target: str, chains: list[tuple[str, ...]]
+) -> list[Stratum]:
+    """The strata over the given chains of intermediates, one per choice of
+    factor components, sorted by depth, intermediates and factors.
+
+    ``pt`` is the pair table of the space one level down, whose points
+    ``source`` and ``target`` are.
+    """
+
+    table = pt.pairs
+    strata: list[Stratum] = []
+    for mids in chains:
+        chain = (source,) + mids + (target,)
+        segs = list(zip(chain, chain[1:]))
+        choices: list[tuple[fc.PieceRef, ...]] = [()]
+        for s, t in segs:
+            comps = table.get((s, t), ())
+            choices = [
+                chosen + (fc.PieceRef(s, t, c.id),) for chosen in choices for c in comps
+            ]
+        strata.extend(Stratum(source, target, mids, factors) for factors in choices)
+    strata.sort(key=lambda s: (len(s.intermediates), s.intermediates, tuple(
+        (r.source, r.target, r.component) for r in s.factors
+    )))
+    return strata
+
+
 def stratify(table, source: str, target: str):
     """The strata of the space from ``source`` to ``target`` over a pair
-    table, as the validator's face rule reads them, and the ``(i, j)`` pairs
-    whose stratum i lies in the closure of stratum j by ``_refines``."""
+    table, and the ``(i, j)`` pairs whose stratum i lies in the closure of
+    stratum j by ``_refines``."""
 
     pt = _pair_table(table)
     strata = _strata(pt, source, target, _chains(pt, source, target))
@@ -43,6 +142,87 @@ def stratify(table, source: str, target: str):
         if _refines(sub, sup, pt.comp_of)
     ]
     return strata, closure
+
+
+def reference_face_rules(pt: _PairTable) -> Iterator[fc.Violation]:
+    """The face-of-face rule over strata: every double break refines
+    through a single break, by ``_refines``.
+
+    Only pairs with a chain of two or more intermediates have a double
+    break, and a stratum broken at ``mids`` with one point dropped can lie
+    only in the closure of the strata broken at exactly the rest.
+    """
+
+    for x, z in sorted(pt.pairs):
+        chains = _chains(pt, x, z)
+        if not chains or len(chains[-1]) < 2:
+            continue
+        strata = _strata(pt, x, z, chains)
+        by_mids: dict[tuple[str, ...], list[Stratum]] = {}
+        for stratum in strata:
+            by_mids.setdefault(stratum.intermediates, []).append(stratum)
+        for sub in strata:
+            if sub.depth < 2:
+                continue
+            for drop in range(sub.depth):
+                mids = sub.intermediates[:drop] + sub.intermediates[drop + 1 :]
+                if not any(_refines(sub, sup, pt.comp_of) for sup in by_mids.get(mids, ())):
+                    yield fc.Violation(
+                        "face-of-face",
+                        f"stratum of ({x},{z}) broken at {sub.intermediates} does not "
+                        f"lie in the closure of a stratum broken at {mids}",
+                        (x, z),
+                    )
+
+
+def four_grade_system(seed: int) -> fc.FlowSystem:
+    """A deterministic flow system over the index grades 3, 2, 1, 0.
+
+    Neighbouring grades are joined by one or two point components (or
+    none), not always listed in id order.  Grades two apart get interval components that pair the broken
+    configurations through the grade between them, shuffled, with one left
+    unpaired now and then, and sometimes a second interval reusing an id.
+    Grades three apart get a closed ``SphereLike 2``.  Only index-dropping
+    pairs of known points are listed, so the validator always reaches the
+    face rule, and an unpaired configuration can break it.
+    """
+
+    rng = random.Random(f"four-grade:{seed}")
+    at_grade = {g: [f"g{g}{k}" for k in range(rng.randint(1, 2))] for g in range(4)}
+    points = [(pid, g) for g in (3, 2, 1, 0) for pid in at_grade[g]]
+    moduli: dict = {}
+    for g in (3, 2, 1):
+        for x in at_grade[g]:
+            for z in at_grade[g - 1]:
+                ids = [f"c{k}" for k in range(rng.choice((0, 1, 1, 2)))]
+                rng.shuffle(ids)
+                if ids:
+                    moduli[x, z] = [(c, fc.POINT, ()) for c in ids]
+    for g in (3, 2):
+        for x in at_grade[g]:
+            for z in at_grade[g - 2]:
+                broken = [
+                    (fc.PieceRef(x, m, a), fc.PieceRef(m, z, b))
+                    for m in at_grade[g - 1]
+                    for a, _, _ in moduli.get((x, m), ())
+                    for b, _, _ in moduli.get((m, z), ())
+                ]
+                rng.shuffle(broken)
+                if broken and rng.random() < 0.3:
+                    broken.pop()
+                comps = [
+                    (f"i{k}", fc.INTERVAL, (broken[2 * k], broken[2 * k + 1]))
+                    for k in range(len(broken) // 2)
+                ]
+                if len(comps) > 1 and rng.random() < 0.2:
+                    comps[-1] = ("i0",) + comps[-1][1:]
+                if comps:
+                    moduli[x, z] = comps
+    for x in at_grade[3]:
+        for z in at_grade[0]:
+            if rng.random() < 0.8:
+                moduli[x, z] = [("s0", fc.parse_shape("SphereLike 2"), ())]
+    return fc.flow_system(points, moduli)
 
 
 def independent_tag_counts(tower: fc.Tower) -> dict[str, int]:

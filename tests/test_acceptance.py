@@ -16,7 +16,7 @@ import pytest
 
 import flowcat as fc
 
-from _helpers import find_cell, independent_tag_counts, report_counts, stratify
+from _helpers import find_cell, independent_tag_counts, report_counts, space_at, stratify
 from test_axioms import _mutants
 
 SPHERES = (1, 2, 3)
@@ -125,7 +125,7 @@ def test_criterion_4_mutation_sensitivity(emit, deformed_tower, deformed_view):
 
 
 def _parent_space(tower: fc.Tower, level: int, sp) -> fc.SpaceData:
-    return tower.space(level - 1, fc.address_key(sp.address.ambient))
+    return space_at(tower, level - 1, fc.address_key(sp.address.ambient))
 
 
 def test_criterion_5_stratification_laws(emit):
@@ -134,8 +134,9 @@ def test_criterion_5_stratification_laws(emit):
         product_strata = codim_strata = 0
         for name, tower in towers.items():
             fs = tower.base
+            base_index = {p.id: p.index for p in fs.points}
             for src, tgt, comps in fs.pairs:
-                gap = fs.point(src).index - fs.point(tgt).index - 1
+                gap = base_index[src] - base_index[tgt] - 1
                 assert all(c.dim == gap for c in comps), (name, src, tgt)
             for level in range(1, tower.max_level + 1):
                 for sp in tower.spaces(level):
@@ -154,8 +155,8 @@ def test_criterion_5_stratification_laws(emit):
                     # space's derived table above that.
                     if level == 1:
                         table = fs.table
-                        index_below = {p.id: p.index for p in fs.points}
-                        known_point = fs.has_point
+                        index_below = base_index
+                        known_point = base_index.__contains__
                     else:
                         parent = _parent_space(tower, level, sp)
                         table = {(a, b): cs for a, b, cs in parent.derived}
@@ -305,7 +306,8 @@ def test_criterion_6_flow_value_laws(emit):
             # Termination: at most (top base dimension + 1) levels hold any
             # live space, and a complete tower ends on a stationary level.
             fs = tower.base
-            top_dim = max(fs.point(s).index - fs.point(t).index - 1 for s, t, _ in fs.pairs)
+            index = {p.id: p.index for p in fs.points}
+            top_dim = max(index[s] - index[t] - 1 for s, t, _ in fs.pairs)
             live_levels = [
                 level
                 for level in range(1, tower.max_level + 1)

@@ -56,7 +56,7 @@ class TestRoundTrip:
             "moduli a b component 0 shape Declared 1\n"
         )
         fs, decls = fc.parse_tower_file(text)
-        assert fs.components("N", "S")[0].shape == fc.parse_shape("Declared 2")
+        assert fs.table["N", "S"][0].shape == fc.parse_shape("Declared 2")
         assert fc.render_tower_file(fs, decls) == text
         assert fc.parse_tower_file(fc.render_tower_file(fs, decls)) == (fs, decls)
 

@@ -21,16 +21,16 @@ class TestSphereSystems:
 
     def test_moduli_shape_grows_with_dimension(self):
         fs1, d1 = fc.sphere_system(1)
-        comps1 = fs1.components("N", "S")
+        comps1 = fs1.table.get(("N", "S"), ())
         assert [c.shape for c in comps1] == [fc.POINT, fc.POINT]
         assert d1.entries == ()
 
         fs2, d2 = fc.sphere_system(2)
-        assert [c.shape for c in fs2.components("N", "S")] == [fc.CIRCLE]
+        assert [c.shape for c in fs2.table.get(("N", "S"), ())] == [fc.CIRCLE]
         assert len(d2.entries) == 1
 
         fs3, d3 = fc.sphere_system(3)
-        assert [c.shape for c in fs3.components("N", "S")] == [fc.sphere_like(2)]
+        assert [c.shape for c in fs3.table.get(("N", "S"), ())] == [fc.sphere_like(2)]
         assert len(d3.entries) == 2
 
     def test_dimension_zero_and_negative_rejected(self):
@@ -54,7 +54,7 @@ class TestDeformedSystem:
         }
 
     def test_interval_ends_break_through_y(self, deformed_fs):
-        (c,) = deformed_fs.components("x", "w")
+        (c,) = deformed_fs.table.get(("x", "w"), ())
         assert c.boundary == (
             (fc.PieceRef("x", "y", "c0"), fc.PieceRef("y", "w", "a")),
             (fc.PieceRef("x", "y", "c0"), fc.PieceRef("y", "w", "b")),

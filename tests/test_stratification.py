@@ -9,7 +9,7 @@ import pytest
 
 import flowcat as fc
 
-from _helpers import stratify
+from _helpers import Stratum, four_grade_system, reference_face_rules, stratify
 
 
 def _codes(fs: fc.FlowSystem) -> set[str]:
@@ -62,35 +62,67 @@ class TestFlowSystem:
         }
 
     def test_values_strictly_drop_along_every_edge(self, deformed_fs):
+        value = {p.id: p.value for p in deformed_fs.points}
         for s, t, _ in deformed_fs.pairs:
-            assert deformed_fs.point(s).value > deformed_fs.point(t).value > 0
+            assert value[s] > value[t] > 0
 
     def test_lookup_helpers(self, deformed_fs):
-        assert deformed_fs.has_point("y")
-        assert not deformed_fs.has_point("nope")
-        assert deformed_fs.point("x").index == 2
+        assert [p.id for p in deformed_fs.points].count("y") == 1
+        assert "nope" not in {p.id for p in deformed_fs.points}
+        assert [p.index for p in deformed_fs.points if p.id == "x"] == [2]
         assert [t for s, t in deformed_fs.table if s == "x"] == ["w", "y"]
         assert deformed_fs.max_index == 2
-        assert [c.id for c in deformed_fs.components("y", "w")] == ["a", "b"]
-        assert deformed_fs.components("w", "x") == ()
-        with pytest.raises(KeyError, match="no critical point 'nope'"):
-            deformed_fs.point("nope")
+        assert [c.id for c in deformed_fs.table.get(("y", "w"), ())] == ["a", "b"]
+        assert deformed_fs.table.get(("w", "x"), ()) == ()
 
     def test_lookups_return_the_first_listed_entry(self, deformed_fs):
-        x, y = deformed_fs.point("x"), deformed_fs.point("y")
-        first, second = deformed_fs.components("y", "w"), deformed_fs.components("x", "y")
+        x, y, w = (next(p for p in deformed_fs.points if p.id == i) for i in "xyw")
+        first, second = deformed_fs.table["y", "w"], deformed_fs.table["x", "y"]
         fs = fc.FlowSystem(
             points=(x, dataclasses.replace(y, id="x"), y),
             pairs=(("y", "w", first), ("y", "w", second)),
         )
-        assert fs.point("x") is x and fs.has_point("y")
-        assert fs.components("y", "w") is first
+        assert fs.table.get(("y", "w"), ()) is first
+        # The validator reads a point's index from its first listing: there
+        # x has index 2, so (x,y) drops index and only the repeat is reported.
+        fs = fc.FlowSystem(
+            points=(x, dataclasses.replace(y, id="x"), y, w),
+            pairs=(("x", "y", second),),
+        )
+        assert [str(v) for v in fc.validate_flow_system(fs)] == [
+            "[dup-point] duplicate critical point id 'x'"
+        ]
 
     def test_component_dimension_is_index_gap_minus_one(self, deformed_fs):
+        index = {p.id: p.index for p in deformed_fs.points}
         for (s, t), dim in {("x", "w"): 1, ("x", "y"): 0, ("z", "y"): 0}.items():
-            assert deformed_fs.point(s).index - deformed_fs.point(t).index - 1 == dim
-            comps = deformed_fs.components(s, t)
+            assert index[s] - index[t] - 1 == dim
+            comps = deformed_fs.table.get((s, t), ())
             assert comps and all(c.dim == dim for c in comps)
+
+    def test_a_two_cycle_gets_distinct_positive_heights(self, tmp_path, capsys):
+        # Ranking by longest chain leaves the cycle x <-> y unranked; both
+        # points then get the fallback rank, 1, and distinct offsets.
+        from flowcat.cli import main
+
+        fs = fc.flow_system(
+            [("x", 1), ("y", 1)],
+            {("x", "y"): [("c0", fc.POINT, ())], ("y", "x"): [("c0", fc.POINT, ())]},
+        )
+        assert {p.id: p.value for p in fs.points} == {"x": Fraction(3, 2), "y": Fraction(5, 4)}
+        assert [(v.code, v.subjects) for v in fc.validate_flow_system(fs)] == [
+            ("index-order", ("x", "y")),
+            ("index-order", ("y", "x")),
+        ]
+        path = tmp_path / "cycle.fct"
+        path.write_text(fc.render_tower_file(fs))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: invalid flow system:\n"
+            "[index-order] flow from 'x' (index 1) to 'y' (index 1) must strictly drop index\n"
+            "[index-order] flow from 'y' (index 1) to 'x' (index 1) must strictly drop index\n",
+        )
 
 
 class TestValidatorAcceptsCorpus:
@@ -121,10 +153,9 @@ class TestValidatorViolations:
         assert "dup-pair" in _codes(dataclasses.replace(deformed_fs, pairs=pairs))
         # The first listing wins everywhere: a second (x,w) listing, whose
         # point component would break the dimension formula, is only a repeat.
-        first = deformed_fs.components("x", "w")
+        first = deformed_fs.table["x", "w"]
         k9 = dataclasses.replace(first[0], id="k9", shape=fc.POINT, boundary=())
         fs = dataclasses.replace(deformed_fs, pairs=deformed_fs.pairs + (("x", "w", (k9,)),))
-        assert fs.components("x", "w") is first
         assert fs.table["x", "w"] is first
         assert stratify(fs.table, "x", "w") == stratify(deformed_fs.table, "x", "w")
         assert [str(v) for v in fc.validate_flow_system(fs)] == ["[dup-pair] pair (x,w) listed twice"]
@@ -145,7 +176,7 @@ class TestValidatorViolations:
         assert str(v) == "[unknown-point] pair (x,q) names unknown point 'q'"
 
     def test_self_pair(self, deformed_fs):
-        comps = deformed_fs.components("x", "y")
+        comps = deformed_fs.table["x", "y"]
         pairs = deformed_fs.pairs + (("x", "x", comps),)
         assert "self-pair" in _codes(dataclasses.replace(deformed_fs, pairs=pairs))
 
@@ -156,7 +187,7 @@ class TestValidatorViolations:
         assert _codes(bad) == {"index-order"}
 
     def test_dup_component(self, deformed_fs):
-        c = deformed_fs.components("x", "w")[0]
+        c = deformed_fs.table["x", "w"][0]
         assert "dup-component" in _codes(_swap_xw(deformed_fs, c, c))
 
     def test_dimension(self):
@@ -171,11 +202,11 @@ class TestValidatorViolations:
         assert "dimension" in _codes(bad)
 
     def test_closed_boundary(self, deformed_fs):
-        c = dataclasses.replace(deformed_fs.components("x", "w")[0], shape=fc.CIRCLE)
+        c = dataclasses.replace(deformed_fs.table["x", "w"][0], shape=fc.CIRCLE)
         assert "closed-boundary" in _codes(_swap_xw(deformed_fs, c))
 
     def test_interval_needs_two_distinct_ends(self, deformed_fs):
-        c = deformed_fs.components("x", "w")[0]
+        c = deformed_fs.table["x", "w"][0]
         assert "interval-ends" in _codes(
             _swap_xw(deformed_fs, dataclasses.replace(c, boundary=()))
         )
@@ -185,27 +216,27 @@ class TestValidatorViolations:
         )
 
     def test_endpoint_shape(self, deformed_fs):
-        c = deformed_fs.components("x", "w")[0]
+        c = deformed_fs.table["x", "w"][0]
         b0, b1 = c.boundary
         bad = dataclasses.replace(c, boundary=((b0[0],), b1))
         assert "endpoint-shape" in _codes(_swap_xw(deformed_fs, bad))
 
     def test_endpoint_chain(self, deformed_fs):
-        c = deformed_fs.components("x", "w")[0]
+        c = deformed_fs.table["x", "w"][0]
         b0, b1 = c.boundary
         broken = (fc.PieceRef("x", "y", "c0"), fc.PieceRef("z", "y", "c0"))
         bad = dataclasses.replace(c, boundary=(b0, broken))
         assert "endpoint-chain" in _codes(_swap_xw(deformed_fs, bad))
 
     def test_endpoint_ref(self, deformed_fs):
-        c = deformed_fs.components("x", "w")[0]
+        c = deformed_fs.table["x", "w"][0]
         b0, b1 = c.boundary
         missing = (fc.PieceRef("x", "y", "ghost"), fc.PieceRef("y", "w", "a"))
         bad = dataclasses.replace(c, boundary=(b0, missing))
         assert "endpoint-ref" in _codes(_swap_xw(deformed_fs, bad))
 
     def test_endpoint_dim_and_phantom(self, deformed_fs):
-        c = deformed_fs.components("x", "w")[0]
+        c = deformed_fs.table["x", "w"][0]
         b0, _ = c.boundary
         ghost = (fc.PieceRef("x", "z", "ghost"), fc.PieceRef("z", "w", "c0"))
         bad = dataclasses.replace(c, boundary=(b0, ghost))
@@ -249,7 +280,7 @@ class TestValidatorViolations:
             assert codes == ["dup-point"] * len(twice) + ["uncovered-breaking"]
 
     def test_reused_breaking(self, deformed_fs):
-        c = deformed_fs.components("x", "w")[0]
+        c = deformed_fs.table["x", "w"][0]
         twin = dataclasses.replace(c, id="c1")
         assert "reused-breaking" in _codes(_swap_xw(deformed_fs, c, twin))
 
@@ -347,6 +378,21 @@ def _chains_reference(pt, source, target):
     return sorted(out, key=lambda m: (len(m), m))
 
 
+class TestFaceRule:
+    def test_matches_the_reference_on_the_four_grade_family(self):
+        from flowcat.stratification import _face_rules, _pair_table
+
+        total = broken = 0
+        for seed in range(300):
+            pt = _pair_table(four_grade_system(seed).table)
+            got = tuple(_face_rules(pt))
+            assert got == tuple(reference_face_rules(pt)), seed
+            total += len(got)
+            broken += bool(got)
+        # The family does break the rule, on many of its systems.
+        assert (total, broken) == (930, 184)
+
+
 class TestChains:
     def test_matches_the_unpruned_walk_on_every_base_pair(self, deformed_fs):
         from flowcat.stratification import _chains, _pair_table
@@ -365,9 +411,9 @@ class TestChains:
         assert found > 0
 
 
-def _factor_dim(fs: fc.FlowSystem, stratum: fc.Stratum) -> int:
+def _factor_dim(fs: fc.FlowSystem, stratum: Stratum) -> int:
     return sum(
-        next(c.dim for c in fs.components(r.source, r.target) if c.id == r.component)
+        next(c.dim for c in fs.table.get((r.source, r.target), ()) if c.id == r.component)
         for r in stratum.factors
     )
 

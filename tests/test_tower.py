@@ -8,9 +8,11 @@ import pytest
 
 import flowcat as fc
 
+from _helpers import space_at
+
 
 def _morse(tower: fc.Tower, level: int, space_key: str) -> dict[str, fc.MorseEntry]:
-    sp = tower.space(level, space_key)
+    sp = space_at(tower, level, space_key)
     return {fc.point_key(e.point): e for e in sp.morse}
 
 
@@ -99,15 +101,16 @@ class TestDeformedHigherLevels:
 
     def test_space_lookup_by_key(self, deformed_tower):
         for level in range(1, deformed_tower.max_level + 1):
+            keys = [sd.key for sd in deformed_tower.spaces(level)]
+            assert len(set(keys)) == len(keys)
             for sd in deformed_tower.spaces(level):
-                assert deformed_tower.space(level, sd.key) is sd
-        with pytest.raises(KeyError, match=r"no space M\(w>x\) at level 1"):
-            deformed_tower.space(1, "M(w>x)")
+                assert space_at(deformed_tower, level, sd.key) is sd
+        assert "M(w>x)" not in [sd.key for sd in deformed_tower.spaces(1)]
         with pytest.raises(ValueError):
-            deformed_tower.space(4, "M(x>w)")
+            deformed_tower.spaces(4)
 
     def test_derived_table_links_parent_entries(self, deformed_tower):
-        sp = deformed_tower.space(1, "M(x>w)")
+        sp = space_at(deformed_tower, 1, "M(x>w)")
         assert len(sp.derived) == 1
         src, tgt, comps = sp.derived[0]
         assert src == "(x/y:c0,y/w:a)" and tgt == "(x/y:c0,y/w:b)"
@@ -146,7 +149,8 @@ class TestSphereTowers:
             if any(not sp.stationary for sp in t.spaces(lv))
         ]
         fs = t.base
-        base_dim = max(fs.point(s).index - fs.point(x).index - 1 for s, x, _ in fs.pairs)
+        index = {p.id: p.index for p in fs.points}
+        base_dim = max(index[s] - index[x] - 1 for s, x, _ in fs.pairs)
         assert len(nontrivial) <= base_dim + 1
 
     def test_repr_grows_polynomially_with_depth(self):
@@ -166,7 +170,7 @@ class TestSphereTowers:
         t = fc.build_tower(fs, decls)
         values = []
         for key in ("M(n>s|M>S)", "M(n>s|N>S)"):
-            morse = t.space(2, key).morse
+            morse = space_at(t, 2, key).morse
             assert [fc.point_key(e.point) for e in morse] == ["n/s:0", "n/s:1"]
             assert {fc.address_key(e.point.crit.home) for e in morse} == {key}
             values += [e.value for e in morse]
@@ -384,7 +388,7 @@ class TestParentPairTable:
                     if level == 1:
                         table = t.base.table
                     else:
-                        parent = t.space(level - 1, fc.address_key(sp.address.ambient))
+                        parent = space_at(t, level - 1, fc.address_key(sp.address.ambient))
                         table = {(x, y): cs for x, y, cs in parent.derived}
                     if (a, b) in table:
                         assert sp.components == table[a, b], sp.key
