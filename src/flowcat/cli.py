@@ -3,23 +3,25 @@
 The file format lives in :mod:`flowcat.towerfile`.
 
 Exit codes: 0 success, 1 failed law check or failed composition,
-2 unreadable/invalid input or an unwritable ``-o`` file, 3 missing
-declaration, 141 (128 + SIGPIPE) stdout closed by its reader before the
-output was written.
+2 unreadable/invalid input, an unwritable ``-o`` file or a usage error,
+3 missing declaration, 141 (128 + SIGPIPE) stdout closed by its reader
+before the output was written.
 
-``main(argv)`` may be called many times in one process.  It builds its
-parser on the first call and reuses it, so each call parses only its own
-arguments; a ``_cmd_*`` function patched after that call is not the one
-dispatched to.  ``python -m flowcat`` runs ``main`` too; ``python -m
-flowcat.cli`` runs nothing and exits 2 with one ``error:`` line.
+``main(argv)`` reads each command line with ``getopt`` by the command
+table ``_COMMANDS``, which also gives ``--help`` (``SystemExit(0)``) and
+the ``usage:`` line and one ``flowcat: error:`` line of a usage error
+(``SystemExit(2)``).  No call builds a parser, so ``main`` may be called
+many times in one process.  ``python -m flowcat`` runs ``main`` too;
+``python -m flowcat.cli`` runs nothing and exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import getopt
 import os
 import sys
+from types import SimpleNamespace
+from typing import NoReturn
 
 from .category import GlobularSet, extended_cells, normalize
 from .core import Cell, cell_key, point_key
@@ -34,13 +36,13 @@ __all__ = ["main"]
 
 def _read(path: str) -> tuple[FlowSystem, Declarations] | int:
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         return 2
     try:
-        return parse_tower_file(text)
+        return parse_tower_file(text.removeprefix("\ufeff"))
     except ParseError as e:
         print(f"error: {path}: {e}", file=sys.stderr)
         return 2
@@ -208,59 +210,116 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The ``flowcat`` parser, built on the first call and reused after it."""
+_OUT = {"-o/--out": (str, None, "write to a file instead of stdout")}
 
-    parser = argparse.ArgumentParser(
-        prog="flowcat",
-        description="Build flow-line towers and verify their composition laws.",
+# name: (function, help, positionals, options).  Options map their flags to
+# (type, default, help), with a default of ... when the option is required;
+# an option sets the attribute its last flag names (--max-level: max_level).
+_COMMANDS = {
+    "generate sphere": (_cmd_generate, "round n-sphere height flow", (), {
+        "--n": (int, ..., "sphere dimension"),
+        **_OUT,
+    }),
+    "generate deformed": (_cmd_generate, "deformed 2-sphere with four critical points", (), _OUT),
+    "generate random": (_cmd_generate, "seeded random valid system", (), {
+        "--seed": (int, ..., "random seed"),
+        "--max-points": (int, 6, "room for this many points"),
+        "--max-index": (int, 3, "highest index"),
+        **_OUT,
+    }),
+    "build": (_cmd_build, "build the tower and list its spaces", ("file",), {
+        "--max-level": (int, None, "build no level above this"),
+    }),
+    "check": (_cmd_check, "verify all composition laws", ("file",), {}),
+    "cells": (_cmd_cells, "list cells (including identity cells)", ("file",), {
+        "--level": (int, None, "list this level only"),
+    }),
+    "compose": (_cmd_compose, "glue two cells along a shared boundary", ("file",), {
+        "--p": (int, ..., "boundary level to glue along"),
+        "--after": (str, ..., "cell key of the later cell"),
+        "--first": (str, ..., "cell key of the earlier cell"),
+    }),
+    "export-dot": (_cmd_export_dot, "emit one level as a DOT digraph", ("file",), {
+        "--level": (int, 1, "the level to draw"),
+    }),
+}
+
+
+def _attr(flags: str) -> str:
+    return flags.split("/")[-1][2:].replace("-", "_")
+
+
+def _usage(name: str) -> str:
+    """The command with its positionals and options, optional ones in []."""
+
+    if name not in _COMMANDS:
+        return "COMMAND ..."
+    parts = [name, *_COMMANDS[name][2]]
+    for flags, (_, default, _) in _COMMANDS[name][3].items():
+        arg = f"{flags.split('/')[0]} {_attr(flags).upper()}"
+        parts.append(arg if default is ... else f"[{arg}]")
+    return " ".join(parts)
+
+
+def _help(name: str, about: str, heading: str, rows: dict[str, str]) -> NoReturn:
+    print(f"usage: flowcat {_usage(name)}\n\n{about}\n\n{heading}:")
+    for key, text in rows.items():
+        print(f"  {key:<19}{text}")
+    raise SystemExit(0)
+
+
+def _fail(name: str, message: str) -> NoReturn:
+    print(f"usage: flowcat {_usage(name)}\nflowcat: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command at the front of ``argv`` with its arguments, read by
+    ``_COMMANDS``; help and usage errors raise ``SystemExit``."""
+
+    words = 2 if argv[:1] == ["generate"] else 1
+    name = " ".join(argv[:words])
+    if name not in _COMMANDS:
+        if argv[words - 1 : words] in (["-h"], ["--help"]):
+            about = "Build flow-line towers and verify their composition laws."
+            _help(name, about, "commands", {k: v[1] for k, v in _COMMANDS.items()})
+        given = f"unknown command {name!r}" if len(argv) >= words else "missing command"
+        _fail(name, f"{given}; choose from {', '.join(_COMMANDS)}")
+    func, about, positionals, options = _COMMANDS[name]
+    flag_of = {f: flags for flags in options for f in flags.split("/")}
+    try:
+        opts, rest = getopt.gnu_getopt(
+            argv[words:],
+            "h" + "".join(f[1] + ":" for f in flag_of if f[1] != "-"),
+            ["help"] + [f[2:] + "=" for f in flag_of if f[1] == "-"],
+        )
+    except getopt.GetoptError as e:
+        _fail(name, e.msg)
+    values = {flags: spec[1] for flags, spec in options.items()}
+    for f, value in opts:
+        if f in ("-h", "--help"):
+            rows = {k: spec[2] for k, spec in options.items()}
+            _help(name, about, "options", {"-h/--help": "show this help and exit", **rows})
+        flags = flag_of[f]
+        try:
+            values[flags] = options[flags][0](value)
+        except ValueError:
+            _fail(name, f"argument {flags}: invalid int value: {value!r}")
+    missing = [*positionals[len(rest) :], *(k for k, v in values.items() if v is ...)]
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    if len(rest) > len(positionals):
+        _fail(name, f"unrecognized arguments: {' '.join(rest[len(positionals) :])}")
+    args = SimpleNamespace(
+        func=func, **dict(zip(positionals, rest)), **{_attr(k): v for k, v in values.items()}
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write a ready-made tower file")
-    gsub = gen.add_subparsers(dest="kind", required=True)
-    g_sphere = gsub.add_parser("sphere", help="round n-sphere height flow")
-    g_sphere.add_argument("--n", type=int, required=True, help="sphere dimension")
-    gsub.add_parser("deformed", help="deformed 2-sphere with four critical points")
-    g_random = gsub.add_parser("random", help="seeded random valid system")
-    g_random.add_argument("--seed", type=int, required=True)
-    g_random.add_argument("--max-points", type=int, default=6)
-    g_random.add_argument("--max-index", type=int, default=3)
-    for g in (g_sphere, gsub.choices["deformed"], g_random):
-        g.add_argument("-o", "--out", help="write to a file instead of stdout")
-    gen.set_defaults(func=_cmd_generate)
-
-    b = sub.add_parser("build", help="build the tower and list its spaces")
-    b.add_argument("file")
-    b.add_argument("--max-level", type=int, default=None)
-    b.set_defaults(func=_cmd_build)
-
-    c = sub.add_parser("check", help="verify all composition laws")
-    c.add_argument("file")
-    c.set_defaults(func=_cmd_check)
-
-    ce = sub.add_parser("cells", help="list cells (including identity cells)")
-    ce.add_argument("file")
-    ce.add_argument("--level", type=int, default=None)
-    ce.set_defaults(func=_cmd_cells)
-
-    co = sub.add_parser("compose", help="glue two cells along a shared boundary")
-    co.add_argument("file")
-    co.add_argument("--p", type=int, required=True, help="boundary level to glue along")
-    co.add_argument("--after", required=True, help="cell key of the later cell")
-    co.add_argument("--first", required=True, help="cell key of the earlier cell")
-    co.set_defaults(func=_cmd_compose)
-
-    d = sub.add_parser("export-dot", help="emit one level as a DOT digraph")
-    d.add_argument("file")
-    d.add_argument("--level", type=int, default=1)
-    d.set_defaults(func=_cmd_export_dot)
-    return parser
+    if words == 2:
+        args.kind = argv[1]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

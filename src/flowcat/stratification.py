@@ -519,8 +519,9 @@ def _face_rules(pt: _PairTable) -> Iterator[Violation]:
                     ):
                         yield Violation(
                             "face-of-face",
-                            f"stratum of ({x},{z}) broken at {mids} does not "
-                            f"lie in the closure of a stratum broken at {mids[:k] + mids[k + 1 :]}",
+                            f"stratum of ({x},{z}) broken at {mids} through {_end_str(refs)} "
+                            "does not lie in the closure of a stratum broken at "
+                            f"{mids[:k] + mids[k + 1 :]}",
                             (x, z),
                         )
 

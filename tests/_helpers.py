@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import flowcat as fc
-from flowcat.stratification import _PairTable, _chains, _pair_table
+from flowcat.stratification import _PairTable, _chains, _end_str, _pair_table
 
 
 def cell_map(tower: fc.Tower, level: int, extended: bool = False) -> dict[str, fc.Cell]:
@@ -169,8 +169,9 @@ def reference_face_rules(pt: _PairTable) -> Iterator[fc.Violation]:
                 if not any(_refines(sub, sup, pt.comp_of) for sup in by_mids.get(mids, ())):
                     yield fc.Violation(
                         "face-of-face",
-                        f"stratum of ({x},{z}) broken at {sub.intermediates} does not "
-                        f"lie in the closure of a stratum broken at {mids}",
+                        f"stratum of ({x},{z}) broken at {sub.intermediates} through "
+                        f"{_end_str(sub.factors)} does not lie in the closure of a "
+                        f"stratum broken at {mids}",
                         (x, z),
                     )
 

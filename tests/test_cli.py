@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
@@ -320,30 +319,30 @@ class TestExitCodes:
         assert proc.stderr == "error: flowcat.cli is not a command; run python -m flowcat\n"
 
     def test_import_leaves_the_command_line_out(self):
-        # The library does not need argparse; flowcat.cli loads on first use.
-        code = (
+        # flowcat.cli loads on first use, and neither it nor the library
+        # needs argparse.
+        proc = _run_python(
             "import sys, flowcat\n"
             "assert 'flowcat.cli' not in sys.modules and 'argparse' not in sys.modules\n"
             "assert callable(flowcat.cli.main) and flowcat.cli.build_tower\n"
-            "assert 'argparse' in sys.modules\n"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
+            "assert 'flowcat.cli' in sys.modules and 'argparse' not in sys.modules\n"
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_byte_order_mark_is_skipped(self, tmp_path, deformed_file, capsys):
-        bom = tmp_path / "bom.ft"
-        bom.write_bytes(b"\xef\xbb\xbf" + Path(deformed_file).read_bytes())
-        assert main(["check", deformed_file]) == 0
-        plain = capsys.readouterr()
-        assert main(["check", str(bom)]) == 0
-        assert capsys.readouterr() == plain
+        # Also with CRLF line ends, with and without the mark.
+        lf = Path(deformed_file).read_bytes()
+        assert b"\r" not in lf
+        variants = {"lf": lf, "bom": b"\xef\xbb\xbf" + lf, "crlf": lf.replace(b"\n", b"\r\n")}
+        variants["bom-crlf"] = b"\xef\xbb\xbf" + variants["crlf"]
+        for command in ("check", "build"):
+            seen = {}
+            for name, data in variants.items():
+                path = tmp_path / f"{name}.ft"
+                path.write_bytes(data)
+                seen[name] = (main([command, str(path)]), capsys.readouterr())
+            assert seen["lf"][0] == 0
+            assert all(got == seen["lf"] for got in seen.values()), command
 
 
 _CIRCLES = """\
@@ -672,48 +671,50 @@ class TestSubcommands:
         assert err.value.code == 2
 
 
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def _run_cli(
     *args: str, hash_seed: str = "0", module: str = "flowcat", **kwargs
 ) -> subprocess.CompletedProcess:
     """``python -m <module> <args>`` in a child process over this checkout's sources."""
 
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": _SRC}
     return subprocess.run(
         [sys.executable, "-m", module, *args], env=env, timeout=120, **kwargs
+    )
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """``python -c <code>`` in a fresh interpreter over this checkout's sources."""
+
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
 
 
 class TestInProcess:
     """``main`` called again and again in one process, as the benchmark does."""
 
-    @pytest.fixture(autouse=True)
-    def _fixed_width(self, monkeypatch):
-        # Help and usage text wrap at the terminal width; pin it for the
-        # child processes the in-process text is compared with.
-        monkeypatch.setenv("COLUMNS", "80")
-
     def _alone(self, *args: str) -> subprocess.CompletedProcess:
         return _run_cli(*args, capture_output=True, text=True)
 
-    def test_later_calls_build_no_parser(self, deformed_file, monkeypatch, capsys):
-        assert main(["check", deformed_file]) == 0
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting(parser, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        for argv in (
-            ["check", deformed_file],
-            ["build", deformed_file, "--max-level", "1"],
-            ["cells", deformed_file, "--level", "1"],
-            ["generate", "sphere", "--n", "2"],
-        ):
-            assert main(argv) == 0
-        assert built == []
+    def test_check_loads_no_argparse(self, deformed_file):
+        # The command table is read with getopt: a check builds no argparse
+        # parser, nor loads the locale module or the utf-8-sig codec.
+        proc = _run_python(
+            "import io, sys, contextlib\n"
+            "from flowcat.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['check', {deformed_file!r}]) == 0\n"
+            "for name in ('argparse', 'locale', 'encodings.utf_8_sig'):\n"
+            "    assert name not in sys.modules, name\n"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_options_do_not_carry_over(self, deformed_file, capsys):
         assert main(["build", deformed_file, "--max-level", "1"]) == 0
@@ -760,6 +761,118 @@ class TestInProcess:
                 main(["--help"])
             assert err.value.code == 0
             assert capsys.readouterr() == (alone.stdout, "")
+
+
+# Every command and the flags of its options, as --help must name them.
+_OPTIONS = {
+    "generate sphere": ["--n", "-o", "--out"],
+    "generate deformed": ["-o", "--out"],
+    "generate random": ["--seed", "--max-points", "--max-index", "-o", "--out"],
+    "build": ["--max-level"],
+    "check": [],
+    "cells": ["--level"],
+    "compose": ["--p", "--after", "--first"],
+    "export-dot": ["--level"],
+}
+
+
+class TestCommandLine:
+    """How ``main`` reads a command line: usage errors, spellings, help."""
+
+    def _call(self, argv: list[str], capsys) -> tuple[int, str, str]:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            ([], "missing command"),
+            (["bogus"], "unknown command 'bogus'"),
+            (["generate"], "missing command"),
+            (["generate", "cube"], "unknown command 'generate cube'"),
+            (["check", "{file}", "--bogus"], "--bogus not recognized"),
+            (["generate", "sphere"], "required: --n"),
+            (["compose", "{file}", "--p", "0"], "required: --after, --first"),
+            (["build", "{file}", "--max-level", "x"], "--max-level: invalid int value: 'x'"),
+            (["check"], "required: file"),
+            (["check", "{file}", "{file}"], "unrecognized arguments: {file}"),
+            (["cells", "{file}", "--level"], "--level requires argument"),
+            (["generate", "deformed", "-o"], "-o requires argument"),
+            (["generate", "random", "--seed", "0", "--max-", "3"], "--max- not a unique prefix"),
+        ],
+        ids=[
+            "no-command", "unknown-command", "generate-no-kind", "unknown-kind",
+            "unknown-option", "missing-required", "missing-required-two", "non-int",
+            "missing-positional", "extra-positional", "no-value", "no-value-short",
+            "ambiguous-prefix",
+        ],
+    )
+    def test_usage_error(self, argv, needle, deformed_file, capsys):
+        argv = [a.format(file=deformed_file) for a in argv]
+        code, out, err = self._call(argv, capsys)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: flowcat")
+        errors = [line for line in lines if line.startswith("flowcat: error:")]
+        assert len(errors) == 1
+        assert needle.format(file=deformed_file) in errors[0]
+
+    @pytest.mark.parametrize(
+        "spelled, canonical",
+        [
+            (
+                ["generate", "random", "--seed", "0", "--max-points=1"],
+                ["generate", "random", "--seed", "0", "--max-points", "1"],
+            ),
+            (
+                ["generate", "random", "--seed=3", "--max-points=4"],
+                ["generate", "random", "--seed", "3", "--max-points", "4"],
+            ),
+            (["generate", "deformed", "-o", "{out}"], ["generate", "deformed", "--out", "{out}"]),
+            (["generate", "deformed", "-o{out}"], ["generate", "deformed", "--out={out}"]),
+            (["build", "--max-level", "1", "{file}"], ["build", "{file}", "--max-level", "1"]),
+            (["build", "{file}", "--max-level", "-1"], ["build", "{file}", "--max-level=-1"]),
+            (["build", "{file}", "--max-l", "1"], ["build", "{file}", "--max-level", "1"]),
+            (["cells", "--level=1", "{file}"], ["cells", "{file}", "--level", "1"]),
+            (
+                ["compose", "--p", "0", "--first", "x", "--after", "y", "{file}"],
+                ["compose", "{file}", "--p", "0", "--after", "y", "--first", "x"],
+            ),
+            (["check", "--", "{file}"], ["check", "{file}"]),
+        ],
+        ids=[
+            "equals", "equals-valid", "short-out", "attached-value", "options-first",
+            "negative-value", "unique-prefix", "equals-first", "compose-reordered",
+            "double-dash",
+        ],
+    )
+    def test_accepted_spelling(self, spelled, canonical, tmp_path, deformed_file, capsys):
+        out = tmp_path / "out.fct"
+        results = []
+        for argv in (canonical, spelled):
+            out.unlink(missing_ok=True)
+            argv = [a.format(file=deformed_file, out=out) for a in argv]
+            code_and_text = self._call(argv, capsys)
+            results.append((code_and_text, out.read_text() if out.exists() else None))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("command", [None, "generate", *_OPTIONS])
+    def test_help(self, command, capsys):
+        argv = [*command.split(), "--help"] if command else ["--help"]
+        code, out, err = self._call(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: flowcat")
+        if command in _OPTIONS:
+            names = ["-h", "--help", *_OPTIONS[command]]
+        else:
+            names = [k for k in _OPTIONS if k.startswith(command or "")]
+        for name in names:
+            assert name in out
+        assert self._call([*argv[:-1], "-h"], capsys) == (code, out, err)
 
 
 def test_python_dash_m_flowcat_checks_a_file(deformed_file):

@@ -287,13 +287,17 @@ class TestValidatorViolations:
     def test_face_of_face(self):
         # (x,b) is closed, so neither stratum of (x,w) broken at a and b (one
         # per point of (a,b)) lies in the closure of the one broken at b
-        # alone; both do lie in the closure of the one broken at a.  A
-        # repeated point id still reports each stratum once.
+        # alone; both do lie in the closure of the one broken at a.  Each line
+        # names its configuration, so the two differ.  A repeated point id
+        # still reports each stratum once.
         R = fc.PieceRef
-        message = (
-            "[face-of-face] stratum of (x,w) broken at ('a', 'b') does not "
-            "lie in the closure of a stratum broken at ('b',)"
-        )
+        messages = [
+            "[face-of-face] stratum of (x,w) broken at ('a', 'b') through "
+            f"(c0@x>a,{c}@a>b,c0@b>w) does not lie in the closure of a stratum "
+            "broken at ('b',)"
+            for c in ("c0", "c1")
+        ]
+        assert messages[0] != messages[1]
         for twice in [(), (("x", 4),)]:
             bad = fc.flow_system(
                 [("x", 4), ("a", 2), ("b", 1), ("w", 0), *twice],
@@ -316,7 +320,7 @@ class TestValidatorViolations:
                 },
             )
             dup = ["[dup-point] duplicate critical point id 'x'"] * len(twice)
-            assert [str(v) for v in fc.validate_flow_system(bad)] == dup + [message] * 2
+            assert [str(v) for v in fc.validate_flow_system(bad)] == dup + messages
 
     def test_face_of_face_holds_on_a_chain_broken_twice(self):
         # x > a > b > w: each broken pair of neighbours bounds an interval,
