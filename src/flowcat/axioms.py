@@ -22,7 +22,7 @@ composition result) makes exactly the affected law fail.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import GlobularSet, normalize
 from .core import Cell, cell_key
@@ -41,8 +41,7 @@ __all__ = [
 AXIOM_TAGS = ("a", "b", "c", "d", "e", "f")
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """One broken law instance with the cells that witness it."""
 
     tag: str
@@ -64,8 +63,7 @@ class Failure:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class TagReport:
+class TagReport(NamedTuple):
     """Result of checking one law over its whole quantification domain."""
 
     tag: str
@@ -85,8 +83,7 @@ class TagReport:
         )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """All law reports for one tower, in a fixed order."""
 
     tags: tuple[TagReport, ...]

@@ -22,7 +22,6 @@ data such as key strings and normal forms is memoized on the node.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import wraps
 from typing import Union
@@ -47,15 +46,18 @@ __all__ = [
 
 
 def _hashconsed(cls):
-    """Class decorator: intern the nodes of a frozen ``eq=False`` dataclass.
+    """Class decorator: intern the nodes of a class whose fields are its
+    annotations, in order.
 
-    The class's ``__new__`` passes its fields, in declaration order, to
-    :func:`_intern`.  The table maps each key to a weak reference that
-    carries the key, with one removal callback per class, so a node nobody
-    else holds is freed and its entry leaves the table.
+    The class's ``__new__`` passes its field values to :func:`_intern`.  The
+    table maps each key to a weak reference that carries the key, with one
+    removal callback per class, so a node nobody else holds is freed and its
+    entry leaves the table.  The class gets a ``repr`` of its fields, minus
+    those it lists in ``_unshown``, a ``__reduce__`` that rebuilds the node
+    from its fields, and refuses assignment and deletion of attributes.
     """
 
-    names = cls._names = tuple(f.name for f in fields(cls))
+    names = cls._names = tuple(cls.__annotations__)
     table = cls._table = {}
 
     def drop(ref: weakref.KeyedRef) -> None:
@@ -64,13 +66,20 @@ def _hashconsed(cls):
         if table.get(ref.key) is ref:
             del table[ref.key]
 
+    shown = [n for n in names if n not in getattr(cls, "_unshown", ())]
+    form = f"{cls.__qualname__}({', '.join(f'{n}=%r' for n in shown)})"
     cls._drop = staticmethod(drop)
     cls._check = getattr(cls, "__post_init__", None)
-    # ``_intern`` sets the fields of a new node itself; ``object.__init__``
-    # ignores the arguments when ``__new__`` is custom.
-    cls.__init__ = object.__init__
+    cls.__repr__ = lambda node: form % tuple(getattr(node, n) for n in shown)
+    cls.__setattr__ = cls.__delattr__ = _refuse_assignment
     cls.__reduce__ = lambda node: (cls, tuple(getattr(node, n) for n in names))
     return cls
+
+
+def _refuse_assignment(obj, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of an immutable object."""
+
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def _intern(cls, values: tuple, key: tuple = ()):
@@ -125,7 +134,6 @@ def memo_on_node(fn):
 
 
 @_hashconsed
-@dataclass(frozen=True, eq=False)
 class ModuliAddress:
     """Identity of one compactified space of flow lines.
 
@@ -140,7 +148,7 @@ class ModuliAddress:
 
     source: "Point"
     target: "Point"
-    ambient: ModuliAddress | None = None
+    ambient: ModuliAddress | None
 
     def __new__(cls, source, target, ambient=None):
         return _intern(cls, (source, target, ambient))
@@ -150,7 +158,6 @@ class ModuliAddress:
 
 
 @_hashconsed
-@dataclass(frozen=True, eq=False)
 class CritPoint:
     """A primitive critical point.
 
@@ -163,7 +170,8 @@ class CritPoint:
     id: str
     index: int
     value: Fraction
-    home: ModuliAddress | None = field(default=None, repr=False)
+    home: ModuliAddress | None
+    _unshown = ("home",)
 
     def __new__(cls, id, index, value, home=None):
         # Keyed by numerator and denominator, whose hashes run no Python code
@@ -188,7 +196,6 @@ class CritPoint:
 
 
 @_hashconsed
-@dataclass(frozen=True, eq=False)
 class Primitive:
     """A point of a space that is a single critical point."""
 
@@ -199,7 +206,6 @@ class Primitive:
 
 
 @_hashconsed
-@dataclass(frozen=True, eq=False)
 class Broken:
     """An ordered tuple of points glued along matching endpoints.
 
@@ -222,7 +228,6 @@ Point = Union[Primitive, Broken]
 
 
 @_hashconsed
-@dataclass(frozen=True, eq=False)
 class Cell:
     """A cell of the globular set: a critical point on a named space.
 

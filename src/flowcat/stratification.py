@@ -15,9 +15,7 @@ face broken at one point fewer, read directly off the broken pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -39,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     """Topological type of one component of a compactified space.
 
     ``kind`` is one of ``point``, ``interval``, ``circle``, ``sphere``
@@ -87,8 +84,7 @@ def declared_shape(dim: int) -> Shape:
     return Shape("declared", dim)
 
 
-@dataclass(frozen=True, order=True)
-class PieceRef:
+class PieceRef(NamedTuple):
     """Reference to one factor component of a broken configuration.
 
     Names the component ``component`` of the space between the critical
@@ -105,8 +101,7 @@ class PieceRef:
 Endpoint = tuple[PieceRef, ...]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected component of a compactified space.
 
     ``boundary`` lists the component's 0-dimensional boundary
@@ -123,8 +118,7 @@ class Component:
         return self.shape.dim
 
 
-@dataclass(frozen=True)
-class FlowSystem:
+class FlowSystem(NamedTuple):
     """Finite flow data: base critical points and level-1 components.
 
     ``pairs`` maps each directly connected ordered pair of base points to
@@ -135,24 +129,20 @@ class FlowSystem:
     points: tuple[CritPoint, ...]
     pairs: tuple[tuple[str, str, tuple[Component, ...]], ...]
 
-    # The first listing of a pair wins; pairs keep their listing order.
-    @cached_property
-    def _components_of(self) -> dict[tuple[str, str], tuple[Component, ...]]:
-        out: dict[tuple[str, str], tuple[Component, ...]] = {}
-        for s, t, comps in self.pairs:
-            out.setdefault((s, t), comps)
-        return out
-
     @property
     def table(self) -> dict[tuple[str, str], tuple[Component, ...]]:
         """The nonempty pairs as a ``{(source, target): components}`` table.
 
         This is the pair table of a level-0 space whose points are the
         base critical points: the build's first round reads it exactly
-        as later rounds read the tables derived on built spaces.
+        as later rounds read the tables derived on built spaces.  The first
+        listing of a pair wins; pairs keep their listing order.
         """
 
-        return {pair: comps for pair, comps in self._components_of.items() if comps}
+        first: dict[tuple[str, str], tuple[Component, ...]] = {}
+        for s, t, comps in self.pairs:
+            first.setdefault((s, t), comps)
+        return {pair: comps for pair, comps in first.items() if comps}
 
     @property
     def max_index(self) -> int:
@@ -232,8 +222,7 @@ def flow_system(
     return FlowSystem(points=crit, pairs=pairs)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One law the flow data breaks, with the ids involved."""
 
     code: str

@@ -20,9 +20,9 @@ over different broken configurations and therefore never tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     CritPoint,
@@ -30,6 +30,7 @@ from .core import (
     Point,
     Primitive,
     Broken,
+    _refuse_assignment,
     address_key,
     is_stationary,
     point_key,
@@ -88,16 +89,14 @@ class MissingDeclarationError(BuildError):
         )
 
 
-@dataclass(frozen=True)
-class DeclaredPoint:
+class DeclaredPoint(NamedTuple):
     """One declared interior critical point: a name and its index."""
 
     name: str
     index: int
 
 
-@dataclass(frozen=True)
-class ComponentDecl:
+class ComponentDecl(NamedTuple):
     """Interior data declared for one component of one space: its points,
     and the components between pairs of them as ``(source, target,
     components)`` triples, the shape of :attr:`FlowSystem.pairs`."""
@@ -106,11 +105,18 @@ class ComponentDecl:
     moduli: tuple[tuple[str, str, tuple[Component, ...]], ...] = ()
 
 
-@dataclass(frozen=True)
-class Declarations:
-    """Named interior data, keyed by (canonical address, component id)."""
-
+class _Entries(NamedTuple):
     entries: tuple[tuple[str, str, ComponentDecl], ...] = ()
+
+
+class Declarations(_Entries):
+    """Named interior data, keyed by (canonical address, component id).
+
+    A subclass of its one-field tuple, so that it has a ``__dict__`` to
+    keep its lookup table in; it refuses any other assignment.
+    """
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
     @cached_property
     def _by_key(self) -> dict[tuple[str, str], ComponentDecl]:
@@ -125,8 +131,7 @@ class Declarations:
         return Declarations(tuple((a, c, d) for (a, c), d in sorted(items.items())))
 
 
-@dataclass(frozen=True)
-class MorseEntry:
+class MorseEntry(NamedTuple):
     """One critical point of the height function on one space.
 
     ``component`` names the component the point lies on (or whose
@@ -143,8 +148,7 @@ class MorseEntry:
     role: str = ""
 
 
-@dataclass(frozen=True)
-class SpaceData:
+class SpaceData(NamedTuple):
     """One built space: its components, Morse data, and the components
     derived for every ordered pair of its critical points."""
 
@@ -154,7 +158,7 @@ class SpaceData:
     morse: tuple[MorseEntry, ...]
     derived: tuple[tuple[str, str, tuple[Component, ...]], ...] = ()
 
-    @cached_property
+    @property
     def key(self) -> str:
         return address_key(self.address)
 
@@ -163,8 +167,7 @@ class SpaceData:
         return is_stationary(self.address)
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """The full iterated construction over one flow system."""
 
     base: FlowSystem
@@ -498,7 +501,7 @@ def build_tower(
                         table[(point_key(p.point), point_key(q.point))] = comps
             rounds.append((table, [e.point for e in morse], space.address))
             derived = tuple((a, b, comps) for (a, b), comps in sorted(table.items()))
-            finished.append(replace(space, morse=morse, derived=derived))
+            finished.append(space._replace(morse=morse, derived=derived))
 
         finished.sort(key=lambda d: d.key)
         levels.append(tuple(finished))

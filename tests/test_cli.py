@@ -716,6 +716,22 @@ class TestInProcess:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
+    def test_start_loads_no_dataclass_machinery(self, deformed_file):
+        # The node and record types are built without dataclasses, which
+        # would pull in inspect, and the first check or build of a process
+        # imports nothing on top of the command line.
+        proc = _run_python(
+            "import io, sys, contextlib\n"
+            "import flowcat.cli\n"
+            "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+            "for command in ('check', 'build'):\n"
+            "    before = set(sys.modules)\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert flowcat.cli.main([command, {deformed_file!r}]) == 0\n"
+            "    assert set(sys.modules) == before, (command, set(sys.modules) - before)\n"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_options_do_not_carry_over(self, deformed_file, capsys):
         assert main(["build", deformed_file, "--max-level", "1"]) == 0
         assert "truncated at level 1" in capsys.readouterr().out

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import gc
 import inspect
 import pickle
@@ -268,12 +267,22 @@ class TestInternFastPath:
         piece = end.top.pieces[0]
         nodes = (deep.space, piece.crit, piece, end.top, end)
         assert [type(n) for n in nodes] == list(NODE_CLASSES)
-        for node in nodes:
-            names = [f.name for f in dataclasses.fields(node)]
-            assert list(vars(node))[: len(names)] == names
-            for name in names:
-                with pytest.raises(dataclasses.FrozenInstanceError):
+        fields = (
+            ("source", "target", "ambient"),
+            ("id", "index", "value", "home"),
+            ("crit",),
+            ("pieces",),
+            ("top", "space"),
+        )
+        for node, names in zip(nodes, fields):
+            assert type(node)._names == names
+            assert tuple(vars(node))[: len(names)] == names
+            for name in (*names, "level", "other"):
+                with pytest.raises(AttributeError, match="cannot assign to field"):
                     setattr(node, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(node, name)
+            assert tuple(vars(node))[: len(names)] == names
 
     def test_stationarity_of_every_kind(self, deformed_tower):
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")

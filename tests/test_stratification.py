@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ def _swap_xw(fs: fc.FlowSystem, *comps: fc.Component) -> fc.FlowSystem:
     pairs = tuple(
         (s, t, tuple(comps) if (s, t) == ("x", "w") else cs) for s, t, cs in fs.pairs
     )
-    return dataclasses.replace(fs, pairs=pairs)
+    return fs._replace(pairs=pairs)
 
 
 class TestShapes:
@@ -79,14 +78,14 @@ class TestFlowSystem:
         x, y, w = (next(p for p in deformed_fs.points if p.id == i) for i in "xyw")
         first, second = deformed_fs.table["y", "w"], deformed_fs.table["x", "y"]
         fs = fc.FlowSystem(
-            points=(x, dataclasses.replace(y, id="x"), y),
+            points=(x, fc.CritPoint("x", y.index, y.value, y.home), y),
             pairs=(("y", "w", first), ("y", "w", second)),
         )
         assert fs.table.get(("y", "w"), ()) is first
         # The validator reads a point's index from its first listing: there
         # x has index 2, so (x,y) drops index and only the repeat is reported.
         fs = fc.FlowSystem(
-            points=(x, dataclasses.replace(y, id="x"), y, w),
+            points=(x, fc.CritPoint("x", y.index, y.value, y.home), y, w),
             pairs=(("x", "y", second),),
         )
         assert [str(v) for v in fc.validate_flow_system(fs)] == [
@@ -150,12 +149,12 @@ class TestValidatorViolations:
 
     def test_dup_pair(self, deformed_fs):
         pairs = deformed_fs.pairs + (deformed_fs.pairs[1],)
-        assert "dup-pair" in _codes(dataclasses.replace(deformed_fs, pairs=pairs))
+        assert "dup-pair" in _codes(deformed_fs._replace(pairs=pairs))
         # The first listing wins everywhere: a second (x,w) listing, whose
         # point component would break the dimension formula, is only a repeat.
         first = deformed_fs.table["x", "w"]
-        k9 = dataclasses.replace(first[0], id="k9", shape=fc.POINT, boundary=())
-        fs = dataclasses.replace(deformed_fs, pairs=deformed_fs.pairs + (("x", "w", (k9,)),))
+        k9 = first[0]._replace(id="k9", shape=fc.POINT, boundary=())
+        fs = deformed_fs._replace(pairs=deformed_fs.pairs + (("x", "w", (k9,)),))
         assert fs.table["x", "w"] is first
         assert stratify(fs.table, "x", "w") == stratify(deformed_fs.table, "x", "w")
         assert [str(v) for v in fc.validate_flow_system(fs)] == ["[dup-pair] pair (x,w) listed twice"]
@@ -163,7 +162,7 @@ class TestValidatorViolations:
     def test_unknown_point(self, deformed_fs):
         points = tuple(p for p in deformed_fs.points if p.id != "z")
         assert "unknown-point" in _codes(
-            dataclasses.replace(deformed_fs, points=points)
+            deformed_fs._replace(points=points)
         )
 
     def test_flow_system_reports_unknown_point(self):
@@ -178,7 +177,7 @@ class TestValidatorViolations:
     def test_self_pair(self, deformed_fs):
         comps = deformed_fs.table["x", "y"]
         pairs = deformed_fs.pairs + (("x", "x", comps),)
-        assert "self-pair" in _codes(dataclasses.replace(deformed_fs, pairs=pairs))
+        assert "self-pair" in _codes(deformed_fs._replace(pairs=pairs))
 
     def test_index_order(self):
         bad = fc.flow_system(
@@ -202,44 +201,44 @@ class TestValidatorViolations:
         assert "dimension" in _codes(bad)
 
     def test_closed_boundary(self, deformed_fs):
-        c = dataclasses.replace(deformed_fs.table["x", "w"][0], shape=fc.CIRCLE)
+        c = deformed_fs.table["x", "w"][0]._replace(shape=fc.CIRCLE)
         assert "closed-boundary" in _codes(_swap_xw(deformed_fs, c))
 
     def test_interval_needs_two_distinct_ends(self, deformed_fs):
         c = deformed_fs.table["x", "w"][0]
         assert "interval-ends" in _codes(
-            _swap_xw(deformed_fs, dataclasses.replace(c, boundary=()))
+            _swap_xw(deformed_fs, c._replace(boundary=()))
         )
         b0 = c.boundary[0]
         assert "interval-ends" in _codes(
-            _swap_xw(deformed_fs, dataclasses.replace(c, boundary=(b0, b0)))
+            _swap_xw(deformed_fs, c._replace(boundary=(b0, b0)))
         )
 
     def test_endpoint_shape(self, deformed_fs):
         c = deformed_fs.table["x", "w"][0]
         b0, b1 = c.boundary
-        bad = dataclasses.replace(c, boundary=((b0[0],), b1))
+        bad = c._replace(boundary=((b0[0],), b1))
         assert "endpoint-shape" in _codes(_swap_xw(deformed_fs, bad))
 
     def test_endpoint_chain(self, deformed_fs):
         c = deformed_fs.table["x", "w"][0]
         b0, b1 = c.boundary
         broken = (fc.PieceRef("x", "y", "c0"), fc.PieceRef("z", "y", "c0"))
-        bad = dataclasses.replace(c, boundary=(b0, broken))
+        bad = c._replace(boundary=(b0, broken))
         assert "endpoint-chain" in _codes(_swap_xw(deformed_fs, bad))
 
     def test_endpoint_ref(self, deformed_fs):
         c = deformed_fs.table["x", "w"][0]
         b0, b1 = c.boundary
         missing = (fc.PieceRef("x", "y", "ghost"), fc.PieceRef("y", "w", "a"))
-        bad = dataclasses.replace(c, boundary=(b0, missing))
+        bad = c._replace(boundary=(b0, missing))
         assert "endpoint-ref" in _codes(_swap_xw(deformed_fs, bad))
 
     def test_endpoint_dim_and_phantom(self, deformed_fs):
         c = deformed_fs.table["x", "w"][0]
         b0, _ = c.boundary
         ghost = (fc.PieceRef("x", "z", "ghost"), fc.PieceRef("z", "w", "c0"))
-        bad = dataclasses.replace(c, boundary=(b0, ghost))
+        bad = c._replace(boundary=(b0, ghost))
         codes = _codes(_swap_xw(deformed_fs, bad))
         assert "phantom-endpoint" in codes
         assert "endpoint-dim" in codes
@@ -281,7 +280,7 @@ class TestValidatorViolations:
 
     def test_reused_breaking(self, deformed_fs):
         c = deformed_fs.table["x", "w"][0]
-        twin = dataclasses.replace(c, id="c1")
+        twin = c._replace(id="c1")
         assert "reused-breaking" in _codes(_swap_xw(deformed_fs, c, twin))
 
     def test_face_of_face(self):
@@ -362,7 +361,7 @@ class TestValidatorViolations:
 
     def test_violation_messages_name_subjects(self, deformed_fs):
         points = tuple(p for p in deformed_fs.points if p.id != "z")
-        got = fc.validate_flow_system(dataclasses.replace(deformed_fs, points=points))
+        got = fc.validate_flow_system(deformed_fs._replace(points=points))
         assert all(v.subjects for v in got)
         assert any("z" in v.message for v in got)
 
