@@ -117,6 +117,10 @@ def _gluing_error(p: int, after: Cell, first: Cell) -> str:
             f"cells of different levels do not glue: {cell_key(after)} is a "
             f"level-{level} cell and {cell_key(first)} a level-{first.level} cell"
         )
+    if level == 0:
+        return "level-0 cells do not compose: they have no boundary to glue along"
+    if not 0 <= p < level:
+        return f"p {p} out of range 0..{level - 1} for level-{level} cells"
     return (
         f"cells do not glue along level {p}: the level-{p} source of "
         f"{cell_key(after)} differs from the level-{p} target of {cell_key(first)}"

@@ -165,10 +165,8 @@ def _cmd_compose(args) -> int:
         glued = X.compose(args.p, after, first)
     except ValueError as e:
         level = after.level
-        if first.level != level:
+        if first.level != level or level == 0:
             message = str(e)
-        elif level == 0:
-            message = "level-0 cells do not compose: they have no boundary to glue along"
         elif not 0 <= args.p < level:
             message = f"--p {args.p} out of range 0..{level - 1} for level-{level} cells"
         else:

@@ -245,7 +245,9 @@ class _PairTable(NamedTuple):
     to, in table order, ``pred`` each point to the points that have
     components to it, and ``comp_of`` maps ``(source, target, component
     id)`` to the first component listed with that id.  Built once per table
-    by :func:`_pair_table`.
+    by :func:`_pair_table`, from a table whose pairs all have components.  A
+    point paired with itself reaches ``succ`` and ``pred`` only on input
+    that :func:`validate_flow_system` refuses before reading them.
     """
 
     pairs: dict[tuple[str, str], tuple[Component, ...]]
@@ -257,10 +259,9 @@ class _PairTable(NamedTuple):
 def _pair_table(table: dict[tuple[str, str], tuple[Component, ...]]) -> _PairTable:
     succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = {}
-    for (a, b), comps in table.items():
-        if comps and a != b:
-            succ.setdefault(a, []).append(b)
-            pred.setdefault(b, []).append(a)
+    for a, b in table:
+        succ.setdefault(a, []).append(b)
+        pred.setdefault(b, []).append(a)
     comp_of = {(s, t, c.id): c for (s, t), cs in table.items() for c in reversed(cs)}
     return _PairTable(table, succ, pred, comp_of)
 
@@ -270,7 +271,8 @@ def _chains(pt: _PairTable, source: str, target: str) -> list[tuple[str, ...]]:
 
     Every consecutive pair along a chain must have components in
     ``pt.pairs``.  Returns tuples of intermediates (possibly empty),
-    shortest first.
+    shortest first.  Every pair drops index (the validator walks chains
+    only once ``index-order`` holds), so no walk repeats a point.
     """
 
     table, succ = pt.pairs, pt.succ
@@ -291,7 +293,7 @@ def _chains(pt: _PairTable, source: str, target: str) -> list[tuple[str, ...]]:
         if table.get((at, target)):
             out.append(mids)
         for nxt in succ.get(at, ()):
-            if nxt in live and nxt != target and nxt != source and nxt not in mids:
+            if nxt in live and nxt != target:
                 stack.append((nxt, mids + (nxt,)))
     return sorted(out, key=lambda m: (len(m), m))
 
@@ -489,10 +491,7 @@ def _face_rules(pt: _PairTable) -> Iterator[Violation]:
     """
 
     for x, z in sorted(pt.pairs):
-        chains = _chains(pt, x, z)
-        if not chains or len(chains[-1]) < 2:
-            continue
-        for mids in chains:
+        for mids in _chains(pt, x, z):
             if len(mids) < 2:
                 continue
             chain = (x, *mids, z)

@@ -248,23 +248,22 @@ def derive_moduli(
 ) -> tuple[Component, ...]:
     """Components of the next space between two critical points.
 
-    ``p`` and ``q`` are two different entries of the space's Morse data.
-    Forced cases: points of different components, or of a stationary
-    space, give nothing; no flow runs against the height order, so a
-    point gives nothing with itself; an interval flows from its higher
-    endpoint to its lower through one point; the two poles of a circle
-    are joined by two points, those of a k-sphere by a (k-1)-sphere
-    shape.  Remaining pairs need declared components, which are trusted
-    as :func:`build_tower` has validated them; a pair without them is an
+    ``p`` and ``q`` are two different entries of the space's Morse data,
+    so the space is not stationary: a stationary space has one entry.
+    Forced cases: points of different components give nothing; no flow
+    runs up the height order or fails to drop index, so a point gives
+    nothing with itself; an interval flows from its higher endpoint to
+    its lower through one point; the two poles of a circle are joined by
+    two points, those of a k-sphere by a (k-1)-sphere shape.  Remaining
+    pairs need declared components, which are trusted as
+    :func:`build_tower` has validated them; a pair without them is an
     error naming the space and component.
     """
 
     akey = space.key
     pk, qk = point_key(p.point), point_key(q.point)
 
-    if p.component != q.component or p.role == "stationary":
-        return ()
-    if p.value <= q.value or p.index <= q.index:
+    if p.component != q.component or p.value <= q.value or p.index <= q.index:
         return ()
 
     comp = next(c for c in space.components if c.id == p.component)
@@ -313,7 +312,9 @@ def _schedule(
     ``ambient`` is its address.  Each pair seeds a space, with no Morse
     data until its round mints it; each point in no pair gets a stationary
     tail; each chain a > b > c of pairs yields the edge (a,b) > (b,c):
-    heights on the first space exceed those on the second.
+    heights on the first space exceed those on the second.  The points of
+    a chain are distinct: every pair of ``table`` drops index, by the
+    validator's ``index-order`` rule or by :func:`derive_moduli`.
     """
 
     point_of = {point_key(p): p for p in points}
@@ -324,12 +325,7 @@ def _schedule(
     }
     used = {k for pair in table for k in pair}
     tails = [_stationary_space(p, ambient) for p in points if point_key(p) not in used]
-    edges = {
-        (seeds[a, b].key, seeds[b, c].key)
-        for a, b in table
-        for c in pt.succ.get(b, ())
-        if len({a, b, c}) == 3
-    }
+    edges = {(seeds[a, b].key, seeds[b, c].key) for a, b in table for c in pt.succ.get(b, ())}
     return list(seeds.values()), tails, edges
 
 
@@ -392,7 +388,8 @@ def _critical_points(space: SpaceData, minted: _Minted) -> tuple[MorseEntry, ...
     Each component contributes its points from ``minted``; an interval
     also contributes its two endpoints (broken points whose pieces are
     points of sibling spaces, height the sum over pieces, index 1 at the
-    higher endpoint).
+    higher endpoint).  A component without boundary adds no ends; the
+    validator gives every interval two, in base data and declarations.
     """
 
     entries: list[MorseEntry] = []
@@ -400,20 +397,19 @@ def _critical_points(space: SpaceData, minted: _Minted) -> tuple[MorseEntry, ...
     source, target = point_key(a.source), point_key(a.target)
     for comp in sorted(space.components, key=lambda c: c.id):
         entries.extend(minted[a.ambient, source, target, comp.id])
-        if comp.boundary:
-            ends: list[MorseEntry] = []
-            for end in comp.boundary:
-                pieces = [minted[a.ambient, r.source, r.target, r.component][0] for r in end]
-                point = Broken(tuple(e.point for e in pieces))
-                value = sum((e.value for e in pieces), Fraction(0))
-                ends.append(MorseEntry(point, 0, value, comp.id, "corner"))
-            if comp.shape == INTERVAL:
-                hi, lo = sorted(ends, key=lambda e: -e.value)
-                ends = [
-                    MorseEntry(hi.point, 1, hi.value, comp.id, "end_max"),
-                    MorseEntry(lo.point, 0, lo.value, comp.id, "end_min"),
-                ]
-            entries.extend(ends)
+        ends: list[MorseEntry] = []
+        for end in comp.boundary:
+            pieces = [minted[a.ambient, r.source, r.target, r.component][0] for r in end]
+            point = Broken(tuple(e.point for e in pieces))
+            value = sum((e.value for e in pieces), Fraction(0))
+            ends.append(MorseEntry(point, 0, value, comp.id, "corner"))
+        if comp.shape == INTERVAL:
+            hi, lo = sorted(ends, key=lambda e: -e.value)
+            ends = [
+                MorseEntry(hi.point, 1, hi.value, comp.id, "end_max"),
+                MorseEntry(lo.point, 0, lo.value, comp.id, "end_min"),
+            ]
+        entries.extend(ends)
     entries.sort(key=lambda e: (-e.value, point_key(e.point)))
     return tuple(entries)
 
@@ -452,8 +448,14 @@ def build_tower(
     declared, and :class:`BuildError` on declarations that break a law (see
     :func:`_declared_points`) or that the build never reads (see
     :func:`_refuse_unread`).  ``max_level`` optionally truncates the build;
-    a complete build needs at most ``max base index + 1`` rounds.  Raises
-    :class:`ValueError` if ``max_level`` is given and below 1.
+    :class:`ValueError` if it is below 1.
+
+    A complete build has at most ``fs.max_index + 1`` levels.  A space
+    between p and q has dimension index(p) - index(q) - 1 (the dimension
+    rule on base and declared pairs, and :func:`derive_moduli`'s forced
+    cases), and no point of it has an index above that dimension.  So the
+    points of level l have index at most ``max_index - l``: those of level
+    ``max_index`` form no pair, and the next level is all stationary.
     """
 
     if max_level is not None and max_level < 1:
@@ -463,16 +465,11 @@ def build_tower(
     if violations:
         raise InvalidFlowSystemError(violations)
 
-    hard_cap = fs.max_index + 1
     levels: list[tuple[SpaceData, ...]] = []
     # The base flow system is the pair table of a level-0 space: its
     # points are the base critical points and it has no address.
     rounds = [(fs.table, [Primitive(p) for p in fs.points], None)]
     while True:
-        if len(levels) > hard_cap:
-            raise BuildError(
-                f"construction failed to terminate within {hard_cap} rounds"
-            )
         seeds: list[SpaceData] = []
         tails: list[SpaceData] = []
         chain_edges: set[tuple[str, str]] = set()

@@ -80,6 +80,11 @@ class TestGreenCorpus:
         with pytest.raises(ValueError, match="unknown axiom tag 'globular'"):
             fc.check_axiom("globular", deformed_tower)
 
+    def test_report_has_no_unknown_tag(self, deformed_tower):
+        report = fc.check_all(deformed_tower)
+        with pytest.raises(KeyError, match="no report for tag 'z'"):
+            report.by_tag("z")
+
 
 def _mutants(tower, view):
     c2 = lambda key: find_cell(tower, 2, key)

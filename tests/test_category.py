@@ -31,6 +31,11 @@ class TestCellEnumeration:
         extended = set(map(fc.cell_key, fc.extended_cells(deformed_tower, 2)))
         assert native < extended
 
+    @pytest.mark.parametrize("level", [-1, 4])
+    def test_view_refuses_a_level_outside_the_tower(self, deformed_view, level):
+        with pytest.raises(ValueError, match=f"^level {level} out of range 0..3$"):
+            deformed_view.cells(level)
+
     def test_view_exposes_native_cells(self, deformed_tower, deformed_view):
         for lv in range(4):
             assert set(deformed_view.cells(lv)) == set(fc.cells(deformed_tower, lv))
@@ -58,8 +63,10 @@ class TestBoundaries:
 
     def test_boundary_of_base_cell_is_undefined(self, deformed_tower):
         w = find_cell(deformed_tower, 0, "w")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a level-0 cell has no source$"):
             fc.source(w)
+        with pytest.raises(ValueError, match="^a level-0 cell has no target$"):
+            fc.target(w)
 
     def test_view_boundary_key_matches_raw_walk(self, deformed_tower, deformed_view):
         for lv in range(1, 4):
@@ -229,11 +236,33 @@ class TestComposition:
             with pytest.raises(ValueError) as viewed:
                 view.normal_compose(p, c, a)
             assert str(viewed.value) == str(raw.value)
-            if c is first:
+            if c is first and p == 0:
                 assert str(raw.value) == (
-                    f"cells do not glue along level {p}: the level-{p} source of "
-                    f"x/y:c0 @ M(x>y) differs from the level-{p} target of y/w:a @ M(y>w)"
+                    "cells do not glue along level 0: the level-0 source of "
+                    "x/y:c0 @ M(x>y) differs from the level-0 target of y/w:a @ M(y>w)"
                 )
+            elif c is first:
+                assert str(raw.value) == "p 1 out of range 0..0 for level-1 cells"
+
+    def test_out_of_range_p_and_level_0_pairs_name_the_cause(self, deformed_tower):
+        first = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
+        after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
+        two = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
+        x, y = (find_cell(deformed_tower, 0, k) for k in "xy")
+        level_0 = "level-0 cells do not compose: they have no boundary to glue along"
+        view = fc.GlobularSet(deformed_tower)
+        for p, a, f, message in (
+            (-1, after, first, "p -1 out of range 0..0 for level-1 cells"),
+            (5, after, first, "p 5 out of range 0..0 for level-1 cells"),
+            (2, two, two, "p 2 out of range 0..1 for level-2 cells"),
+            (0, y, x, level_0),
+            (-1, x, x, level_0),
+        ):
+            assert not view.composable(p, a, f)
+            for glue in (view.compose, view.normal_compose):
+                with pytest.raises(ValueError) as err:
+                    glue(p, a, f)
+                assert str(err.value) == message
 
     def test_level_mismatch_raises(self, deformed_tower):
         one = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")

@@ -14,7 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowcat as fc
+import flowcat.cli
+import flowcat.generators
 from flowcat.cli import main
+
+from _helpers import find_cell
 
 
 def _write(tmp_path, name: str, text: str) -> str:
@@ -91,6 +95,16 @@ class TestParseErrors:
                 "cannot be Interval",
             ),
             ("[critical]\nx -1\n", 2, "negative index"),
+            (
+                "[critical]\nx 1\ny 0\n[moduli x y]\ncomponent c0 Point\n",
+                5,
+                "expected 'component <id> shape <shape> ...', got 'component c0 Point'",
+            ),
+            (
+                "[critical]\nx 1\ny 0\n[moduli x y]\ncomponent c0 shape Declared -1\n",
+                5,
+                "declared_shape(-1): dimension must be >= 0",
+            ),
             (
                 "[critical]\nx 1\ny 0\n\n[moduli x q]\ncomponent c0 shape Point\n",
                 5,
@@ -214,6 +228,32 @@ class TestExitCodes:
     def test_generate_random_without_room_exits_2(self, option, error, capsys):
         assert main(["generate", "random", "--seed", "0", option]) == 2
         assert capsys.readouterr() == ("", error)
+
+    def test_generate_random_giving_up_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(flowcat.generators, "_ATTEMPTS", 0)
+        assert main(["generate", "random", "--seed", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: no valid random system found for seed 3\n")
+
+    def test_failing_check_exits_1(self, deformed_file, deformed_tower, monkeypatch, capsys):
+        # The source of the max interval end rerouted to the base point z.
+        end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        z = find_cell(deformed_tower, 0, "z")
+        report = fc.check_all(fc.GlobularSet(deformed_tower).with_source(end, z))
+        assert not report.ok
+        monkeypatch.setattr(flowcat.cli, "check_all", lambda tower: report)
+        assert main(["check", deformed_file]) == 1
+        out = capsys.readouterr()
+        assert out.out == report.to_text() + "\nlaws FAILED\n"
+        assert out.err == ""
+
+    def test_negative_declared_dimension_exits_2(self, tmp_path, capsys):
+        text = "[critical]\nx 1\ny 0\n[moduli x y]\ncomponent c0 shape Declared -1\n"
+        path = _write(tmp_path, "negative.ft", text)
+        assert main(["check", path]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {path}: line 5: declared_shape(-1): dimension must be >= 0\n",
+        )
 
     @pytest.mark.parametrize("level", ["0", "-1"])
     def test_build_bad_max_level_exits_2(self, level, deformed_file, capsys):
@@ -536,6 +576,39 @@ class TestDeclaredModuli:
         assert str(err.value).startswith("line 12:")
         undeclared = next(name for name in ends.split() if name.endswith("2"))
         assert f"{undeclared!r} is not a declared point" in str(err.value)
+
+
+class TestEmptyModuliSection:
+    """A ``[moduli x y]`` section with no component lines is a pair without
+    components, which the validator, the heights and the build all skip, in
+    either direction of the flow."""
+
+    @pytest.mark.parametrize("section", ["[moduli x v]", "[moduli v x]"])
+    def test_the_file_reads_as_without_it(self, section, tmp_path, deformed_fs, capsys):
+        # v is an extra base point of index 0 that no pair joins.
+        text = fc.render_tower_file(deformed_fs).replace("[critical]\n", "[critical]\nv 0\n")
+        plain = _write(tmp_path, "plain.ft", text)
+        empty = _write(tmp_path, "empty.ft", f"{text}\n{section}\n")
+        for argv in (["check"], ["build"], ["cells"], ["export-dot", "--level", "2"]):
+            outputs = []
+            for path in (plain, empty):
+                assert main([argv[0], path, *argv[1:]]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
+            assert outputs[0].err == ""
+        assert outputs[0].out.startswith("digraph")
+
+        fs, decls = fc.parse_tower_file(Path(empty).read_text())
+        fs0, _ = fc.parse_tower_file(text)
+        s, t = section[len("[moduli ") : -1].split()
+        assert (s, t, ()) in fs.pairs and (s, t) not in fs.table
+        assert fs.points == fs0.points
+        assert fc.validate_flow_system(fs) == ()
+        assert fc.build_tower(fs, decls).levels == fc.build_tower(fs0).levels
+        # The section renders back: rendering inverts parsing.
+        rendered = fc.render_tower_file(fs, decls)
+        assert f"\n{section}\n\n" in rendered
+        assert fc.parse_tower_file(rendered) == (fs, decls)
 
 
 class TestSubcommands:

@@ -6,6 +6,7 @@ import copy
 import gc
 import inspect
 import pickle
+import re
 import weakref
 from fractions import Fraction
 
@@ -70,6 +71,12 @@ class TestCellAndPointKeys:
         nested = fc.Broken((fc.Broken((flat[0], flat[1])), flat[1]))
         assert fc.flatten_point(nested) == (flat[0], flat[1], flat[1])
 
+    def test_flatten_point_refuses_a_non_point(self, deformed_tower):
+        end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        for thing in ("x", end, end.top.pieces[0].crit):
+            with pytest.raises(ValueError, match=f"^not a point: {re.escape(repr(thing))}$"):
+                fc.flatten_point(thing)
+
 
 class TestBreakingOrder:
     def test_pieces_sort_upstream_first(self, deformed_tower):
@@ -77,6 +84,12 @@ class TestBreakingOrder:
         up, down = end.top.pieces
         assert up.crit.id == "x/y:c0" and down.crit.id == "y/w:a"
         assert sorted([down, up], key=breaking_key) == [up, down]
+
+    def test_a_broken_point_has_no_breaking_key(self, deformed_tower):
+        end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        message = f"breaking_key is defined on primitive pieces, got {end.top!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            breaking_key(end.top)
 
 
 class TestStationaryHelpers:

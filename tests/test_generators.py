@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowcat as fc
+import flowcat.generators
 
 
 class TestSphereSystems:
@@ -92,6 +93,11 @@ class TestRandomSystems:
         assert len(fs.points) <= max_points
         assert fs.max_index <= 2
         assert fc.validate_flow_system(fs) == ()
+
+    def test_gives_up_after_its_attempts(self, monkeypatch):
+        monkeypatch.setattr(flowcat.generators, "_ATTEMPTS", 0)
+        with pytest.raises(fc.BuildError, match="^no valid random system found for seed 7$"):
+            fc.random_system(7)
 
     def test_random_towers_never_need_declarations(self, random_towers):
         for t in random_towers.values():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -36,6 +37,23 @@ def test_every_exported_name_is_an_attribute(name):
     assert len(set(module.__all__)) == len(module.__all__)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def test_cli_is_imported_on_first_access(monkeypatch):
+    # ``import flowcat`` leaves the command line out (a fresh-process test in
+    # tests/test_cli.py); the package's __getattr__ imports it when asked.
+    loaded = importlib.import_module("flowcat.cli")
+    monkeypatch.delitem(sys.modules, "flowcat.cli")
+    monkeypatch.delattr(fc, "cli")
+    cli = fc.cli
+    assert cli is not loaded and cli is sys.modules["flowcat.cli"]
+    assert cli.__all__ == ["main"]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'flowcat' has no attribute 'nonexistent'$"):
+        fc.nonexistent
+    assert not hasattr(fc, "nonexistent")
 
 
 def test_star_import_binds_every_exported_name():

@@ -8,7 +8,7 @@ import pytest
 
 import flowcat as fc
 
-from _helpers import space_at
+from _helpers import four_grade_system, space_at
 
 
 def _morse(tower: fc.Tower, level: int, space_key: str) -> dict[str, fc.MorseEntry]:
@@ -232,6 +232,27 @@ class TestBuildControls:
             "M(z>w)",
             "M(z>y)",
         ]
+
+    def test_a_complete_build_has_at_most_max_index_plus_one_levels(self, deformed_fs):
+        # The bound build_tower's docstring proves and its loop relies on.
+        systems = [(deformed_fs, None), *(fc.sphere_system(n) for n in range(1, 13))]
+        systems += [(fc.random_system(seed), None) for seed in range(200)]
+        at_bound = 0
+        for fs, decls in systems:
+            tower = fc.build_tower(fs, decls)
+            assert tower.complete and tower.max_level <= fs.max_index + 1
+            at_bound += tower.max_level == fs.max_index + 1
+        assert (len(systems), at_bound) == (213, 55)
+        built = []
+        for seed in range(300):
+            fs = four_grade_system(seed)
+            try:
+                tower = fc.build_tower(fs)
+            except fc.BuildError:
+                continue
+            assert tower.complete and tower.max_level <= fs.max_index + 1
+            built.append(seed)
+        assert built == [143, 148, 178]
 
     @pytest.mark.parametrize("max_level", [0, -1])
     def test_max_level_below_one_is_rejected(self, deformed_fs, max_level):
