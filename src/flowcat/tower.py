@@ -272,13 +272,10 @@ def derive_moduli(
         if (s, t) == (pk, qk):
             return comps
 
-    def points(*ids: str) -> tuple[Component, ...]:
-        return tuple(Component(cid, POINT) for cid in ids)
-
     if comp.shape == INTERVAL and {p.role, q.role} == {"end_max", "end_min"}:
-        return points("0")
+        return (Component("0", POINT),)
     if comp.shape == CIRCLE and p.role == q.role == "declared":
-        return points("0", "1")
+        return (Component("0", POINT), Component("1", POINT))
     if comp.shape.kind == "sphere" and p.role == q.role == "declared":
         k = comp.dim - 1
         shape = CIRCLE if k == 1 else sphere_like(k)
@@ -347,7 +344,8 @@ def _mint(
     1/2 handed out in slot order.  The result is keyed ``(ambient, source
     key, target key, component id)``: sibling spaces over one ambient space
     share it, so interval endpoints can be resolved across them, and spaces
-    over different ambient spaces never share a point.
+    over different ambient spaces never share a point.  A space keys its
+    points by name, so it refuses a name declared on two of its components.
     """
 
     # Per space, per component in id order: the name, index, height above
@@ -356,15 +354,18 @@ def _mint(
     for seed in seeds:
         made[seed.key] = []
         source, target = point_key(seed.address.source), point_key(seed.address.target)
+        owner: dict[str, str] = {}
         for comp in sorted(seed.components, key=lambda c: c.id):
             if comp.dim == 0:
                 names = [(f"{source}/{target}:{comp.id}", 0, 0, "point")]
             else:
                 dps = _declared_points(decls, seed.key, comp)
-                names = [
-                    (dp.name, dp.index, len(dps) - m, "declared")
-                    for m, dp in enumerate(dps)
-                ]
+                names = []
+                for m, dp in enumerate(dps):
+                    if owner.setdefault(dp.name, comp.id) != comp.id:
+                        on = f"components {owner[dp.name]!r} and {comp.id!r} of {seed.key}"
+                        raise BuildError(f"name {dp.name!r} declared on {on}")
+                    names.append((dp.name, dp.index, len(dps) - m, "declared"))
             made[seed.key].append((comp.id, names))
     ranks = _base_ranks(list(made), edges)
     minted: _Minted = {}
@@ -446,9 +447,9 @@ def build_tower(
     Raises :class:`InvalidFlowSystemError` on bad base data,
     :class:`MissingDeclarationError` where interior data is needed but not
     declared, and :class:`BuildError` on declarations that break a law (see
-    :func:`_declared_points`) or that the build never reads (see
-    :func:`_refuse_unread`).  ``max_level`` optionally truncates the build;
-    :class:`ValueError` if it is below 1.
+    :func:`_declared_points` and :func:`_mint`) or that the build never
+    reads (see :func:`_refuse_unread`).  ``max_level`` optionally
+    truncates the build; :class:`ValueError` if it is below 1.
 
     A complete build has at most ``fs.max_index + 1`` levels.  A space
     between p and q has dimension index(p) - index(q) - 1 (the dimension

@@ -9,6 +9,7 @@ import pytest
 import flowcat as fc
 
 from _helpers import four_grade_system, space_at
+from test_acceptance import _corpus
 
 
 def _morse(tower: fc.Tower, level: int, space_key: str) -> dict[str, fc.MorseEntry]:
@@ -233,16 +234,15 @@ class TestBuildControls:
             "M(z>y)",
         ]
 
-    def test_a_complete_build_has_at_most_max_index_plus_one_levels(self, deformed_fs):
-        # The bound build_tower's docstring proves and its loop relies on.
-        systems = [(deformed_fs, None), *(fc.sphere_system(n) for n in range(1, 13))]
-        systems += [(fc.random_system(seed), None) for seed in range(200)]
-        at_bound = 0
-        for fs, decls in systems:
-            tower = fc.build_tower(fs, decls)
-            assert tower.complete and tower.max_level <= fs.max_index + 1
-            at_bound += tower.max_level == fs.max_index + 1
-        assert (len(systems), at_bound) == (213, 55)
+    def test_a_complete_build_has_at_most_max_index_plus_one_levels(self):
+        # The bound build_tower's docstring proves and its loop relies on,
+        # over the acceptance corpus and the larger spheres.
+        towers = [*_corpus().values()]
+        towers += [fc.build_tower(*fc.sphere_system(n)) for n in range(4, 13)]
+        for tower in towers:
+            assert tower.complete and tower.max_level <= tower.base.max_index + 1
+        at_bound = sum(t.max_level == t.base.max_index + 1 for t in towers)
+        assert (len(towers), at_bound) == (213, 55)
         built = []
         for seed in range(300):
             fs = four_grade_system(seed)
@@ -315,6 +315,30 @@ class TestBuildControls:
                 for sd in t.spaces(level):
                     keys = [fc.point_key(e.point) for e in sd.morse]
                     assert len(keys) == len(set(keys)), sd.key
+
+    def test_a_name_declared_on_two_components_of_one_space_is_refused(self):
+        # The parser refuses a name used twice; through the API, the build
+        # does, since a space keys its points by name.
+        fs = fc.flow_system(
+            [("N", 2), ("S", 0)],
+            {("N", "S"): [("c0", fc.CIRCLE, ()), ("c1", fc.CIRCLE, ())]},
+        )
+        pts = {
+            "c0": (fc.DeclaredPoint("m", 1), fc.DeclaredPoint("n", 0)),
+            "c1": (fc.DeclaredPoint("n", 1), fc.DeclaredPoint("m", 0)),
+        }
+        decls = fc.Declarations.build(
+            {("M(N>S)", c): fc.ComponentDecl(points=p) for c, p in pts.items()}
+        )
+        with pytest.raises(fc.BuildError) as err:
+            fc.build_tower(fs, decls)
+        assert type(err.value) is fc.BuildError
+        assert str(err.value) == "name 'n' declared on components 'c0' and 'c1' of M(N>S)"
+        pts["c1"] = (fc.DeclaredPoint("u", 1), fc.DeclaredPoint("v", 0))
+        decls = fc.Declarations.build(
+            {("M(N>S)", c): fc.ComponentDecl(points=p) for c, p in pts.items()}
+        )
+        assert fc.build_tower(fs, decls).complete
 
     def test_a_point_derives_nothing_with_itself(self, deformed_tower):
         for level in range(1, deformed_tower.max_level + 1):

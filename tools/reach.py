@@ -6,11 +6,14 @@ A line is executable when the compiled module has an instruction on it.
 Tests that start a subprocess are not traced, so the lines that only they
 run are listed too.  Stdlib only, apart from pytest itself::
 
-    python tools/reach.py [--max N] [PYTEST-ARGS...]
+    python tools/reach.py
 
-With ``--max N`` it exits 1 when more than N lines are unreached; it exits
-with pytest's code when the suite fails.  The count depends on the Python
-version, which decides the lines a statement compiles to.
+It exits with pytest's code when the suite fails, and 1 when more than
+``ALLOWED`` lines are unreached.  The allowed lines run only under a
+subprocess test: the five of ``__main__.py``, the ``BrokenPipeError``
+handler of ``cli.main`` (three) and the refusal of ``python -m
+flowcat.cli`` (two).  The count is pinned on Python 3.11: each version
+decides the lines a statement compiles to.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "flowcat"
+ALLOWED = 10
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -35,10 +39,7 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
-    limit = None
-    if argv[:1] == ["--max"]:
-        limit, argv = int(argv[1]), argv[2:]
+def main() -> int:
     prefix = str(PACKAGE) + os.sep
     hits: set[tuple[str, int]] = set()
 
@@ -57,7 +58,7 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.settrace(call)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "tests", *argv])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
     finally:
         sys.settrace(None)
 
@@ -72,8 +73,8 @@ def main(argv: list[str]) -> int:
     print(f"unreached: {unreached} of {total} executable lines")
     if code:
         return int(code)
-    return 1 if limit is not None and unreached > limit else 0
+    return 1 if unreached > ALLOWED else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
