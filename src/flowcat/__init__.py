@@ -17,7 +17,6 @@ from .core import (
     CritPoint,
     ModuliAddress,
     Point,
-    Primitive,
     address_key,
     cell_key,
     flatten_point,
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     # core
-    "Broken", "Cell", "CritPoint", "ModuliAddress", "Point", "Primitive",
+    "Broken", "Cell", "CritPoint", "ModuliAddress", "Point",
     "address_key", "cell_key", "flatten_point",
     "is_stationary", "point_key", "point_value",
     # stratification

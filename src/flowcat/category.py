@@ -15,22 +15,20 @@ and sorts glued pieces into flow order.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 from functools import reduce
 
 from .core import (
     Broken,
     Cell,
+    CritPoint,
     ModuliAddress,
     Point,
-    Primitive,
     ambient_of_point,
     breaking_key,
     cell_key,
     flatten_point,
     is_stationary,
     memo_on_node,
-    point_key,
     stationary_point,
 )
 from .tower import Tower
@@ -55,10 +53,7 @@ def cells(tower: Tower, level: int) -> tuple[Cell, ...]:
     """
 
     if level == 0:
-        return tuple(
-            Cell(Primitive(p), None)
-            for p in sorted(tower.base.points, key=lambda p: p.id)
-        )
+        return tuple(Cell(p, None) for p in sorted(tower.base.points, key=lambda p: p.id))
     out = [
         Cell(entry.point, sd.address)
         for sd in tower.spaces(level)
@@ -105,7 +100,7 @@ def identity(cell: Cell) -> Cell:
     """
 
     pt = stationary_point(cell.top, cell.space)
-    return Cell(pt, pt.crit.home)
+    return Cell(pt, pt.home)
 
 
 def _gluing_error(p: int, after: Cell, first: Cell) -> str:
@@ -150,17 +145,17 @@ def _merge(x: Point, y: Point) -> Point:
     """The normal join of two normal points: the normal form of the broken
     point that runs x, then y, and the step that ``normalize_point`` folds.
 
-    A normal point is constant only as a constant primitive; a moving one
-    has only moving pieces, in flow order.  A constant side next to a moving
-    one is deleted.  Two constant points join as x when they sit over one
-    support, and otherwise as the constant point over the join of their
+    A normal point is constant only as a constant critical point; a moving
+    one has only moving pieces, in flow order.  A constant side next to a
+    moving one is deleted.  Two constant points join as x when they sit over
+    one support, and otherwise as the constant point over the join of their
     supports, one level down.  Every node built is part of the result.
     """
 
     if is_stationary(x):
         if not is_stationary(y):
             return y
-        sx, sy = x.crit.home.source, y.crit.home.source
+        sx, sy = x.home.source, y.home.source
         return x if sx is sy else _stationary_over(_merge(sx, sy))
     if is_stationary(y):
         return x
@@ -203,7 +198,7 @@ def _glue_address(
     return glued
 
 
-def _stationary_over(base: Point) -> Primitive:
+def _stationary_over(base: Point) -> CritPoint:
     """The canonical constant point over a normal point: the point of the
     stationary space at ``base``, over the space ``base`` lives on.
 
@@ -226,30 +221,19 @@ def _stationary_over(base: Point) -> Primitive:
 def normalize_point(pt: Point) -> Point:
     """Canonical form of a point.
 
-    A constant primitive is the constant point over its normal support, so
-    the level of the input is always preserved; a moving one is already
-    canonical.  A
-    broken point is the left fold of the normal join ``_merge`` over its
-    normalized pieces: grouping is erased, constant pieces next to moving
-    ones are deleted, and the moving pieces are sorted into flow order.
+    A constant critical point is the constant point over its normal
+    support, so the level of the input is always preserved; a moving one is
+    already canonical.  A broken point is the left fold of the normal join
+    ``_merge`` over its normalized pieces: grouping is erased, constant
+    pieces next to moving ones are deleted, and the moving pieces are sorted
+    into flow order.
     """
 
     if isinstance(pt, Broken):
         return reduce(_merge, map(normalize_point, pt.pieces))
     if not is_stationary(pt):
         return pt
-    crit = pt.crit
-    base = normalize_point(crit.home.source)
-    if (
-        base is crit.home.source
-        and crit.home.ambient is ambient_of_point(base)
-        and crit.id == f"1({point_key(base)})"
-        and (crit.index, type(crit.index), type(crit.value)) == (0, int, Fraction)
-    ):
-        # Already the canonical point (its value is 0 on a stationary home).
-        base.__dict__["_memo_stationary_over"] = weakref.ref(pt)
-        return pt
-    return _stationary_over(base)
+    return _stationary_over(normalize_point(pt.home.source))
 
 
 @memo_on_node
@@ -339,6 +323,8 @@ class GlobularSet:
         """The normal form of the iterated level-q source or target, for q in
         0..level: ``cell.level - q`` steps of the view's ``s`` or ``t``."""
 
+        if side not in ("s", "t"):
+            raise ValueError(f"side must be 's' or 't', got {side!r}")
         if not 0 <= q <= cell.level:
             raise ValueError(f"level {q} out of range 0..{cell.level}")
         if side not in self._maps:

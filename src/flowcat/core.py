@@ -6,13 +6,13 @@ by broken flow lines, is identified combinatorially by a
 :class:`ModuliAddress`: the pair of endpoints plus the address of the
 ambient space that holds them, one level down.
 
-Points of such a space are either :class:`Primitive` (a single critical
-point) or :class:`Broken` (an ordered tuple of pieces, one per factor of
-a product stratum on the boundary).  Broken points are glued along
-matching endpoints; flattening erases the grouping and yields the
-primitive pieces in gluing order.
+Points of such a space are either a :class:`CritPoint` (a single
+critical point) or :class:`Broken` (an ordered tuple of pieces, one per
+factor of a product stratum on the boundary).  Broken points are glued
+along matching endpoints; flattening erases the grouping and yields the
+critical points in gluing order.
 
-The five node classes are hash-consed (Filliâtre & Conchon, "Type-Safe
+The four node classes are hash-consed (Filliâtre & Conchon, "Type-Safe
 Modular Hash-Consing", 2006): building a node whose fields are those of a
 live node returns that node.  Equal nodes are therefore one object, and
 ``==`` and ``hash`` are identity, O(1) however deep the node.  Derived
@@ -30,7 +30,6 @@ __all__ = [
     "CritPoint",
     "ModuliAddress",
     "Point",
-    "Primitive",
     "Broken",
     "Cell",
     "flatten_point",
@@ -159,7 +158,7 @@ class ModuliAddress:
 
 @_hashconsed
 class CritPoint:
-    """A primitive critical point.
+    """A critical point: a point of a space that is not broken.
 
     ``home`` is ``None`` for base critical points and the address of the
     space the point lives on otherwise.  ``value`` is the exact height
@@ -196,16 +195,6 @@ class CritPoint:
 
 
 @_hashconsed
-class Primitive:
-    """A point of a space that is a single critical point."""
-
-    crit: CritPoint
-
-    def __new__(cls, crit):
-        return _intern(cls, (crit,))
-
-
-@_hashconsed
 class Broken:
     """An ordered tuple of points glued along matching endpoints.
 
@@ -224,7 +213,7 @@ class Broken:
             raise ValueError("a broken point needs at least two pieces")
 
 
-Point = Union[Primitive, Broken]
+Point = Union[CritPoint, Broken]
 
 
 @_hashconsed
@@ -232,7 +221,7 @@ class Cell:
     """A cell of the globular set: a critical point on a named space.
 
     ``space`` is ``None`` exactly for level-0 cells (base critical
-    points); then ``top`` is the primitive base point itself.
+    points); then ``top`` is the base critical point itself.
     """
 
     top: "Point"
@@ -246,17 +235,17 @@ class Cell:
         return 0 if self.space is None else self.space.level
 
 
-def flatten_point(p: Point) -> tuple[Primitive, ...]:
+def flatten_point(p: Point) -> tuple[CritPoint, ...]:
     """Erase nested grouping of a broken point.
 
-    Returns the primitive pieces in gluing order.  A primitive point
-    yields the one-element tuple.
+    Returns the critical points in gluing order.  A critical point yields
+    the one-element tuple.
     """
 
-    if isinstance(p, Primitive):
+    if isinstance(p, CritPoint):
         return (p,)
     if isinstance(p, Broken):
-        out: list[Primitive] = []
+        out: list[CritPoint] = []
         for piece in p.pieces:
             out.extend(flatten_point(piece))
         return tuple(out)
@@ -266,8 +255,8 @@ def flatten_point(p: Point) -> tuple[Primitive, ...]:
 def point_value(p: Point) -> Fraction:
     """Exact height of a point: its own value, or the sum over pieces."""
 
-    if isinstance(p, Primitive):
-        return p.crit.value
+    if isinstance(p, CritPoint):
+        return p.value
     return sum((point_value(q) for q in p.pieces), Fraction(0))
 
 
@@ -275,8 +264,8 @@ def point_value(p: Point) -> Fraction:
 def point_key(p: Point) -> str:
     """Deterministic canonical string for a point."""
 
-    if isinstance(p, Primitive):
-        return p.crit.id
+    if isinstance(p, CritPoint):
+        return p.id
     return "(" + ",".join(point_key(q) for q in p.pieces) + ")"
 
 
@@ -310,7 +299,7 @@ def _chain(a: ModuliAddress | None):
 
 
 @memo_on_node
-def breaking_key(p: Primitive) -> tuple:
+def breaking_key(p: CritPoint) -> tuple:
     """Sort key that orders glued pieces in flow order.
 
     The key lists, per level from the base up, the (negated) heights of
@@ -320,12 +309,12 @@ def breaking_key(p: Primitive) -> tuple:
     the order total and deterministic.
     """
 
-    if not isinstance(p, Primitive):
-        raise ValueError(f"breaking_key is defined on primitive pieces, got {p!r}")
+    if not isinstance(p, CritPoint):
+        raise ValueError(f"breaking_key is defined on critical points, got {p!r}")
     levels = tuple(
         (j, -point_value(b.source), -point_value(b.target),
          point_key(b.source), point_key(b.target))
-        for j, b in enumerate(reversed([*_chain(p.crit.home)]))
+        for j, b in enumerate(reversed([*_chain(p.home)]))
     )
     return (levels, point_key(p))
 
@@ -334,13 +323,13 @@ def is_stationary(obj: Cell | ModuliAddress | Point) -> bool:
     """Whether the object sits over a constant flow line.
 
     Addresses are stationary when source equals target; cells when their
-    space is; primitive points when their home space is.  Base cells and
+    space is; critical points when their home space is.  Base cells and
     broken points are never stationary.
     """
 
     kind = type(obj)
-    if kind is Primitive:
-        obj = obj.crit.home
+    if kind is CritPoint:
+        obj = obj.home
     elif kind is Cell:
         obj = obj.space
     elif kind is Broken:
@@ -354,17 +343,17 @@ def is_stationary(obj: Cell | ModuliAddress | Point) -> bool:
 def ambient_of_point(p: Point) -> ModuliAddress | None:
     """Address of the space a point naturally lives on.
 
-    For a primitive point this is its home.  For a broken point it is the
+    For a critical point this is its home.  For a broken point it is the
     space the glued configuration bounds: endpoints from the outermost
     pieces, ambient shared by the pieces.  Returns ``None`` for base
     points (no home).
     """
 
-    if isinstance(p, Primitive):
-        return p.crit.home
-    prims = flatten_point(p)
-    first = prims[0].crit.home
-    last = prims[-1].crit.home
+    if isinstance(p, CritPoint):
+        return p.home
+    crits = flatten_point(p)
+    first = crits[0].home
+    last = crits[-1].home
     if first is None or last is None:
         raise ValueError(
             f"broken point {point_key(p)} has base pieces and no ambient space"
@@ -375,8 +364,7 @@ def ambient_of_point(p: Point) -> ModuliAddress | None:
 _ZERO = Fraction(0)
 
 
-def stationary_point(at: Point, ambient: ModuliAddress | None) -> Primitive:
+def stationary_point(at: Point, ambient: ModuliAddress | None) -> CritPoint:
     """The canonical point of the stationary space at ``at``."""
 
-    home = ModuliAddress(at, at, ambient)
-    return Primitive(CritPoint(f"1({point_key(at)})", 0, _ZERO, home))
+    return CritPoint(f"1({point_key(at)})", 0, _ZERO, ModuliAddress(at, at, ambient))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import CritPoint, ModuliAddress, Primitive, address_key
+from .core import CritPoint, ModuliAddress, address_key
 from .stratification import (
     CIRCLE,
     Endpoint,
@@ -55,18 +55,15 @@ def sphere_system(n: int) -> tuple[FlowSystem, Declarations]:
     fs = flow_system([("N", n), ("S", 0)], {("N", "S"): comps})
 
     items: dict[tuple[str, str], ComponentDecl] = {}
-    addr = ModuliAddress(
-        Primitive(CritPoint("N", n, Fraction(2))),
-        Primitive(CritPoint("S", 0, Fraction(1))),
-    )
+    addr = ModuliAddress(CritPoint("N", n, Fraction(2)), CritPoint("S", 0, Fraction(1)))
     comp_id = "c0"
     for level in range(1, n):
         hi = DeclaredPoint(f"hi{level}", n - level)
         lo = DeclaredPoint(f"lo{level}", 0)
         items[(address_key(addr), comp_id)] = ComponentDecl(points=(hi, lo))
         addr = ModuliAddress(
-            Primitive(CritPoint(hi.name, hi.index, Fraction(2), addr)),
-            Primitive(CritPoint(lo.name, lo.index, Fraction(1), addr)),
+            CritPoint(hi.name, hi.index, Fraction(2), addr),
+            CritPoint(lo.name, lo.index, Fraction(1), addr),
             addr,
         )
         comp_id = "0"

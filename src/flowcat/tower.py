@@ -12,10 +12,11 @@ largest base index plus one.
 Heights are exact rationals chosen so that (a) they strictly decrease
 along every flow line, (b) along a chain x > y > z every height on the
 space (x,y) exceeds every height on (y,z), and (c) any two sums over
-distinct sets of primitive heights differ — each primitive height gets a
-distinct dyadic tag, so a sum determines its set of summands.  Property
-(c) orients every interval unambiguously: its endpoint heights are sums
-over different broken configurations and therefore never tie.
+distinct sets of critical-point heights differ — each critical point's
+height gets a distinct dyadic tag, so a sum determines its set of
+summands.  Property (c) orients every interval unambiguously: its endpoint
+heights are sums over different broken configurations and therefore never
+tie.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     CritPoint,
     ModuliAddress,
     Point,
-    Primitive,
     Broken,
     _refuse_assignment,
     address_key,
@@ -292,9 +292,8 @@ def _stationary_space(at: Point, ambient: ModuliAddress | None) -> SpaceData:
     """The one-point space over a critical point, with its Morse datum."""
 
     pt = stationary_point(at, ambient)
-    addr = pt.crit.home
     entry = MorseEntry(pt, 0, Fraction(0), "0", "stationary")
-    return SpaceData(address=addr, components=(Component("0", POINT),), morse=(entry,))
+    return SpaceData(address=pt.home, components=(Component("0", POINT),), morse=(entry,))
 
 
 def _schedule(
@@ -341,11 +340,13 @@ def _mint(
     slot respecting the edges; the point of a 0-dimensional component gets
     ``slot + tag``, declared interior points (highest first) get ``slot +
     position + tag``, where the tags are distinct dyadic fractions below
-    1/2 handed out in slot order.  The result is keyed ``(ambient, source
-    key, target key, component id)``: sibling spaces over one ambient space
-    share it, so interval endpoints can be resolved across them, and spaces
-    over different ambient spaces never share a point.  A space keys its
-    points by name, so it refuses a name declared on two of its components.
+    1/2 handed out in slot order.  The next space's slot is one above the
+    tallest position, so no space's heights reach into a later slot.  The
+    result is keyed ``(ambient, source key, target key, component id)``:
+    sibling spaces over one ambient space share it, so interval endpoints can
+    be resolved across them, and spaces over different ambient spaces never
+    share a point.  A space keys its points by name, so it refuses a name
+    declared on two of its components.
     """
 
     # Per space, per component in id order: the name, index, height above
@@ -371,15 +372,19 @@ def _mint(
     minted: _Minted = {}
     tag = Fraction(1, 2)
     order = sorted(seeds, key=lambda sd: (ranks[sd.key], sd.key))
-    for slot, seed in enumerate(order, 1):
+    slot = 1
+    for seed in order:
         a = seed.address
+        top = 0
         for cid, names in made[seed.key]:
             entries = []
             for name, index, height, role in names:
                 tag /= 2
-                pt = Primitive(CritPoint(name, index, slot + height + tag, a))
-                entries.append(MorseEntry(pt, index, pt.crit.value, cid, role))
+                pt = CritPoint(name, index, slot + height + tag, a)
+                entries.append(MorseEntry(pt, index, pt.value, cid, role))
+                top = max(top, height)
             minted[a.ambient, point_key(a.source), point_key(a.target), cid] = tuple(entries)
+        slot += top + 1
     return minted
 
 
@@ -469,7 +474,7 @@ def build_tower(
     levels: list[tuple[SpaceData, ...]] = []
     # The base flow system is the pair table of a level-0 space: its
     # points are the base critical points and it has no address.
-    rounds = [(fs.table, [Primitive(p) for p in fs.points], None)]
+    rounds = [(fs.table, list(fs.points), None)]
     while True:
         seeds: list[SpaceData] = []
         tails: list[SpaceData] = []

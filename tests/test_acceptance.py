@@ -251,15 +251,34 @@ def test_criterion_5_stratification_laws(emit):
         assert codim_strata == 1174, codim_strata
 
 
+# A chain a > b > c whose lower space M(b>c) holds two declared points, at
+# heights up to two above its slot: they must still stay below M(a>b).
+CHAIN_FILE = """[critical]
+a 3
+b 2
+c 0
+
+[moduli a b]
+component c0 shape Point
+
+[moduli b c]
+component c0 shape Circle
+
+[declare M(b>c)]
+critical n index 1 component c0
+critical s index 0 component c0
+"""
+
+
 def _point_index(point) -> int:
-    if isinstance(point, fc.Primitive):
-        return point.crit.index
+    if isinstance(point, fc.CritPoint):
+        return point.index
     return sum(_point_index(q) for q in point.pieces)
 
 
 def test_criterion_6_flow_value_laws(emit):
     with emit(6, "flow values: chain order, additivity, stationary tails, termination"):
-        towers = _corpus()
+        towers = {**_corpus(), "chain": fc.build_tower(*fc.parse_tower_file(CHAIN_FILE))}
         for name, tower in towers.items():
             for level in range(1, tower.max_level + 1):
                 groups: dict[fc.ModuliAddress | None, list] = {}
@@ -327,12 +346,12 @@ def _association_chain(length: int) -> list[fc.Cell]:
     cells = []
     for i in range(length, 0, -1):
         address = fc.ModuliAddress(
-            source=fc.Primitive(base[i]),
-            target=fc.Primitive(base[i - 1]),
+            source=base[i],
+            target=base[i - 1],
             ambient=None,
         )
-        crit = fc.CritPoint(f"c{i}", index=0, value=Fraction(1, i + 1), home=address)
-        cells.append(fc.Cell(top=fc.Primitive(crit), space=address))
+        top = fc.CritPoint(f"c{i}", index=0, value=Fraction(1, i + 1), home=address)
+        cells.append(fc.Cell(top=top, space=address))
     return cells
 
 

@@ -290,7 +290,7 @@ def _stray(cell: fc.Cell) -> fc.Cell:
 
     space = fc.normalize(cell).space
     value = Fraction(0) if fc.is_stationary(space) else Fraction(1, 7)
-    return fc.Cell(fc.Primitive(fc.CritPoint("stray", 0, value, space)), space)
+    return fc.Cell(fc.CritPoint("stray", 0, value, space), space)
 
 
 class TestComposeOverrideOutsideTheTower:

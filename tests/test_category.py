@@ -90,6 +90,19 @@ class TestBoundaries:
                         with pytest.raises(ValueError, match="out of range"):
                             X.boundary(q, c, "s")
 
+    def test_view_boundary_refuses_a_side_other_than_s_or_t(self, deformed_tower):
+        # Both walks: the raw table, and the steps of an overridden map.
+        view = fc.GlobularSet(deformed_tower)
+        c0x = find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)")
+        z = find_cell(deformed_tower, 0, "z")
+        for X in (view, view.with_source(c0x, z), view.with_target(c0x, z)):
+            for side in ("target", "source", "S", "", None):
+                message = f"side must be 's' or 't', got {side!r}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    X.boundary(0, c0x, side)
+        assert fc.cell_key(view.boundary(0, c0x, "t")) == "y"
+        assert fc.cell_key(view.boundary(0, c0x, "s")) == "x"
+
     def test_normal_form_commutes_with_the_raw_maps(
         self, deformed_tower, sphere_towers, random_towers
     ):
@@ -497,7 +510,7 @@ def _normal_points_by_level(tower: fc.Tower) -> dict[int, set]:
             points += [space.source, space.target]
             space = space.ambient
         for x in points:
-            home = fc.flatten_point(x)[0].crit.home
+            home = fc.flatten_point(x)[0].home
             by_level.setdefault(0 if home is None else home.level, set()).add(x)
     return by_level
 
@@ -507,7 +520,7 @@ def _reference_join(x, y):
     normalizer: the normal form of the raw join, as ``category._merge``
     must build it."""
     if fc.is_stationary(x) and fc.is_stationary(y):
-        sx, sy = x.crit.home.source, y.crit.home.source
+        sx, sy = x.home.source, y.home.source
         if sx is sy:
             return x
         base = _reference_join(sx, sy)
@@ -540,7 +553,7 @@ class TestMergeContract:
                             continue
                         assert category._merge(x, y) is want
                         if fc.is_stationary(x) and fc.is_stationary(y):
-                            same = x.crit.home.source is y.crit.home.source
+                            same = x.home.source is y.home.source
                             seen["same support" if same else "different supports"] += 1
                         elif not (fc.is_stationary(x) or fc.is_stationary(y)):
                             pieces = fc.flatten_point(x) + fc.flatten_point(y)

@@ -19,8 +19,8 @@ from flowcat.core import ambient_of_point, breaking_key, stationary_point
 from _helpers import cell_map, find_cell
 
 
-def _prim(id: str, index: int, value, home=None) -> fc.Primitive:
-    return fc.Primitive(fc.CritPoint(id, index, Fraction(value), home))
+def _crit(id: str, index: int, value, home=None) -> fc.CritPoint:
+    return fc.CritPoint(id, index, Fraction(value), home)
 
 
 class TestAddressKeys:
@@ -65,15 +65,15 @@ class TestCellAndPointKeys:
     def test_flatten_point(self, deformed_tower):
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
         flat = fc.flatten_point(end.top)
-        assert [q.crit.id for q in flat] == ["x/y:c0", "y/w:a"]
-        prim = flat[0]
-        assert fc.flatten_point(prim) == (prim,)
+        assert [q.id for q in flat] == ["x/y:c0", "y/w:a"]
+        crit = flat[0]
+        assert fc.flatten_point(crit) == (crit,)
         nested = fc.Broken((fc.Broken((flat[0], flat[1])), flat[1]))
         assert fc.flatten_point(nested) == (flat[0], flat[1], flat[1])
 
     def test_flatten_point_refuses_a_non_point(self, deformed_tower):
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
-        for thing in ("x", end, end.top.pieces[0].crit):
+        for thing in ("x", end):
             with pytest.raises(ValueError, match=f"^not a point: {re.escape(repr(thing))}$"):
                 fc.flatten_point(thing)
 
@@ -82,12 +82,12 @@ class TestBreakingOrder:
     def test_pieces_sort_upstream_first(self, deformed_tower):
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
         up, down = end.top.pieces
-        assert up.crit.id == "x/y:c0" and down.crit.id == "y/w:a"
+        assert up.id == "x/y:c0" and down.id == "y/w:a"
         assert sorted([down, up], key=breaking_key) == [up, down]
 
     def test_a_broken_point_has_no_breaking_key(self, deformed_tower):
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
-        message = f"breaking_key is defined on primitive pieces, got {end.top!r}"
+        message = f"breaking_key is defined on critical points, got {end.top!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             breaking_key(end.top)
 
@@ -96,8 +96,8 @@ class TestStationaryHelpers:
     def test_stationary_point_over_base(self, deformed_tower):
         w = find_cell(deformed_tower, 0, "w").top
         s = stationary_point(w, None)
-        assert s.crit.id == "1(w)"
-        assert s.crit.index == 0 and s.crit.value == 0
+        assert s.id == "1(w)"
+        assert s.index == 0 and s.value == 0
         assert fc.is_stationary(s)
 
     def test_stationary_address_without_ambient(self, deformed_tower):
@@ -144,7 +144,6 @@ class TestCritPointValidation:
 NODE_CLASSES = (
     fc.ModuliAddress,
     fc.CritPoint,
-    fc.Primitive,
     fc.Broken,
     fc.Cell,
 )
@@ -156,16 +155,16 @@ def _table_sizes() -> dict[str, int]:
 
 class TestInterning:
     def test_equal_addresses_and_cells_are_one_object(self):
-        x, w = _prim("x", 2, 3), _prim("w", 0, 1)
+        x, w = _crit("x", 2, 3), _crit("w", 0, 1)
         addr = fc.ModuliAddress(x, w)
         again = fc.ModuliAddress(
-            source=_prim("x", 2, 3), target=_prim("w", 0, 1), ambient=None
+            source=_crit("x", 2, 3), target=_crit("w", 0, 1), ambient=None
         )
         assert again is addr
-        top = _prim("x/w:0", 0, Fraction(1, 2), addr)
+        top = _crit("x/w:0", 0, Fraction(1, 2), addr)
         cell = fc.Cell(top, addr)
-        assert fc.Cell(top=_prim("x/w:0", 0, Fraction(1, 2), again), space=again) is cell
-        assert fc.Cell(_prim("x/w:1", 0, Fraction(1, 2), addr), addr) is not cell
+        assert fc.Cell(top=_crit("x/w:0", 0, Fraction(1, 2), again), space=again) is cell
+        assert fc.Cell(_crit("x/w:1", 0, Fraction(1, 2), addr), addr) is not cell
 
     def test_independently_built_towers_share_their_cells(self, deformed_fs):
         one = fc.cells(fc.build_tower(deformed_fs), 2)
@@ -185,7 +184,7 @@ class TestInterning:
             with pytest.raises(ValueError):
                 fc.CritPoint("p", -1, Fraction(1))
             with pytest.raises(ValueError):
-                fc.Broken((_prim("x", 2, 3),))
+                fc.Broken((_crit("x", 2, 3),))
 
     def test_normal_form_is_memoized(self, deformed_tower):
         after = find_cell(deformed_tower, 1, "y/w:a @ M(y>w)")
@@ -261,7 +260,7 @@ class TestInterning:
 
 class TestInternFastPath:
     def test_failed_construction_leaves_the_tables_alone(self):
-        x = _prim("x", 2, 3)
+        x = _crit("x", 2, 3)
         flat = fc.ModuliAddress(x, x)
         gc.collect()
         before = _table_sizes()
@@ -278,12 +277,11 @@ class TestInternFastPath:
         deep = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
         end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
         piece = end.top.pieces[0]
-        nodes = (deep.space, piece.crit, piece, end.top, end)
+        nodes = (deep.space, piece, end.top, end)
         assert [type(n) for n in nodes] == list(NODE_CLASSES)
         fields = (
             ("source", "target", "ambient"),
             ("id", "index", "value", "home"),
-            ("crit",),
             ("pieces",),
             ("top", "space"),
         )

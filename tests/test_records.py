@@ -15,7 +15,7 @@ import flowcat as fc
 
 from _helpers import find_cell
 
-NODES = (fc.ModuliAddress, fc.CritPoint, fc.Primitive, fc.Broken, fc.Cell)
+NODES = (fc.ModuliAddress, fc.CritPoint, fc.Broken, fc.Cell)
 RECORDS = (
     fc.Shape, fc.PieceRef, fc.Component, fc.FlowSystem, fc.Violation,
     fc.DeclaredPoint, fc.ComponentDecl, fc.Declarations, fc.MorseEntry, fc.SpaceData, fc.Tower,
@@ -23,11 +23,10 @@ RECORDS = (
 )
 
 END_A = (
-    "Cell(top=Broken(pieces=(Primitive(crit=CritPoint(id='x/y:c0', index=0, "
-    "value=Fraction(65, 16))), Primitive(crit=CritPoint(id='y/w:a', index=0, "
-    "value=Fraction(9, 4))))), space=ModuliAddress(source=Primitive(crit=CritPoint("
-    "id='x', index=2, value=Fraction(25, 8))), target=Primitive(crit=CritPoint("
-    "id='w', index=0, value=Fraction(3, 2))), ambient=None))"
+    "Cell(top=Broken(pieces=(CritPoint(id='x/y:c0', index=0, value=Fraction(65, 16)), "
+    "CritPoint(id='y/w:a', index=0, value=Fraction(9, 4)))), space=ModuliAddress("
+    "source=CritPoint(id='x', index=2, value=Fraction(25, 8)), target=CritPoint("
+    "id='w', index=0, value=Fraction(3, 2)), ambient=None))"
 )
 
 
@@ -55,7 +54,7 @@ def instances(deformed_fs, deformed_tower, mutant_report) -> list:
     tag = mutant_report.by_tag("a")
     violation = fc.validate_flow_system(deformed_fs._replace(points=deformed_fs.points[1:]))[0]
     return [
-        end.space, end.top.pieces[0].crit, end.top.pieces[0], end.top, end,
+        end.space, end.top.pieces[0], end.top, end,
         comp.shape, comp.boundary[0][0], comp, deformed_fs, violation,
         decl.points[0], decl, decls, space.morse[0], space, deformed_tower,
         tag.failures[0], tag, mutant_report,
@@ -98,10 +97,10 @@ class TestRepr:
             + ", index=1, value=Fraction(101, 16), component='c0', role='end_max')"
         )
         assert _digest(deformed_tower) == (
-            "1a52db8c59b02cf7717683ca68b01aff1bad387708ff5ee9776a106d7e4f4d20"
+            "4ee7b9e6edd398fafe9be46faf3ae43d6929da3277d8b71772be3e7a24801f24"
         )
         assert _digest(fc.build_tower(*fc.sphere_system(3))) == (
-            "a8081201b45b00f7321497d844bdb7715038539fb8ad3431aa8b6b1e0c7b7cef"
+            "6e83e604dba7d2f71c5ff3734dfc005c6034f9eb9c81933f6c350544e32fd0c5"
         )
 
     def test_reports(self, mutant_report):

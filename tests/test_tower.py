@@ -173,9 +173,30 @@ class TestSphereTowers:
         for key in ("M(n>s|M>S)", "M(n>s|N>S)"):
             morse = space_at(t, 2, key).morse
             assert [fc.point_key(e.point) for e in morse] == ["n/s:0", "n/s:1"]
-            assert {fc.address_key(e.point.crit.home) for e in morse} == {key}
+            assert {fc.address_key(e.point.home) for e in morse} == {key}
             values += [e.value for e in morse]
         assert len(set(values)) == 4
+
+
+class TestPointNodes:
+    def test_critical_points_are_the_point_nodes(
+        self, deformed_tower, sphere_towers, random_towers
+    ):
+        # A level-0 cell's top is the base point itself, and every critical
+        # point a round mints lives on its own space.
+        for t in (deformed_tower, *sphere_towers.values(), *random_towers.values()):
+            tops = [c.top for c in fc.cells(t, 0)]
+            assert sorted(map(id, tops)) == sorted(map(id, t.base.points))
+            minted = 0
+            for level in range(1, t.max_level + 1):
+                for sp in t.spaces(level):
+                    for e in sp.morse:
+                        if isinstance(e.point, fc.CritPoint):
+                            assert e.point.home is sp.address, (sp.key, e)
+                            minted += 1
+                        else:
+                            assert e.role in ("corner", "end_max", "end_min"), (sp.key, e)
+            assert minted >= len(t.spaces(t.max_level))
 
 
 def _at_level(addr: fc.ModuliAddress | None, level: int) -> fc.ModuliAddress | None:
