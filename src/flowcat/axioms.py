@@ -246,23 +246,29 @@ def _law_d(X: GlobularSet) -> _Instances:
     """Units: iterated identities on either boundary absorb.
 
     # 1^{l-p}(t^{l-p}(A)) ∘ A = A = A ∘ 1^{l-p}(s^{l-p}(A))
+
+    The normal form and the boundaries of A are read once per cell.
     """
 
     stacks: dict[tuple[Cell, int], Cell] = {}
     for level in range(1, X.n + 1):
         for A in X.cells(level):
+            a = normalize(A)
+            sources, targets = X.boundaries(A)
             for p in range(level):
                 k = level - p
-                tt = _identities(X, stacks, X.boundary(p, A, "t"), k)
-                ss = _identities(X, stacks, X.boundary(p, A, "s"), k)
+                tt = _identities(X, stacks, targets[p], k)
+                ss = _identities(X, stacks, sources[p], k)
                 for what, after, first in (("left unit", tt, A), ("right unit", A, ss)):
-                    # A glued unit composite is never A itself: its top is
-                    # broken.  Only an overridden one can be strict.
-                    sides = lambda: (
-                        X.normal_compose(p, after, first),
-                        normalize(A),
-                        X._compose_override(p, after, first) is A,
-                    )
+
+                    def sides():
+                        # A glued unit composite is never A itself: its top
+                        # is broken.  Only an overridden one can be strict.
+                        new = X._compose_override(p, after, first)
+                        if new:
+                            return normalize(new), a, new is A
+                        return X._normal_glue(p, after, first), a, False
+
                     if not (yield level, p, None, (A,), what, sides):
                         break
 

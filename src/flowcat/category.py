@@ -27,7 +27,6 @@ from .core import (
     breaking_key,
     cell_key,
     flatten_point,
-    is_stationary,
     memo_on_node,
     stationary_point,
 )
@@ -52,6 +51,8 @@ def cells(tower: Tower, level: int) -> tuple[Cell, ...]:
     one cell per critical point per level-l space.
     """
 
+    if not 0 <= level <= tower.max_level:
+        raise ValueError(f"level {level} out of range 0..{tower.max_level}")
     if level == 0:
         return tuple(Cell(p, None) for p in sorted(tower.base.points, key=lambda p: p.id))
     out = [
@@ -96,10 +97,16 @@ def target(cell: Cell) -> Cell:
 def identity(cell: Cell) -> Cell:
     """The constant cell one level up: the stationary space at the point.
 
-    Its source and target are the given cell itself.
+    Its source and target are the given cell itself.  A critical point on
+    the cell's own space gets the constant point ``_stationary_over`` keeps,
+    so normalizing the identity finds that point and builds nothing.
     """
 
-    pt = stationary_point(cell.top, cell.space)
+    top, space = cell.top, cell.space
+    if type(top) is CritPoint and top.home is space:
+        pt = _stationary_over(top)
+    else:
+        pt = stationary_point(top, space)
     return Cell(pt, pt.home)
 
 
@@ -122,19 +129,6 @@ def _gluing_error(p: int, after: Cell, first: Cell) -> str:
     )
 
 
-def _glues(p: int, after: Cell, first: Cell, boundary) -> bool:
-    """Whether two cells of one level above p glue along level p: the level-p
-    source of ``after`` is the level-p target of ``first``, as the normal
-    forms that ``boundary(q, cell, side)`` gives."""
-
-    level = after.level
-    return (
-        first.level == level
-        and 0 <= p < level
-        and boundary(p, after, "s") is boundary(p, first, "t")
-    )
-
-
 def _join(x: Point, y: Point) -> Point:
     """The raw join of two pieces: the broken point that runs x, then y."""
 
@@ -152,12 +146,12 @@ def _merge(x: Point, y: Point) -> Point:
     supports, one level down.  Every node built is part of the result.
     """
 
-    if is_stationary(x):
-        if not is_stationary(y):
+    if x.stationary:
+        if not y.stationary:
             return y
         sx, sy = x.home.source, y.home.source
         return x if sx is sy else _stationary_over(_merge(sx, sy))
-    if is_stationary(y):
+    if y.stationary:
         return x
     return Broken(tuple(sorted(flatten_point(x) + flatten_point(y), key=breaking_key)))
 
@@ -166,10 +160,17 @@ def _glue(p: int, after: Cell, first: Cell, join, memo: dict | None = None) -> C
     """The composite of a pair known to glue along level p, joining pieces by ``join``.
 
     ``_join`` gives the raw composite; ``_merge`` on normal cells, its normal form.
+    A composite whose top and address are those of ``first`` or ``after`` is
+    that node, returned as it stands: a unit composite glues to the cell.
     """
 
-    address = _glue_address(p, after.space, first.space, join, memo)
-    return Cell(join(first.top, after.top), address)
+    space = _glue_address(p, after.space, first.space, join, memo)
+    top = join(first.top, after.top)
+    if top is first.top and space is first.space:
+        return first
+    if top is after.top and space is after.space:
+        return after
+    return Cell(top, space)
 
 
 def _glue_address(
@@ -180,19 +181,28 @@ def _glue_address(
     At level p + 1 the space runs from ``first``'s source to ``after``'s
     target over ``first``'s ambient; above it the endpoints join and the
     ambients glue in turn.  A ``memo`` keeps each address glued above
-    level p + 1, by ``(p, after, first)``.
+    level p + 1, by ``(p, after, first)``.  An address whose parts are those
+    of ``first`` or ``after`` is that node, returned without an intern lookup.
     """
 
     if after.level == p + 1:
+        if after.target is first.target:
+            return first
+        if first.source is after.source and first.ambient is after.ambient:
+            return after
         return ModuliAddress(first.source, after.target, first.ambient)
     key = (p, after, first)
     glued = memo and memo.get(key)
     if not glued:
-        glued = ModuliAddress(
-            join(first.source, after.source),
-            join(first.target, after.target),
-            _glue_address(p, after.ambient, first.ambient, join, memo),
-        )
+        source = join(first.source, after.source)
+        target = join(first.target, after.target)
+        ambient = _glue_address(p, after.ambient, first.ambient, join, memo)
+        if source is first.source and target is first.target and ambient is first.ambient:
+            glued = first
+        elif source is after.source and target is after.target and ambient is after.ambient:
+            glued = after
+        else:
+            glued = ModuliAddress(source, target, ambient)
         if memo is not None:
             memo[key] = glued
     return glued
@@ -206,6 +216,7 @@ def _stationary_over(base: Point) -> CritPoint:
     by every live tower with a point of that name, so a strong memo would
     keep one tower's constant points alive after the tower is dropped; the
     constant point refers to its base, so the weak memo forms no cycle.
+    ``identity`` fills it for a critical point on the cell's own space.
     """
 
     memo = base.__dict__
@@ -231,19 +242,20 @@ def normalize_point(pt: Point) -> Point:
 
     if isinstance(pt, Broken):
         return reduce(_merge, map(normalize_point, pt.pieces))
-    if not is_stationary(pt):
+    if not pt.stationary:
         return pt
     return _stationary_over(normalize_point(pt.home.source))
 
 
 @memo_on_node
 def _normalize_address(addr: ModuliAddress) -> ModuliAddress:
-    ambient = addr.ambient
-    return ModuliAddress(
-        normalize_point(addr.source),
-        normalize_point(addr.target),
+    source, target, ambient = addr.source, addr.target, addr.ambient
+    normal = (
+        normalize_point(source),
+        normalize_point(target),
         None if ambient is None else _normalize_address(ambient),
     )
+    return addr if normal == (source, target, ambient) else ModuliAddress(*normal)
 
 
 @memo_on_node
@@ -255,8 +267,9 @@ def normalize(cell: Cell) -> Cell:
     cell, and a normal cell is its own normal form.
     """
 
-    space = None if cell.space is None else _normalize_address(cell.space)
-    return Cell(normalize_point(cell.top), space)
+    top, space = cell.top, cell.space
+    normal = (normalize_point(top), None if space is None else _normalize_address(space))
+    return cell if normal == (top, space) else Cell(*normal)
 
 
 class GlobularSet:
@@ -340,6 +353,18 @@ class GlobularSet:
         walk = self._walks.get(cell) or self._walk(normalize(cell))
         return walk[side == "t"][q]
 
+    def boundaries(self, cell: Cell) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
+        """Two tuples whose entry q is ``boundary(q, cell, side)`` for q in
+        0..level, sources then targets: the cell's walk-table entry on a view
+        with no ``s`` or ``t`` override, else one ``boundary`` call an entry,
+        the targets first."""
+
+        if "s" in self._maps or "t" in self._maps:
+            levels = range(cell.level + 1)
+            targets = tuple(self.boundary(q, cell, "t") for q in levels)
+            return tuple(self.boundary(q, cell, "s") for q in levels), targets
+        return self._walks.get(cell) or self._walk(normalize(cell))
+
     def _walk(self, cell: Cell) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
         """The iterated raw sources and targets of a normal cell, memoized:
         entry q of each tuple is the level-q one, and the last is the cell.
@@ -353,10 +378,11 @@ class GlobularSet:
             if cell.space is None:
                 walk = ((cell,), (cell,))
             else:
-                walk = (
-                    self._walk(source(cell))[0] + (cell,),
-                    self._walk(target(cell))[1] + (cell,),
-                )
+                # A stationary cell's raw source is its raw target.
+                below = self._walk(source(cell))
+                if cell.space.source is not cell.space.target:
+                    below = below[0], self._walk(target(cell))[1]
+                walk = (below[0] + (cell,), below[1] + (cell,))
             self._walks[cell] = walk
         return walk
 
@@ -364,7 +390,12 @@ class GlobularSet:
         """Whether the pair glues along level p under the view's own boundary
         maps, overrides included: the gluing rule of ``compose``."""
 
-        return _glues(p, after, first, self.boundary)
+        level = after.level
+        return (
+            first.level == level
+            and 0 <= p < level
+            and self.boundary(p, after, "s") is self.boundary(p, first, "t")
+        )
 
     def composable_pairs(self, level: int, p: int) -> tuple[tuple[Cell, Cell], ...]:
         """All ordered pairs of level cells gluing along level p, memoized;
@@ -390,6 +421,19 @@ class GlobularSet:
             ("compose", p, normalize(after), normalize(first))
         )
 
+    def _gluing(self, p: int, after: Cell, first: Cell) -> tuple[Cell, Cell]:
+        """The normal forms of a pair that glues along level p under the raw
+        maps, the last entries of its two walks; :class:`ValueError` if the
+        walks differ in length, p is not below the level, or entry p of
+        ``after``'s sources is not that of ``first``'s targets."""
+
+        walks = self._walks
+        sources = (walks.get(after) or self._walk(normalize(after)))[0]
+        targets = (walks.get(first) or self._walk(normalize(first)))[1]
+        if len(sources) == len(targets) and 0 <= p < len(sources) - 1 and sources[p] is targets[p]:
+            return sources[-1], targets[-1]
+        raise ValueError(_gluing_error(p, after, first))
+
     def compose(self, p: int, after: Cell, first: Cell) -> Cell:
         """Glue two cells along their shared level-p boundary, unless an
         override applies.
@@ -406,8 +450,7 @@ class GlobularSet:
         key = (p, after, first)
         glued = self._composites.get(key)
         if glued is None:
-            if not _glues(p, after, first, self._raw_boundary):
-                raise ValueError(_gluing_error(p, after, first))
+            self._gluing(p, after, first)
             glued = _glue(p, after, first, _join)
             if after in self._own_cells and first in self._own_cells:
                 self._composites[key] = glued
@@ -421,14 +464,16 @@ class GlobularSet:
         """
 
         new = self._compose_override(p, after, first)
-        if new:
-            return normalize(new)
+        return normalize(new) if new else self._normal_glue(p, after, first)
+
+    def _normal_glue(self, p: int, after: Cell, first: Cell) -> Cell:
+        """``normal_compose`` past the override lookup: the kept normal
+        composite of the pair, glued on first use."""
+
         key = (p, after, first)
         glued = self._normals.get(key)
         if glued is None:
-            if not _glues(p, after, first, self._raw_boundary):
-                raise ValueError(_gluing_error(p, after, first))
-            glued = _glue(p, normalize(after), normalize(first), _merge, self._glued)
+            glued = _glue(p, *self._gluing(p, after, first), _merge, self._glued)
             self._normals[key] = glued
         return glued
 

@@ -163,7 +163,9 @@ class CritPoint:
     ``home`` is ``None`` for base critical points and the address of the
     space the point lives on otherwise.  ``value`` is the exact height
     assigned to the point by the level's Morse data; it is positive unless
-    the home space is stationary, in which case it is zero.
+    the home space is stationary, in which case it is zero.  Whether it is,
+    ``is_stationary(point)``, is kept on the node as ``stationary``, outside
+    its fields.
     """
 
     id: str
@@ -183,7 +185,8 @@ class CritPoint:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"critical point {self.id!r}: index must be >= 0")
-        if self.home is not None and is_stationary(self.home):
+        stationary = self.home is not None and is_stationary(self.home)
+        if stationary:
             if self.value != 0:
                 raise ValueError(
                     f"critical point {self.id!r}: stationary points have value 0"
@@ -192,6 +195,7 @@ class CritPoint:
             raise ValueError(
                 f"critical point {self.id!r}: value must be positive, got {self.value}"
             )
+        self.__dict__["stationary"] = stationary
 
 
 @_hashconsed
@@ -200,10 +204,12 @@ class Broken:
 
     The pieces are listed in gluing order: the piece whose source is the
     source of the ambient space comes first.  Pieces may themselves be
-    broken; flattening erases the nesting.
+    broken; flattening erases the nesting.  A broken point is never
+    stationary.
     """
 
     pieces: tuple["Point", ...]
+    stationary = False
 
     def __new__(cls, pieces):
         return _intern(cls, (pieces,))

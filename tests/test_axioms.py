@@ -444,6 +444,44 @@ class TestUnitLawReference:
         assert fc.check_axiom("d", X) == first
         assert misses == []
 
+    @pytest.mark.parametrize("name", ["deformed", "sphere8"])
+    def test_unit_composite_is_the_held_normal_cell(
+        self, name, deformed_tower, monkeypatch
+    ):
+        import flowcat.core as core
+
+        tower = (
+            deformed_tower if name == "deformed" else fc.build_tower(*fc.sphere_system(8))
+        )
+        X = fc.GlobularSet(tower)
+        # Every identity stack and every walk first, so that the gluing
+        # below finds each node it reads in the view or on the node.
+        units = []
+        for level in range(1, X.n + 1):
+            for A in X.cells(level):
+                sources, targets = X.boundaries(A)
+                for p in range(level):
+                    tt, ss = targets[p], sources[p]
+                    for _ in range(level - p):
+                        tt, ss = X.identity(tt), X.identity(ss)
+                    for unit in (tt, ss):
+                        X.boundaries(unit)
+                    units += [(p, tt, A, A), (p, A, ss, A)]
+        assert len(units) == fc.check_axiom("d", fc.GlobularSet(tower)).instances
+        calls = []
+        intern = core._intern
+
+        def counting(cls, values, key=()):
+            calls.append(cls.__name__)
+            return intern(cls, values, key)
+
+        monkeypatch.setattr(core, "_intern", counting)
+        for p, after, first, A in units:
+            assert X.normal_compose(p, after, first) is fc.normalize(A)
+        # The unit composite is the normal form of A, held by the view: the
+        # gluing looks up and builds no node.
+        assert calls == []
+
 
 class TestAssociativityReference:
     """Law c on normal forms against the raw-composite reference checker."""

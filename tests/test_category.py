@@ -36,6 +36,15 @@ class TestCellEnumeration:
         with pytest.raises(ValueError, match=f"^level {level} out of range 0..3$"):
             deformed_view.cells(level)
 
+    @pytest.mark.parametrize("listing", [fc.cells, fc.extended_cells])
+    @pytest.mark.parametrize("level", [-1, 4, 9])
+    def test_cell_lists_refuse_a_level_outside_the_tower(
+        self, deformed_tower, listing, level
+    ):
+        # Cells exist at level 0, so the range is not the one of Tower.spaces.
+        with pytest.raises(ValueError, match=f"^level {level} out of range 0..3$"):
+            listing(deformed_tower, level)
+
     def test_view_exposes_native_cells(self, deformed_tower, deformed_view):
         for lv in range(4):
             assert set(deformed_view.cells(lv)) == set(fc.cells(deformed_tower, lv))

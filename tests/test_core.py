@@ -120,6 +120,77 @@ class TestStationaryHelpers:
         assert ambient_of_point(base.top) is None
 
 
+def _reachable_points(towers) -> tuple[list, list]:
+    """Every point and address reachable from the cells, identities and
+    checked composites of the towers: (points, addresses)."""
+
+    todo: list = []
+    for tower in towers:
+        view = fc.GlobularSet(tower)
+        fc.check_all(view)
+        for level in range(tower.max_level + 1):
+            todo += fc.extended_cells(tower, level)
+        todo += view._normals.values()
+        todo += view._composites.values()
+    seen: dict[int, object] = {}
+    while todo:
+        node = todo.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if isinstance(node, fc.Cell):
+            todo += (node.top, node.space)
+        elif isinstance(node, fc.ModuliAddress):
+            todo += (node.source, node.target, node.ambient)
+        elif isinstance(node, fc.CritPoint):
+            todo.append(node.home)
+        else:
+            todo += node.pieces
+    nodes = list(seen.values())
+    points = [x for x in nodes if isinstance(x, (fc.CritPoint, fc.Broken))]
+    return points, [x for x in nodes if isinstance(x, fc.ModuliAddress)]
+
+
+class TestStationaryFact:
+    def test_fact_is_is_stationary_on_every_corpus_node(self):
+        towers = [
+            fc.build_tower(fc.deformed_sphere_system()),
+            *(fc.build_tower(*fc.sphere_system(n)) for n in (1, 2, 3)),
+            *(fc.build_tower(fc.random_system(seed)) for seed in range(200)),
+        ]
+        points, addresses = _reachable_points(towers)
+        assert all(x.stationary is fc.is_stationary(x) for x in points)
+        # An address keeps no fact: a point built on it reads its own off it.
+        for addr in addresses:
+            flat = fc.is_stationary(addr)
+            probe = fc.CritPoint("probe", 0, Fraction(0 if flat else 1), addr)
+            assert probe.stationary is flat
+        kinds = {(type(x).__name__, x.stationary) for x in points}
+        assert kinds == {("CritPoint", False), ("CritPoint", True), ("Broken", False)}
+
+    def test_fact_is_frozen_and_outside_the_fields(self, deformed_tower):
+        end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        tail = find_cell(deformed_tower, 2, "1(y/w:a) @ M(y/w:a>y/w:a|y>w)")
+        for pt in (end.top, end.top.pieces[0], tail.top):
+            for change in (
+                lambda: setattr(pt, "stationary", not pt.stationary),
+                lambda: delattr(pt, "stationary"),
+            ):
+                with pytest.raises(AttributeError):
+                    change()
+            assert copy.copy(pt) is pt and copy.deepcopy(pt) is pt
+            assert pickle.loads(pickle.dumps(pt)) is pt
+            assert "stationary" not in repr(pt) and "stationary" not in type(pt)._names
+        assert fc.Broken.stationary is False and "stationary" not in vars(end.top)
+        assert tail.top.stationary and vars(tail.top)["stationary"] is True
+        assert repr(tail.top) == (
+            "CritPoint(id='1(y/w:a)', index=0, value=Fraction(0, 1))"
+        )
+        assert tail.top.__reduce__() == (
+            fc.CritPoint, ("1(y/w:a)", 0, Fraction(0), tail.space)
+        )
+
+
 class TestCritPointValidation:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
