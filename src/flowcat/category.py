@@ -27,6 +27,9 @@ from .core import (
     breaking_key,
     cell_key,
     flatten_point,
+    intern_address,
+    intern_broken,
+    intern_cell,
     memo_on_node,
     stationary_point,
 )
@@ -54,9 +57,9 @@ def cells(tower: Tower, level: int) -> tuple[Cell, ...]:
     if not 0 <= level <= tower.max_level:
         raise ValueError(f"level {level} out of range 0..{tower.max_level}")
     if level == 0:
-        return tuple(Cell(p, None) for p in sorted(tower.base.points, key=lambda p: p.id))
+        return tuple(intern_cell(p, None) for p in sorted(tower.base.points, key=lambda p: p.id))
     out = [
-        Cell(entry.point, sd.address)
+        intern_cell(entry.point, sd.address)
         for sd in tower.spaces(level)
         for entry in sd.morse
     ]
@@ -82,7 +85,7 @@ def source(cell: Cell) -> Cell:
 
     if cell.space is None:
         raise ValueError("a level-0 cell has no source")
-    return Cell(cell.space.source, cell.space.ambient)
+    return intern_cell(cell.space.source, cell.space.ambient)
 
 
 def target(cell: Cell) -> Cell:
@@ -90,7 +93,7 @@ def target(cell: Cell) -> Cell:
 
     if cell.space is None:
         raise ValueError("a level-0 cell has no target")
-    return Cell(cell.space.target, cell.space.ambient)
+    return intern_cell(cell.space.target, cell.space.ambient)
 
 
 @memo_on_node
@@ -107,7 +110,7 @@ def identity(cell: Cell) -> Cell:
         pt = _stationary_over(top)
     else:
         pt = stationary_point(top, space)
-    return Cell(pt, pt.home)
+    return intern_cell(pt, pt.home)
 
 
 def _gluing_error(p: int, after: Cell, first: Cell) -> str:
@@ -132,7 +135,7 @@ def _gluing_error(p: int, after: Cell, first: Cell) -> str:
 def _join(x: Point, y: Point) -> Point:
     """The raw join of two pieces: the broken point that runs x, then y."""
 
-    return Broken((x, y))
+    return intern_broken((x, y))
 
 
 def _merge(x: Point, y: Point) -> Point:
@@ -153,7 +156,7 @@ def _merge(x: Point, y: Point) -> Point:
         return x if sx is sy else _stationary_over(_merge(sx, sy))
     if y.stationary:
         return x
-    return Broken(tuple(sorted(flatten_point(x) + flatten_point(y), key=breaking_key)))
+    return intern_broken(tuple(sorted(flatten_point(x) + flatten_point(y), key=breaking_key)))
 
 
 def _glue(p: int, after: Cell, first: Cell, join, memo: dict | None = None) -> Cell:
@@ -170,7 +173,7 @@ def _glue(p: int, after: Cell, first: Cell, join, memo: dict | None = None) -> C
         return first
     if top is after.top and space is after.space:
         return after
-    return Cell(top, space)
+    return intern_cell(top, space)
 
 
 def _glue_address(
@@ -190,7 +193,7 @@ def _glue_address(
             return first
         if first.source is after.source and first.ambient is after.ambient:
             return after
-        return ModuliAddress(first.source, after.target, first.ambient)
+        return intern_address(first.source, after.target, first.ambient)
     key = (p, after, first)
     glued = memo and memo.get(key)
     if not glued:
@@ -202,7 +205,7 @@ def _glue_address(
         elif source is after.source and target is after.target and ambient is after.ambient:
             glued = after
         else:
-            glued = ModuliAddress(source, target, ambient)
+            glued = intern_address(source, target, ambient)
         if memo is not None:
             memo[key] = glued
     return glued
@@ -255,7 +258,7 @@ def _normalize_address(addr: ModuliAddress) -> ModuliAddress:
         normalize_point(target),
         None if ambient is None else _normalize_address(ambient),
     )
-    return addr if normal == (source, target, ambient) else ModuliAddress(*normal)
+    return addr if normal == (source, target, ambient) else intern_address(*normal)
 
 
 @memo_on_node
@@ -269,7 +272,7 @@ def normalize(cell: Cell) -> Cell:
 
     top, space = cell.top, cell.space
     normal = (normalize_point(top), None if space is None else _normalize_address(space))
-    return cell if normal == (top, space) else Cell(*normal)
+    return cell if normal == (top, space) else intern_cell(*normal)
 
 
 class GlobularSet:
@@ -330,7 +333,16 @@ class GlobularSet:
 
     def identity(self, cell: Cell) -> Cell:
         new = "identity" in self._maps and self._over.get(("identity", normalize(cell)))
-        return new or identity(cell)
+        if new:
+            return new
+        # The raw identity of a walked cell has the cell as raw source and
+        # target, which ``_walk`` would look up: its entry extends the cell's
+        # when it is normal, that is, when its top is the normal constant point.
+        unit = identity(cell)
+        walk = self._walks.get(cell)
+        if walk and unit not in self._walks and unit.top is _stationary_over(cell.top):
+            self._walks[unit] = (walk[0] + (unit,), walk[1] + (unit,))
+        return unit
 
     def boundary(self, q: int, cell: Cell, side: str) -> Cell:
         """The normal form of the iterated level-q source or target, for q in

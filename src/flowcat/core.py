@@ -45,15 +45,14 @@ __all__ = [
 
 
 def _hashconsed(cls):
-    """Class decorator: intern the nodes of a class whose fields are its
-    annotations, in order.
+    """Class decorator: give a node class, whose fields are its annotations
+    in order, an intern table and the methods of an immutable value.
 
-    The class's ``__new__`` passes its field values to :func:`_intern`.  The
-    table maps each key to a weak reference that carries the key, with one
-    removal callback per class, so a node nobody else holds is freed and its
-    entry leaves the table.  The class gets a ``repr`` of its fields, minus
-    those it lists in ``_unshown``, a ``__reduce__`` that rebuilds the node
-    from its fields, and refuses assignment and deletion of attributes.
+    The table maps each key to a weak reference that carries the key, with
+    one removal callback per class, so a node nobody else holds is freed and
+    its entry leaves the table.  The class gets a ``repr`` of its fields,
+    minus those it lists in ``_unshown``, a ``__reduce__`` that rebuilds the
+    node from its fields, and refuses assignment and deletion of attributes.
     """
 
     names = cls._names = tuple(cls.__annotations__)
@@ -68,7 +67,6 @@ def _hashconsed(cls):
     shown = [n for n in names if n not in getattr(cls, "_unshown", ())]
     form = f"{cls.__qualname__}({', '.join(f'{n}=%r' for n in shown)})"
     cls._drop = staticmethod(drop)
-    cls._check = getattr(cls, "__post_init__", None)
     cls.__repr__ = lambda node: form % tuple(getattr(node, n) for n in shown)
     cls.__setattr__ = cls.__delattr__ = _refuse_assignment
     cls.__reduce__ = lambda node: (cls, tuple(getattr(node, n) for n in names))
@@ -81,28 +79,17 @@ def _refuse_assignment(obj, name: str, *value) -> None:
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def _intern(cls, values: tuple, key: tuple = ()):
-    """The live node of ``cls`` with these field values, built on first use.
+def _keep(cls, key, **fields):
+    """A new node of ``cls`` with these fields, first in its ``__dict__``,
+    entered in the class's table under ``key``.  Called once the node's
+    checks have passed, so a node that fails them never enters the table.
+    ``weakref.ref.__new__`` skips ``KeyedRef``'s Python frames."""
 
-    The table key is ``values`` unless a class gives its own ``key``.  A new
-    node gets its fields set in its ``__dict__`` in declaration order, then
-    runs its ``__post_init__`` checks; a node that fails them is never
-    stored, so building it raises every time.  ``weakref.ref.__new__``
-    skips ``KeyedRef``'s Python frames.
-    """
-
-    key = key or values
-    table = cls._table
-    ref = table.get(key)
-    node = None if ref is None else ref()
-    if node is None:
-        node = object.__new__(cls)
-        node.__dict__.update(zip(cls._names, values))
-        if cls._check is not None:
-            cls._check(node)
-        ref = weakref.ref.__new__(weakref.KeyedRef, node, cls._drop)
-        ref.key = key
-        table[key] = ref
+    node = object.__new__(cls)
+    node.__dict__.update(fields)
+    ref = weakref.ref.__new__(weakref.KeyedRef, node, cls._drop)
+    ref.key = key
+    cls._table[key] = ref
     return node
 
 
@@ -150,10 +137,18 @@ class ModuliAddress:
     ambient: ModuliAddress | None
 
     def __new__(cls, source, target, ambient=None):
-        return _intern(cls, (source, target, ambient))
+        return intern_address(source, target, ambient)
 
-    def __post_init__(self) -> None:
-        self.__dict__["level"] = 1 if self.ambient is None else self.ambient.level + 1
+
+def intern_address(source, target, ambient=None) -> ModuliAddress:
+    """The live address with these fields, built on first use."""
+
+    key = (source, target, ambient)
+    ref = _ADDRESSES.get(key)
+    return ref and ref() or _keep(
+        ModuliAddress, key, source=source, target=target, ambient=ambient,
+        level=1 if ambient is None else ambient.level + 1,
+    )
 
 
 @_hashconsed
@@ -162,10 +157,10 @@ class CritPoint:
 
     ``home`` is ``None`` for base critical points and the address of the
     space the point lives on otherwise.  ``value`` is the exact height
-    assigned to the point by the level's Morse data; it is positive unless
-    the home space is stationary, in which case it is zero.  Whether it is,
-    ``is_stationary(point)``, is kept on the node as ``stationary``, outside
-    its fields.
+    assigned to the point by the level's Morse data, an ``int`` or a
+    ``Fraction``; it is positive unless the home space is stationary, in
+    which case it is zero.  Whether it is, ``is_stationary(point)``, is kept
+    on the node as ``stationary``, outside its fields.
     """
 
     id: str
@@ -175,27 +170,36 @@ class CritPoint:
     _unshown = ("home",)
 
     def __new__(cls, id, index, value, home=None):
-        # Keyed by numerator and denominator, whose hashes run no Python code
-        # as a Fraction's does, and by the types of the scalar fields, so that
-        # values that compare equal but print differently (``1``, ``True``,
-        # ``Fraction(1)``) stay different nodes.
-        key = (id, index, value.numerator, value.denominator, home, type(index), type(value))
-        return _intern(cls, (id, index, value, home), key)
+        return intern_critpoint(id, index, value, home)
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"critical point {self.id!r}: index must be >= 0")
-        stationary = self.home is not None and is_stationary(self.home)
-        if stationary:
-            if self.value != 0:
-                raise ValueError(
-                    f"critical point {self.id!r}: stationary points have value 0"
-                )
-        elif self.value <= 0:
-            raise ValueError(
-                f"critical point {self.id!r}: value must be positive, got {self.value}"
-            )
-        self.__dict__["stationary"] = stationary
+
+def intern_critpoint(id, index, value, home=None) -> CritPoint:
+    """The live critical point with these fields, built on first use.
+
+    Keyed by the value's integer ratio, whose hash runs no Python code as a
+    Fraction's does, and the checks read it too.  The key holds the types
+    of the scalar fields, so ``1``, ``True`` and ``Fraction(1)`` stay apart.
+    """
+
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(
+            f"critical point {id!r}: value must be an int or a Fraction, got {value!r}"
+        )
+    num, den = value.as_integer_ratio()
+    key = (id, index, num, den, home, type(index), type(value))
+    ref = _CRITPOINTS.get(key)
+    node = ref and ref()
+    if node is not None:
+        return node
+    if index < 0:
+        raise ValueError(f"critical point {id!r}: index must be >= 0")
+    stationary = home is not None and home.source is home.target
+    if stationary:
+        if num:
+            raise ValueError(f"critical point {id!r}: stationary points have value 0")
+    elif num <= 0:
+        raise ValueError(f"critical point {id!r}: value must be positive, got {value}")
+    return _keep(CritPoint, key, id=id, index=index, value=value, home=home, stationary=stationary)
 
 
 @_hashconsed
@@ -212,11 +216,19 @@ class Broken:
     stationary = False
 
     def __new__(cls, pieces):
-        return _intern(cls, (pieces,))
+        return intern_broken(pieces)
 
-    def __post_init__(self) -> None:
-        if len(self.pieces) < 2:
-            raise ValueError("a broken point needs at least two pieces")
+
+def intern_broken(pieces: tuple) -> Broken:
+    """The live broken point with these pieces, built on first use."""
+
+    ref = _BROKEN.get(pieces)
+    node = ref and ref()
+    if node is not None:
+        return node
+    if len(pieces) < 2:
+        raise ValueError("a broken point needs at least two pieces")
+    return _keep(Broken, pieces, pieces=pieces)
 
 
 Point = Union[CritPoint, Broken]
@@ -234,11 +246,25 @@ class Cell:
     space: ModuliAddress | None
 
     def __new__(cls, top, space):
-        return _intern(cls, (top, space))
+        return intern_cell(top, space)
 
     @property
     def level(self) -> int:
         return 0 if self.space is None else self.space.level
+
+
+def intern_cell(top, space) -> Cell:
+    """The live cell with these fields, built on first use."""
+
+    key = (top, space)
+    ref = _CELLS.get(key)
+    return ref and ref() or _keep(Cell, key, top=top, space=space)
+
+
+_ADDRESSES = ModuliAddress._table
+_CRITPOINTS = CritPoint._table
+_BROKEN = Broken._table
+_CELLS = Cell._table
 
 
 def flatten_point(p: Point) -> tuple[CritPoint, ...]:
@@ -364,7 +390,7 @@ def ambient_of_point(p: Point) -> ModuliAddress | None:
         raise ValueError(
             f"broken point {point_key(p)} has base pieces and no ambient space"
         )
-    return ModuliAddress(first.source, last.target, first.ambient)
+    return intern_address(first.source, last.target, first.ambient)
 
 
 _ZERO = Fraction(0)
@@ -373,4 +399,4 @@ _ZERO = Fraction(0)
 def stationary_point(at: Point, ambient: ModuliAddress | None) -> CritPoint:
     """The canonical point of the stationary space at ``at``."""
 
-    return CritPoint(f"1({point_key(at)})", 0, _ZERO, ModuliAddress(at, at, ambient))
+    return intern_critpoint(f"1({point_key(at)})", 0, _ZERO, intern_address(at, at, ambient))

@@ -26,12 +26,13 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .core import (
-    CritPoint,
     ModuliAddress,
     Point,
-    Broken,
     _refuse_assignment,
     address_key,
+    intern_address,
+    intern_broken,
+    intern_critpoint,
     is_stationary,
     point_key,
     stationary_point,
@@ -288,12 +289,15 @@ def derive_moduli(
     )
 
 
+_ONE_POINT = (Component("0", POINT),)
+
+
 def _stationary_space(at: Point, ambient: ModuliAddress | None) -> SpaceData:
     """The one-point space over a critical point, with its Morse datum."""
 
     pt = stationary_point(at, ambient)
-    entry = MorseEntry(pt, 0, Fraction(0), "0", "stationary")
-    return SpaceData(address=pt.home, components=(Component("0", POINT),), morse=(entry,))
+    entry = MorseEntry(pt, 0, pt.value, "0", "stationary")
+    return SpaceData(address=pt.home, components=_ONE_POINT, morse=(entry,))
 
 
 def _schedule(
@@ -313,10 +317,12 @@ def _schedule(
     validator's ``index-order`` rule or by :func:`derive_moduli`.
     """
 
+    if not table:
+        return [], [_stationary_space(p, ambient) for p in points], set()
     point_of = {point_key(p): p for p in points}
     pt = _pair_table(table)
     seeds = {
-        (a, b): SpaceData(ModuliAddress(point_of[a], point_of[b], ambient), comps, ())
+        (a, b): SpaceData(intern_address(point_of[a], point_of[b], ambient), comps, ())
         for (a, b), comps in table.items()
     }
     used = {k for pair in table for k in pair}
@@ -340,8 +346,10 @@ def _mint(
     slot respecting the edges; the point of a 0-dimensional component gets
     ``slot + tag``, declared interior points (highest first) get ``slot +
     position + tag``, where the tags are distinct dyadic fractions below
-    1/2 handed out in slot order.  The next space's slot is one above the
-    tallest position, so no space's heights reach into a later slot.  The
+    1/2 handed out in slot order: the k-th point minted gets 2^-(k + 1),
+    so its height is one fraction of integers.  The next space's slot is
+    one above the tallest position, so no space's heights reach into a
+    later slot.  The
     result is keyed ``(ambient, source key, target key, component id)``:
     sibling spaces over one ambient space share it, so interval endpoints can
     be resolved across them, and spaces over different ambient spaces never
@@ -370,7 +378,7 @@ def _mint(
             made[seed.key].append((comp.id, names))
     ranks = _base_ranks(list(made), edges)
     minted: _Minted = {}
-    tag = Fraction(1, 2)
+    k = 1
     order = sorted(seeds, key=lambda sd: (ranks[sd.key], sd.key))
     slot = 1
     for seed in order:
@@ -379,8 +387,8 @@ def _mint(
         for cid, names in made[seed.key]:
             entries = []
             for name, index, height, role in names:
-                tag /= 2
-                pt = CritPoint(name, index, slot + height + tag, a)
+                k += 1
+                pt = intern_critpoint(name, index, Fraction(((slot + height) << k) + 1, 1 << k), a)
                 entries.append(MorseEntry(pt, index, pt.value, cid, role))
                 top = max(top, height)
             minted[a.ambient, point_key(a.source), point_key(a.target), cid] = tuple(entries)
@@ -406,7 +414,7 @@ def _critical_points(space: SpaceData, minted: _Minted) -> tuple[MorseEntry, ...
         ends: list[MorseEntry] = []
         for end in comp.boundary:
             pieces = [minted[a.ambient, r.source, r.target, r.component][0] for r in end]
-            point = Broken(tuple(e.point for e in pieces))
+            point = intern_broken(tuple(e.point for e in pieces))
             value = sum((e.value for e in pieces), Fraction(0))
             ends.append(MorseEntry(point, 0, value, comp.id, "corner"))
         if comp.shape == INTERVAL:
@@ -486,14 +494,14 @@ def build_tower(
             chain_edges |= edges
         seeds.sort(key=lambda sd: sd.key)
 
-        # Finish every space: its Morse data, then its pair table, the
+        # Finish every seeded space: its Morse data, then its pair table, the
         # components of the next space for every ordered pair of its
-        # critical points.
+        # critical points.  The tails are finished as built.
         minted = _mint(seeds, chain_edges, decls)
         rounds = []
         finished: list[SpaceData] = []
-        for space in seeds + tails:
-            morse = space.morse if space.stationary else _critical_points(space, minted)
+        for space in seeds:
+            morse = _critical_points(space, minted)
             table: dict[tuple[str, str], tuple[Component, ...]] = {}
             for p in morse:
                 for q in morse:
@@ -505,6 +513,8 @@ def build_tower(
             rounds.append((table, [e.point for e in morse], space.address))
             derived = tuple((a, b, comps) for (a, b), comps in sorted(table.items()))
             finished.append(space._replace(morse=morse, derived=derived))
+        rounds += [({}, [sd.morse[0].point], sd.address) for sd in tails]
+        finished += tails
 
         finished.sort(key=lambda d: d.key)
         levels.append(tuple(finished))

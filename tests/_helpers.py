@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator
 
 import flowcat as fc
@@ -290,6 +291,35 @@ def independent_tag_counts(tower: fc.Tower) -> dict[str, int]:
                         if sq[h] == tq[c] and sq[e] == tq[a]
                     )
     return counts
+
+
+def count_lookups(monkeypatch) -> list[tuple[str, bool]]:
+    """Record every intern-table lookup from now on as (class name, found).
+
+    Each ``intern_*`` function of ``flowcat.core``, which the node
+    constructors call too, finds its node by one ``get`` on the module-level
+    table of its class, hits and misses alike.  Each table name is patched
+    with a counting view of the same table; ``monkeypatch`` restores it.
+    """
+
+    import flowcat.core as core
+
+    lookups: list[tuple[str, bool]] = []
+    for name, cls in (
+        ("_ADDRESSES", fc.ModuliAddress),
+        ("_CRITPOINTS", fc.CritPoint),
+        ("_BROKEN", fc.Broken),
+        ("_CELLS", fc.Cell),
+    ):
+        assert getattr(core, name) is cls._table
+
+        def get(key, table=cls._table, kind=cls.__name__):
+            ref = table.get(key)
+            lookups.append((kind, ref is not None and ref() is not None))
+            return ref
+
+        monkeypatch.setattr(core, name, SimpleNamespace(get=get))
+    return lookups
 
 
 def report_counts(report: fc.AxiomReport) -> dict[str, int]:

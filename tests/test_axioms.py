@@ -11,6 +11,7 @@ import flowcat as fc
 from flowcat.axioms import _law_e
 
 from _helpers import (
+    count_lookups,
     find_cell,
     independent_tag_counts,
     reference_check_c,
@@ -422,8 +423,6 @@ class TestUnitLawReference:
     def test_unit_law_interns_nothing_the_second_time(
         self, name, deformed_tower, monkeypatch
     ):
-        import flowcat.core as core
-
         tower = (
             deformed_tower if name == "deformed" else fc.build_tower(*fc.sphere_system(4))
         )
@@ -431,25 +430,15 @@ class TestUnitLawReference:
         first = fc.check_axiom("d", X)
         # Every node the unit law glues is part of a live normal form, so a
         # second run finds each one in its intern table.
-        misses = []
-        intern = core._intern
-
-        def counting(cls, values, key=()):
-            ref = cls._table.get(key or values)
-            if ref is None or ref() is None:
-                misses.append((cls.__name__, values))
-            return intern(cls, values, key)
-
-        monkeypatch.setattr(core, "_intern", counting)
+        lookups = count_lookups(monkeypatch)
         assert fc.check_axiom("d", X) == first
+        misses = [cls for cls, found in lookups if not found]
         assert misses == []
 
     @pytest.mark.parametrize("name", ["deformed", "sphere8"])
     def test_unit_composite_is_the_held_normal_cell(
         self, name, deformed_tower, monkeypatch
     ):
-        import flowcat.core as core
-
         tower = (
             deformed_tower if name == "deformed" else fc.build_tower(*fc.sphere_system(8))
         )
@@ -468,19 +457,44 @@ class TestUnitLawReference:
                         X.boundaries(unit)
                     units += [(p, tt, A, A), (p, A, ss, A)]
         assert len(units) == fc.check_axiom("d", fc.GlobularSet(tower)).instances
-        calls = []
-        intern = core._intern
-
-        def counting(cls, values, key=()):
-            calls.append(cls.__name__)
-            return intern(cls, values, key)
-
-        monkeypatch.setattr(core, "_intern", counting)
+        calls = count_lookups(monkeypatch)
         for p, after, first, A in units:
             assert X.normal_compose(p, after, first) is fc.normalize(A)
         # The unit composite is the normal form of A, held by the view: the
         # gluing looks up and builds no node.
         assert calls == []
+
+    def test_identity_stacks_walk_without_lookups(self, monkeypatch):
+        # The view's identity fills the walk entry of each identity of a
+        # walked cell from the cell's, so no stack entry's walk finds its
+        # support again through the intern tables.
+        X = fc.GlobularSet(fc.build_tower(*fc.sphere_system(8)))
+        stacks = []
+        for level in range(1, X.n + 1):
+            for A in X.cells(level):
+                sources, targets = X.boundaries(A)
+                for p in range(level):
+                    tt, ss = targets[p], sources[p]
+                    for _ in range(level - p):
+                        tt, ss = X.identity(tt), X.identity(ss)
+                        stacks += [tt, ss]
+        lookups = count_lookups(monkeypatch)
+        for unit in stacks:
+            sources, targets = X.boundaries(unit)
+            assert sources[-1] is targets[-1] is fc.normalize(unit) is unit
+        assert stacks and lookups == []
+
+    def test_identity_walk_entry_is_kept_for_normal_identities_only(self, deformed_tower):
+        # A hand-built normal cell whose broken top does not bound its space:
+        # its raw identity is not normal, so its walk is that of its normal
+        # form, which the view's identity must not fill from the cell's.
+        X = fc.GlobularSet(deformed_tower)
+        end = find_cell(deformed_tower, 1, "(x/y:c0,y/w:a) @ M(x>w)")
+        odd = fc.Cell(end.top, find_cell(deformed_tower, 1, "x/y:c0 @ M(x>y)").space)
+        assert fc.normalize(odd) is odd and X.boundaries(odd)
+        unit = X.identity(odd)
+        assert fc.normalize(unit) is not unit
+        assert X.boundaries(unit)[0][-1] is fc.normalize(unit)
 
 
 class TestAssociativityReference:
@@ -634,24 +648,14 @@ class TestInterchangeShortcut:
     def test_interchange_interns_only_the_same_top_raw_sides(
         self, deformed_tower, monkeypatch
     ):
-        import flowcat.core as core
-
         X = fc.GlobularSet(deformed_tower)
         first = fc.check_axiom("e", X)
         same_top = sum(C.top is E.top for *_, (H, E, C, A), _, _ in _law_e(X))
         # A second run finds every normal side and inner composite in the
         # view's tables; only the raw outer cell and its broken top of each
         # instance whose C and E share a top are built again.
-        misses = []
-        intern = core._intern
-
-        def counting(cls, values, key=()):
-            ref = cls._table.get(key or values)
-            if ref is None or ref() is None:
-                misses.append(cls.__name__)
-            return intern(cls, values, key)
-
-        monkeypatch.setattr(core, "_intern", counting)
+        lookups = count_lookups(monkeypatch)
         assert fc.check_axiom("e", X) == first
+        misses = [cls for cls, found in lookups if not found]
         assert (first.strict, same_top) == (4, 4)
         assert sorted(misses) == ["Broken"] * same_top + ["Cell"] * same_top

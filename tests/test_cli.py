@@ -410,6 +410,24 @@ critical q1 index 0 component 1
 class TestDeclaredModuli:
     """``moduli`` lines inside ``[declare]``: parsed, rendered, built, checked."""
 
+    def test_repeated_sections_continue_the_first(self):
+        # A second [critical] section continues the first, and so does a
+        # second [declare] section for one space; a second [moduli s t]
+        # section is a parse error (TestParseErrors).
+        second = "[declare M(hi1>lo1|N>S)]"
+        split = _CIRCLES.replace("N 3\n", "N 3\n\n[critical]\n").replace(
+            "component 0\ncritical p1", f"component 0\n\n{second}\ncritical p1"
+        )
+        assert split.count("[critical]") == split.count(second) == 2
+        assert fc.parse_tower_file(split) == fc.parse_tower_file(_CIRCLES)
+        # A moduli line names points declared in its own section only.
+        again = _CIRCLES.replace(
+            "moduli hi1 lo1 component 1", "\n[declare M(N>S)]\nmoduli hi1 lo1 component 1"
+        )
+        with pytest.raises(fc.ParseError) as err:
+            fc.parse_tower_file(again)
+        assert str(err.value) == "line 14: 'hi1' is not a declared point of this section"
+
     def test_render_and_parse_round_trip(self):
         fs, decls = fc.parse_tower_file(_CIRCLES)
         ((s, t, comps),) = decls.get("M(N>S)", "c0").moduli

@@ -246,9 +246,21 @@ class TestInterning:
         as_int = fc.CritPoint("p", 1, 1)
         as_fraction = fc.CritPoint("p", 1, Fraction(1))
         as_bool = fc.CritPoint("p", True, 1)
-        assert len({id(as_int), id(as_fraction), id(as_bool)}) == 3
-        assert len({repr(as_int), repr(as_fraction), repr(as_bool)}) == 3
+        bool_value = fc.CritPoint("p", 1, True)
+        points = (as_int, as_fraction, as_bool, bool_value)
+        assert len({id(p) for p in points}) == len({repr(p) for p in points}) == 4
         assert fc.CritPoint("p", 1, Fraction(1)) is as_fraction
+        assert fc.CritPoint("p", 1, True) is bool_value
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", None, 1j])
+    def test_values_that_are_not_rational_are_refused(self, value):
+        # A float has an integer ratio too; it must not become a node.
+        for _ in range(2):
+            with pytest.raises(ValueError) as refused:
+                fc.CritPoint("p", 1, value)
+            assert str(refused.value) == (
+                f"critical point 'p': value must be an int or a Fraction, got {value!r}"
+            )
 
     def test_failing_checks_raise_on_every_build(self):
         for _ in range(2):
@@ -339,6 +351,7 @@ class TestInternFastPath:
             lambda: fc.CritPoint("p", -1, Fraction(1)),
             lambda: fc.Broken((x,)),
             lambda: fc.CritPoint("s", 0, Fraction(1), flat),
+            lambda: fc.CritPoint("p", 1, 1.5),
         ):
             with pytest.raises(ValueError):
                 build()

@@ -30,8 +30,13 @@ END_A = (
 )
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()
+def _digest(*objs) -> str:
+    """The digest of the objects' reprs, one after another."""
+
+    digest = hashlib.sha256()
+    for obj in objs:
+        digest.update(repr(obj).encode())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +106,16 @@ class TestRepr:
         )
         assert _digest(fc.build_tower(*fc.sphere_system(3))) == (
             "6e83e604dba7d2f71c5ff3734dfc005c6034f9eb9c81933f6c350544e32fd0c5"
+        )
+
+    def test_random_and_wide_towers(self):
+        # A wrong height can pass every verdict, but it shows in the repr.
+        assert _digest(*(fc.build_tower(fc.random_system(s)) for s in range(20))) == (
+            "75c05f0a6d3ab6c8bbfda6d3e3d148c5f70153d77856df63a03da2eecf5d224b"
+        )
+        wide = (fc.build_tower(fc.random_system(s, max_points=32)) for s in (1, 4, 8))
+        assert _digest(*wide) == (
+            "cd3ebc08cfc571b2b40e26e23856c4a76bd2db4be56c1a48654f02255feb1139"
         )
 
     def test_reports(self, mutant_report):
